@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gridsim::job::JobSpec;
 use gridsim::mds::ResourceState;
 use gridsim::resource::{ResourceId, ResourceKind, ResourceSpec};
-use gridsim::scheduler::{choose_resource, ResourceView, SchedulerPolicy};
+use gridsim::scheduler::{decide, ResourceView, SchedulerPolicy};
 
 fn bench_scheduler(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler");
@@ -33,8 +33,8 @@ fn bench_scheduler(c: &mut Criterion) {
         .collect();
     let policy = SchedulerPolicy::default();
     let job = JobSpec::simple(1, 7200.0).with_estimate(8000.0);
-    group.bench_function("choose_resource_100", |b| {
-        b.iter(|| std::hint::black_box(choose_resource(&job, &views, &policy)))
+    group.bench_function("decide_100", |b| {
+        b.iter(|| std::hint::black_box(decide(&job, &views, &policy)))
     });
 
     group.finish();

@@ -24,7 +24,7 @@ use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::JobSpec;
 use gridsim::mds::ResourceState;
 use gridsim::resource::{ResourceId, ResourceKind, ResourceSpec};
-use gridsim::scheduler::{choose_resource_explained, ResourceView, SchedulerPolicy};
+use gridsim::scheduler::{decide, score, ResourceView, SchedulerPolicy};
 use gridsim::telemetry::TelemetryConfig;
 use gridsim::{DataConfig, DataPolicy};
 use simkit::SimTime;
@@ -145,8 +145,9 @@ fn run(jobs: &[JobSpec], data: DataConfig, seed: u64) -> GridReport {
 }
 
 /// Show the explained decision directly: two otherwise-identical candidates,
-/// one with the job's alignment already cached. The per-candidate stage-in
-/// term is part of the decision record the telemetry layer consumes.
+/// one with the job's alignment already cached. The stage-in term is part
+/// of each candidate's score, and the winner's term is what the telemetry
+/// layer records.
 fn explain_stage_in_term() {
     let specs = resources();
     let state = ResourceState {
@@ -159,19 +160,23 @@ fn explain_stage_in_term() {
     let mut cold = ResourceView::new(ResourceId(1), &specs[1], state, 1.0);
     cold.stage_in_seconds = Some(512.0);
     let job = JobSpec::simple(0, 5400.0).with_estimate(5400.0);
-    let decision = choose_resource_explained(&job, &[warm, cold], &SchedulerPolicy::default());
+    let policy = SchedulerPolicy::default();
+    let views = [warm, cold];
+    let decision = decide(&job, &views, &policy);
     println!("\nexplained decision (identical load/speed, warm vs cold cache):");
-    for c in &decision.candidates {
+    for v in &views {
         println!(
             "  {:<10} stage-in {:>6.0}s  score {:.4}",
-            c.name,
-            c.stage_in_seconds.unwrap_or(f64::NAN),
-            c.score.unwrap_or(f64::NAN)
+            v.name,
+            v.stage_in_seconds.unwrap_or(f64::NAN),
+            score(v, &policy)
         );
     }
+    assert_eq!(decision.eligible, 2, "both candidates eligible");
     let chosen = decision.chosen.expect("both candidates eligible");
     assert_eq!(chosen, ResourceId(0), "warm cache must win the tie");
-    println!("  chosen: {} (the warm site)", decision.candidates[0].name);
+    assert_eq!(decision.stage_in_seconds, Some(0.0));
+    println!("  chosen: {} (the warm site)", views[chosen.0].name);
 }
 
 fn main() {

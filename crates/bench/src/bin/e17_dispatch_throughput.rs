@@ -1,15 +1,10 @@
 //! E17 — dispatch-core throughput at paper scale.
 //!
 //! The paper's volunteer pool was 23,192 hosts. This experiment pushes the
-//! dispatch core (feeder-indexed matchmaking + calendar-queue event
+//! dispatch core (the BOINC feeder's idle-host set + calendar-queue event
 //! scheduler + slab-backed host/job state) along a host-count trajectory —
 //! 1k / 10k / 23,192 / 100k volunteers with up to 1M workunits — and
-//! records events/sec, dispatches/sec, and peak RSS per arm. A separate
-//! comparison arm at the paper's pool size runs the *same* reduced workload
-//! through both matchmaker paths (indexed default vs the pre-PR full scan,
-//! [`Grid::set_legacy_scan_path`]) to quantify the speedup; the paths are
-//! decision-identical (see `tests/dispatch_equivalence.rs`), so this is a
-//! pure mechanism comparison.
+//! records events/sec, dispatches/sec, and peak RSS per arm.
 //!
 //! The summary is committed at the workspace root as
 //! `BENCH_e17_dispatch_throughput.json` so later PRs show their perf delta.
@@ -19,9 +14,7 @@
 //!
 //! Knobs: `E17_MAX_HOSTS` caps the trajectory (default 100_000),
 //! `E17_WU_PER_HOST` scales workunits per arm (default 10, so the 100k arm
-//! carries 1M workunits), `E17_COMPARE_WU` sizes the two-path comparison
-//! workload (default 20_000 — the legacy scan is O(pool) *per assignment*,
-//! which is exactly what the arm demonstrates), `E17_SEED`.
+//! carries 1M workunits), `E17_SEED`.
 
 use bench::{env_usize, header, write_json, write_metrics};
 use gridsim::boinc::BoincConfig;
@@ -92,9 +85,8 @@ struct Arm {
     current_rss_bytes: u64,
 }
 
-fn run_arm(hosts: usize, workunits: usize, seed: u64, legacy: bool) -> Arm {
+fn run_arm(hosts: usize, workunits: usize, seed: u64) -> Arm {
     let mut grid = Grid::new(pool_config(hosts, seed));
-    grid.set_legacy_scan_path(legacy);
     grid.submit(workload(workunits, seed ^ 0xE17));
     let started = Instant::now();
     let report: GridReport = grid.run_until_done(SimTime::from_days(120));
@@ -123,21 +115,10 @@ fn run_arm(hosts: usize, workunits: usize, seed: u64, legacy: bool) -> Arm {
 }
 
 #[derive(serde::Serialize)]
-struct Comparison {
-    hosts: usize,
-    workunits: usize,
-    legacy: Arm,
-    indexed: Arm,
-    dispatch_speedup: f64,
-    event_speedup: f64,
-}
-
-#[derive(serde::Serialize)]
 struct Summary {
     schema: &'static str,
     seed: u64,
     trajectory: Vec<Arm>,
-    comparison: Option<Comparison>,
 }
 
 fn print_arm(label: &str, a: &Arm) {
@@ -204,45 +185,15 @@ fn main() {
             println!("(skipping {hosts}-host arm: E17_MAX_HOSTS={max_hosts})");
             continue;
         }
-        let arm = run_arm(hosts, hosts * wu_per_host, seed, false);
-        print_arm("indexed", &arm);
+        let arm = run_arm(hosts, hosts * wu_per_host, seed);
+        print_arm("trajectory", &arm);
         trajectory.push(arm);
     }
-
-    // Two-path comparison at the paper's pool size (capped by the smoke
-    // knob): identical workload, identical decisions, different mechanism.
-    // The legacy scan costs O(pool size) per assignment, so the comparison
-    // workload is kept small enough to finish while still amortising setup.
-    let cmp_hosts = 23_192.min(max_hosts);
-    let cmp_wu = env_usize("E17_COMPARE_WU", 20_000).min(cmp_hosts * wu_per_host);
-    println!("\ncomparison @ {cmp_hosts} hosts, {cmp_wu} workunits:");
-    let legacy = run_arm(cmp_hosts, cmp_wu, seed, true);
-    print_arm("legacy full scan", &legacy);
-    let indexed = run_arm(cmp_hosts, cmp_wu, seed, false);
-    print_arm("feeder-indexed", &indexed);
-    assert_eq!(
-        (legacy.completed, legacy.total_reissues, legacy.events),
-        (indexed.completed, indexed.total_reissues, indexed.events),
-        "paths diverged — decision identity is broken"
-    );
-    let comparison = Comparison {
-        hosts: cmp_hosts,
-        workunits: cmp_wu,
-        dispatch_speedup: indexed.dispatches_per_sec / legacy.dispatches_per_sec,
-        event_speedup: indexed.events_per_sec / legacy.events_per_sec,
-        legacy,
-        indexed,
-    };
-    println!(
-        "speedup: {:.1}x dispatches/sec, {:.1}x events/sec",
-        comparison.dispatch_speedup, comparison.event_speedup
-    );
 
     let summary = Summary {
         schema: "e17_dispatch_throughput/v1",
         seed,
         trajectory,
-        comparison: Some(comparison),
     };
 
     // Regression gate against the committed baseline (before overwriting).

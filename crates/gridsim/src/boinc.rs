@@ -296,9 +296,8 @@ pub struct BoincSim {
     // --- Feeder index: derived state, never serialized (rebuilt on restore
     // and therefore invisible to snapshot byte-identity comparisons). ---
     /// Clients that are available, untasked, and not mid-RPC — exactly the
-    /// set the matchmaker hands work to. Ordered ascending so the indexed
-    /// path visits candidates in the same low-index-first order the legacy
-    /// full scan did.
+    /// set the matchmaker hands work to. Ordered ascending, so work goes to
+    /// low-index hosts first.
     idle: BTreeSet<usize>,
     /// Clients with `available && task.is_none()` (the MDS "free slots"
     /// signal; unlike `idle` it includes clients mid-RPC).
@@ -317,10 +316,6 @@ pub struct BoincSim {
     sorted_speeds: Vec<f64>,
     /// Sum of client speed factors.
     speed_sum: f64,
-    /// Route `assign_work` through the legacy full client scan instead of
-    /// the idle index (perf-comparison escape hatch; not serialized, both
-    /// paths are decision-identical).
-    legacy_scan: bool,
 }
 
 impl BoincSim {
@@ -395,7 +390,6 @@ impl BoincSim {
             reissues_completed: 0,
             sorted_speeds: Vec::new(),
             speed_sum: 0.0,
-            legacy_scan: false,
         };
         sim.rebuild_derived();
         sim
@@ -406,32 +400,70 @@ impl BoincSim {
     /// construction and after snapshot restore — derived state is never
     /// serialized, so the encoding is identical to the pre-index format.
     fn rebuild_derived(&mut self) {
-        self.idle.clear();
-        self.free_clients = 0;
-        self.active = 0;
-        for (i, c) in self.clients.iter().enumerate() {
-            if c.available && c.task.is_none() {
-                self.free_clients += 1;
-                if !c.fetching {
-                    self.idle.insert(i);
-                }
-            }
-            if c.task.is_some() {
-                self.active += 1;
-            }
-        }
-        self.unfinished = self.workunits.values().filter(|w| !w.completed).count();
-        self.reissues_total = self.workunits.values().map(|w| w.reissues).sum();
-        self.reissues_completed = self
-            .workunits
-            .values()
-            .filter(|w| w.completed)
-            .map(|w| w.reissues)
-            .sum();
+        (self.idle, self.free_clients, self.active) = self.scan_clients();
+        (
+            self.unfinished,
+            self.reissues_total,
+            self.reissues_completed,
+        ) = self.scan_workunits();
         self.sorted_speeds = self.clients.iter().map(|c| c.speed).collect();
         self.sorted_speeds
             .sort_by(|a, b| a.partial_cmp(b).expect("speeds are finite"));
         self.speed_sum = self.sorted_speeds.iter().sum();
+    }
+
+    /// The idle set and the free/active client counters, recomputed from
+    /// the client table.
+    fn scan_clients(&self) -> (BTreeSet<usize>, usize, usize) {
+        let mut idle = BTreeSet::new();
+        let (mut free, mut active) = (0, 0);
+        for (i, c) in self.clients.iter().enumerate() {
+            if c.available && c.task.is_none() {
+                free += 1;
+                if !c.fetching {
+                    idle.insert(i);
+                }
+            }
+            if c.task.is_some() {
+                active += 1;
+            }
+        }
+        (idle, free, active)
+    }
+
+    /// `(unfinished, reissues_total, reissues_completed)`, recomputed from
+    /// the workunit table.
+    fn scan_workunits(&self) -> (usize, u32, u32) {
+        let (mut unfinished, mut reissues, mut reissues_completed) = (0, 0, 0);
+        for w in self.workunits.values() {
+            reissues += w.reissues;
+            if w.completed {
+                reissues_completed += w.reissues;
+            } else {
+                unfinished += 1;
+            }
+        }
+        (unfinished, reissues, reissues_completed)
+    }
+
+    /// Panic unless the incrementally maintained idle set and counters
+    /// equal a from-scratch rebuild.
+    #[cfg(test)]
+    pub(crate) fn assert_derived_state_matches_rebuild(&self) {
+        assert_eq!(
+            self.scan_clients(),
+            (self.idle.clone(), self.free_clients, self.active),
+            "idle set or free/active counters drifted from the client table"
+        );
+        assert_eq!(
+            self.scan_workunits(),
+            (
+                self.unfinished,
+                self.reissues_total,
+                self.reissues_completed
+            ),
+            "workunit counters drifted from the workunit table"
+        );
     }
 
     /// Re-derive one client's membership in the idle index and the
@@ -609,16 +641,6 @@ impl BoincSim {
         self.reissues_total
     }
 
-    /// Route matchmaking through the legacy full client scan (`true`) or
-    /// the idle-set index (`false`, the default). The two are
-    /// decision-identical — same assignments, same event stream — so this
-    /// only exists to measure the index's speedup and to differential-test
-    /// it. The flag is not serialized: a restored sim always starts on the
-    /// default path.
-    pub fn set_legacy_scan(&mut self, legacy: bool) {
-        self.legacy_scan = legacy;
-    }
-
     /// The grid job behind a workunit assignment, if the assignment is
     /// still known (telemetry links deadline reissues into the job's
     /// causal trace).
@@ -665,45 +687,12 @@ impl BoincSim {
     /// Hand queued copies to available idle clients (after the scheduler
     /// RPC delay).
     ///
-    /// The default path walks the feeder's idle index — cost proportional to
-    /// the number of idle hosts, not the pool size. The index iterates
-    /// ascending and holds exactly the clients the legacy full scan would
-    /// have picked (available, untasked, not mid-RPC), so both paths
-    /// schedule identical `BoincAssign` events in identical order;
-    /// reputation-blacklisted hosts stay in the index (their status is
-    /// threshold-derived and can change) and are skipped per call, exactly
-    /// like the legacy `continue`.
+    /// Walks the feeder's idle set — cost proportional to the number of
+    /// idle hosts, not the pool size — in ascending client order.
+    /// Reputation-blacklisted hosts stay in the set (their status is
+    /// threshold-derived and can change) and are skipped per call.
     fn assign_work(&mut self, now: SimTime, cal: &mut Calendar<GridEvent>) {
-        if self.queue.is_empty() {
-            return;
-        }
-        if self.legacy_scan {
-            for i in 0..self.clients.len() {
-                if self.queue.is_empty() {
-                    break;
-                }
-                // Reputation blacklist: hosts whose record crossed the error
-                // threshold stop receiving work entirely.
-                if self
-                    .validation
-                    .as_ref()
-                    .is_some_and(|v| v.engine.is_blacklisted(i))
-                {
-                    continue;
-                }
-                let c = &mut self.clients[i];
-                if c.available && c.task.is_none() && !c.fetching {
-                    c.fetching = true;
-                    self.idle.remove(&i);
-                    cal.schedule(
-                        now + self.config.work_fetch_delay,
-                        GridEvent::BoincAssign { client: i },
-                    );
-                }
-            }
-            return;
-        }
-        if self.idle.is_empty() {
+        if self.queue.is_empty() || self.idle.is_empty() {
             return;
         }
         let candidates: Vec<usize> = self.idle.iter().copied().collect();
@@ -1165,9 +1154,9 @@ pub struct FlipInfo {
 // — byte-identical to the sorted-`HashMap` renderings they replaced.
 // Client task records carry their `done` [`EventHandle`]s verbatim; they
 // stay valid because the grid calendar snapshots its handle space intact.
-// Feeder-index state (idle set, counters, speed cache, the legacy-scan
-// flag) is derived, so it is *not* serialized: snapshots from the indexed
-// and legacy paths stay byte-comparable, and restore rebuilds it.
+// Feeder-index state (idle set, counters, speed cache) is derived, so it
+// is *not* serialized: restore rebuilds it from the client and workunit
+// tables.
 impl Serialize for BoincSim {
     fn to_value(&self) -> Value {
         let queue: Vec<JobId> = self.queue.iter().copied().collect();
@@ -1241,7 +1230,6 @@ impl Deserialize for BoincSim {
             reissues_completed: 0,
             sorted_speeds: Vec::new(),
             speed_sum: 0.0,
-            legacy_scan: false,
         };
         sim.rebuild_derived();
         Ok(sim)

@@ -12,15 +12,12 @@ use crate::adapter;
 use crate::boinc::{BoincConfig, BoincOutcome, BoincSim};
 use crate::data::{DataConfig, DataGridState, DataReport};
 use crate::fault::FaultAction;
-use crate::index::DispatchIndex;
 use crate::job::{JobId, JobOutcome, JobRecord, JobSpec};
 use crate::lrm::{LrmOutcome, LrmSim};
 use crate::mds::Mds;
 use crate::recovery::RecoveryPolicy;
 use crate::resource::{ResourceId, ResourceKind, ResourceSpec};
-use crate::scheduler::{
-    choose_resource, choose_resource_explained, matches, score, ResourceView, SchedulerPolicy,
-};
+use crate::scheduler::{self, ResourceView, SchedulerPolicy};
 use crate::speed::{benchmark_machines, speed_from_benchmarks};
 use crate::stability::{ResourceHealth, StabilityTracker};
 use crate::telemetry::{GridTelemetry, TelemetryConfig, TelemetrySnapshot};
@@ -337,13 +334,6 @@ pub struct GridWorld {
     /// excluded from snapshots and never consulted by the simulation, so a
     /// restored grid simply restarts profiling from zero.
     profiler: Option<simkit::profile::Profiler>,
-    /// Feeder-style capability-class index over the (fixed) resource list.
-    /// Derived state: never serialized, rebuilt from `resources` on restore,
-    /// so legacy-scan and indexed grids snapshot to identical bytes.
-    index: DispatchIndex,
-    /// Route matchmaking through the pre-index full scan. Not serialized;
-    /// exists so differential tests and the E17 bench can run both paths.
-    legacy_matchmaker: bool,
 }
 
 impl GridWorld {
@@ -427,9 +417,8 @@ impl GridWorld {
         // dropping blacklisted resources and downgrading suspect ones to
         // unstable (the §V stability score fed online instead of from
         // static configuration). The table is indexed by resource id with
-        // `None` for offline/blacklisted entries, so outage and blacklist
-        // dynamics cost the indexed path an O(1) skip per class member and
-        // the post-dispatch load update is a direct array access.
+        // `None` for offline/blacklisted entries, so the post-dispatch load
+        // update is a direct array access.
         let mut views: Vec<Option<ResourceView>> = Vec::with_capacity(self.resources.len());
         for (i, spec) in self.resources.iter().enumerate() {
             let mut entry = None;
@@ -450,13 +439,6 @@ impl GridWorld {
             }
             views.push(entry);
         }
-        // The explained (telemetry) path must enumerate *every* candidate to
-        // record per-resource reject reasons, so it keeps the full scan; the
-        // indexed fast path is the default otherwise. Both paths rank the
-        // same eligible set with the same score and tie-break, so decisions
-        // and event streams are bit-identical (see `crate::index` docs and
-        // the differential tests).
-        let use_legacy = self.legacy_matchmaker || self.telemetry.is_some();
         // DAG-aware hint layer: reorder the backlog by stage slack so
         // critical-path stages dispatch first. The sort is stable, so FIFO
         // order still breaks ties, and jobs outside any campaign sort last
@@ -473,84 +455,32 @@ impl GridWorld {
                 self.pending = jobs.into();
             }
         }
-        let aware = self.data.as_ref().is_some_and(|d| d.aware());
         let now_s = now.as_secs_f64();
         let policy = self.config.policy;
         let mut still_pending = VecDeque::new();
         while let Some(job_id) = self.pending.pop_front() {
-            let chosen: Option<usize> = if use_legacy {
-                let spec = self.records[&job_id].spec.clone();
-                let excluded = self.failed_on.get(&job_id);
-                let mut eligible: Vec<ResourceView> = views
-                    .iter()
-                    .flatten()
-                    .filter(|v| excluded.is_none_or(|ex| !ex.contains(&v.id.0)))
-                    .cloned()
-                    .collect();
-                // Data-aware scheduling: fill the stage-in estimate on every
-                // candidate *before* choosing, so the plain and explained
-                // paths rank identical inputs. Blind mode leaves the field
-                // `None` and the ranking is exactly the paper's original.
-                if aware {
-                    let d = self.data.as_ref().expect("data plane present");
-                    for v in &mut eligible {
-                        v.stage_in_seconds = Some(d.estimate_stage_in(v.id.0, &spec, now_s));
+            let spec = &self.records[&job_id].spec;
+            let excluded = self.failed_on.get(&job_id);
+            // Data-aware scheduling fills each candidate's stage-in estimate
+            // before the filters run; blind mode leaves it `None`, which is
+            // the paper's original ranking.
+            let aware_data = self.data.as_ref().filter(|d| d.aware());
+            let candidates = views
+                .iter_mut()
+                .flatten()
+                .filter(|v| excluded.is_none_or(|ex| !ex.contains(&v.id.0)))
+                .map(|v| {
+                    if let Some(d) = aware_data {
+                        v.stage_in_seconds = Some(d.estimate_stage_in(v.id.0, spec, now_s));
                     }
-                }
-                // The explained path runs the identical filter/score/
-                // tie-break (asserted in scheduler tests), so enabling
-                // telemetry cannot change placement.
-                let chosen = match self.telemetry.as_mut() {
-                    Some(t) => {
-                        let decision = choose_resource_explained(&spec, &eligible, &policy);
-                        t.on_decision(now, job_id, &decision);
-                        decision.chosen
-                    }
-                    None => choose_resource(&spec, &eligible, &policy),
-                };
-                chosen.map(|ResourceId(r)| r)
-            } else {
-                // Indexed fast path: walk only the statically-eligible
-                // capability class, re-running the full `matches` filter on
-                // each member (dynamic checks: slots, stability, stage-in),
-                // then rank with the same (score, speed desc, id asc) order
-                // `choose_resource` uses. Ids are unique, so the order is
-                // total and the minimum matches `min_by` bit-for-bit.
-                let spec = &self.records[&job_id].spec;
-                let excluded = self.failed_on.get(&job_id);
-                let mut best: Option<(f64, f64, usize)> = None;
-                for &r in self.index.eligible(spec) {
-                    if excluded.is_some_and(|ex| ex.contains(&r)) {
-                        continue;
-                    }
-                    let Some(v) = views[r].as_mut() else {
-                        continue;
-                    };
-                    if aware {
-                        let d = self.data.as_ref().expect("data plane present");
-                        v.stage_in_seconds = Some(d.estimate_stage_in(r, spec, now_s));
-                    }
-                    if matches(spec, v, &policy).is_err() {
-                        continue;
-                    }
-                    let s = score(v, &policy);
-                    let better = match best {
-                        None => true,
-                        Some((bs, bspeed, bid)) => {
-                            s < bs
-                                || (s == bs
-                                    && (v.measured_speed > bspeed
-                                        || (v.measured_speed == bspeed && r < bid)))
-                        }
-                    };
-                    if better {
-                        best = Some((s, v.measured_speed, r));
-                    }
-                }
-                best.map(|(_, _, r)| r)
-            };
-            match chosen {
-                Some(r) => {
+                    &*v
+                });
+            let decision = scheduler::decide(spec, candidates, &policy);
+            if let Some(t) = self.telemetry.as_mut() {
+                t.on_decision(now, job_id, &decision);
+            }
+            match decision.chosen {
+                Some(ResourceId(r)) => {
                     let spec = self.records[&job_id].spec.clone();
                     self.dispatch(spec, r, now, cal);
                     // Update the view's load so one pass doesn't dump every
@@ -1192,8 +1122,6 @@ impl Deserialize for GridWorld {
             config: serde::field(fields, "config")?,
             // Derived matchmaking state: rebuilt from the restored resource
             // list, never part of the snapshot bytes.
-            index: DispatchIndex::new(&resources),
-            legacy_matchmaker: false,
             resources,
             lrms: serde::field(fields, "lrms")?,
             boinc: serde::field(fields, "boinc")?,
@@ -1608,8 +1536,6 @@ impl Grid {
                 .clone()
                 .map(|tc| tenancy::TenantBook::new(&tc)),
             flow: config.flow.map(flow::FlowBook::new),
-            index: DispatchIndex::new(&resources),
-            legacy_matchmaker: false,
             resources,
             lrms,
             boinc,
@@ -1730,20 +1656,6 @@ impl Grid {
     pub fn set_telemetry_gauge(&mut self, name: &str, value: f64) {
         if let Some(t) = self.sim.world_mut().telemetry.as_mut() {
             t.set_gauge(name, value);
-        }
-    }
-
-    /// Route matchmaking through the pre-index full scan (both the grid
-    /// matchmaker and the BOINC pool's host scan). The flag is derived
-    /// state — never serialized, reset to the indexed default on restore —
-    /// and both paths are decision-identical, so flipping it cannot change
-    /// any simulation outcome; it exists for differential tests and the E17
-    /// before/after throughput comparison.
-    pub fn set_legacy_scan_path(&mut self, legacy: bool) {
-        let world = self.sim.world_mut();
-        world.legacy_matchmaker = legacy;
-        if let Some(b) = world.boinc.as_mut() {
-            b.set_legacy_scan(legacy);
         }
     }
 
@@ -1878,27 +1790,31 @@ impl Grid {
         n
     }
 
-    /// Run until every submitted job completes or the clock passes
-    /// `deadline`. Returns the final report.
+    /// True once every submission has settled: delivered and terminal
+    /// (completed or dead-lettered), or refused by tenancy admission.
+    /// Records fill in as `Submit` events arrive, and refused tenant
+    /// submissions never become records, so they count against the
+    /// expectation through the tenant book instead.
+    pub fn workload_settled(&self) -> bool {
+        let world = self.sim.world();
+        let rejected = world
+            .tenancy
+            .as_ref()
+            .map_or(0, |b| b.rejected_total() as usize);
+        world.records.len() + rejected == self.submissions_expected && world.all_done()
+    }
+
+    /// Run until every submission settles ([`Grid::workload_settled`]) or
+    /// the clock passes `deadline`. Returns the final report.
     pub fn run_until_done(&mut self, deadline: SimTime) -> GridReport {
-        loop {
-            let next = self.sim.calendar_mut().peek_time();
-            match next {
-                Some(t) if t <= deadline => {
-                    self.sim.step();
-                }
-                _ => break,
-            }
-            // Done only once every expected submission has been delivered
-            // AND completed (records fill in as Submit events arrive).
-            // Rejected tenant submissions never become records, so they
-            // count against the expectation through the book instead.
-            let world = self.sim.world();
-            let rejected = world
-                .tenancy
-                .as_ref()
-                .map_or(0, |b| b.rejected_total() as usize);
-            if world.records.len() + rejected == self.submissions_expected && world.all_done() {
+        while self
+            .sim
+            .calendar_mut()
+            .peek_time()
+            .is_some_and(|t| t <= deadline)
+        {
+            self.sim.step();
+            if self.workload_settled() {
                 break;
             }
         }
@@ -2348,6 +2264,53 @@ mod tests {
         let per_record: u32 = report.records.iter().map(|r| r.reissues).sum();
         assert!(per_record > 0, "scenario must actually reissue work");
         assert_eq!(report.total_reissues, per_record);
+    }
+
+    #[test]
+    fn boinc_derived_state_matches_a_rebuild_after_every_event() {
+        use crate::boinc::DeadlinePolicy;
+        // Realistic churn flips hosts, abandoning volunteers and short
+        // deadlines force reissues, and erroneous results make validation
+        // replicate further. After every event the pool's incrementally
+        // maintained idle set and counters must equal a from-scratch
+        // rebuild from its client and workunit tables.
+        let config = GridConfig {
+            resources: vec![],
+            boinc: Some(BoincConfig {
+                num_clients: 40,
+                abandon_probability: 0.2,
+                deadline: DeadlinePolicy::Fixed(SimDuration::from_hours(6)),
+                ..Default::default()
+            }),
+            validation: Some(quorum::ValidationConfig::default()),
+            churn: Some(crate::ChurnConfig::realistic()),
+            seed: 43,
+            ..Default::default()
+        };
+        let mut grid = Grid::new(config);
+        grid.inject_faults(FaultScript::new().at(
+            SimTime::ZERO,
+            FaultAction::BoincErroneousResults { rate: 0.2 },
+        ));
+        grid.submit((0..40).map(|i| {
+            let secs = 1800.0 + 300.0 * (i % 7) as f64;
+            JobSpec::simple(i, secs).with_estimate(secs)
+        }));
+        let mut events = 0;
+        while !grid.workload_settled() && grid.step() {
+            events += 1;
+            let boinc = grid.world().boinc.as_ref().expect("boinc pool present");
+            boinc.assert_derived_state_matches_rebuild();
+            assert!(events < 500_000, "workload never settled");
+        }
+        let report = grid.report();
+        assert_eq!(report.completed, 40, "{report:?}");
+        assert!(report.total_reissues > 0, "scenario must reissue work");
+        let validation = report.validation.as_ref().expect("validation on");
+        assert!(
+            validation.invalid_results > 0,
+            "scenario must disagree: {validation:?}"
+        );
     }
 
     #[test]

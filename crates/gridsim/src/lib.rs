@@ -22,9 +22,6 @@
 //! * [`speed`] — reference-computer speed calibration (§V.A);
 //! * [`scheduler`] — the grid-level algorithm: matchmaking filters, then
 //!   ranking by load, speed, and stability (§V.A);
-//! * [`index`] — the feeder-style dispatch index: capability-class
-//!   matchmaking that consults only statically-eligible candidates, with a
-//!   soundness argument making it decision-identical to the full scan;
 //! * [`grid`] — the event-driven world tying everything together, with
 //!   per-job accounting (wait, runtime, wasted CPU, reissues);
 //! * [`fault`] — scripted fault scenarios (site outages, silent MDS
@@ -68,7 +65,6 @@ pub mod churn;
 pub mod data;
 pub mod fault;
 pub mod grid;
-pub mod index;
 pub mod job;
 pub mod lrm;
 pub mod mds;
@@ -85,7 +81,6 @@ pub use churn::{ChurnConfig, ChurnConfigError, ChurnModel, ChurnTrace, SiteOutag
 pub use data::{DataConfig, DataGridState, DataPolicy, DataReport, DataSnapshot, StageIn};
 pub use fault::FaultAction;
 pub use grid::{Grid, GridConfig, GridReport};
-pub use index::DispatchIndex;
 pub use job::{JobId, JobOutcome, JobSpec};
 pub use mds::MdsSnapshot;
 pub use platform::{Arch, Os, Platform};

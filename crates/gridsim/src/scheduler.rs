@@ -113,6 +113,15 @@ pub enum RejectReason {
 }
 
 impl RejectReason {
+    /// Every reason, in the order [`matches()`] applies the filters.
+    pub const ALL: [RejectReason; 5] = [
+        RejectReason::Platform,
+        RejectReason::Memory,
+        RejectReason::Mpi,
+        RejectReason::Software,
+        RejectReason::Stability,
+    ];
+
     /// Stable lowercase label, used as a metrics-key suffix
     /// (`scheduler.reject.<label>`).
     pub fn label(self) -> &'static str {
@@ -190,92 +199,79 @@ pub fn score(view: &ResourceView, policy: &SchedulerPolicy) -> f64 {
     contention + view.stage_in_seconds.unwrap_or(0.0) / STAGE_IN_RANK_SECONDS
 }
 
-/// Full scheduling decision: filter, then rank. Deterministic tie-breaking
-/// by higher speed, then lower id.
+/// One scheduling decision: the winner plus a tally of what the
+/// matchmaking filters did to the candidates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision {
+    /// The winning resource, if any candidate was eligible.
+    pub chosen: Option<ResourceId>,
+    /// The winner's estimated stage-in seconds (`None` when the grid is
+    /// data-blind or nothing was eligible).
+    pub stage_in_seconds: Option<f64>,
+    /// Candidates considered.
+    pub candidates: usize,
+    /// Candidates that passed every matchmaking filter.
+    pub eligible: usize,
+    /// Rejected candidates per filter, indexed by `RejectReason as usize`.
+    pub rejects: [usize; RejectReason::ALL.len()],
+}
+
+impl Decision {
+    /// Candidates the given filter rejected.
+    pub fn rejected(&self, reason: RejectReason) -> usize {
+        self.rejects[reason as usize]
+    }
+}
+
+/// The scheduling decision (§V.A): run [`matches()`] on every candidate,
+/// rank the survivors by [`score`], and break ties by higher speed, then
+/// lower id. Ids are unique, so the order is total and the winner does not
+/// depend on candidate order.
+pub fn decide<'a>(
+    job: &JobSpec,
+    candidates: impl IntoIterator<Item = &'a ResourceView>,
+    policy: &SchedulerPolicy,
+) -> Decision {
+    let mut decision = Decision {
+        chosen: None,
+        stage_in_seconds: None,
+        candidates: 0,
+        eligible: 0,
+        rejects: [0; RejectReason::ALL.len()],
+    };
+    let mut best: Option<(f64, &ResourceView)> = None;
+    for view in candidates {
+        decision.candidates += 1;
+        if let Err(reason) = matches(job, view, policy) {
+            decision.rejects[reason as usize] += 1;
+            continue;
+        }
+        decision.eligible += 1;
+        let s = score(view, policy);
+        let better = best.is_none_or(|(best_score, b)| {
+            s.total_cmp(&best_score)
+                .then(b.measured_speed.total_cmp(&view.measured_speed))
+                .then(view.id.cmp(&b.id))
+                .is_lt()
+        });
+        if better {
+            best = Some((s, view));
+        }
+    }
+    if let Some((_, winner)) = best {
+        decision.chosen = Some(winner.id);
+        decision.stage_in_seconds = winner.stage_in_seconds;
+    }
+    decision
+}
+
+/// The winner of [`decide`] over `views`.
 pub fn choose_resource(
     job: &JobSpec,
     views: &[ResourceView],
     policy: &SchedulerPolicy,
 ) -> Option<ResourceId> {
-    views
-        .iter()
-        .filter(|v| matches(job, v, policy).is_ok())
-        .min_by(|a, b| {
-            score(a, policy)
-                .partial_cmp(&score(b, policy))
-                .unwrap()
-                .then(b.measured_speed.partial_cmp(&a.measured_speed).unwrap())
-                .then(a.id.cmp(&b.id))
-        })
-        .map(|v| v.id)
-}
-
-/// One candidate's fate in an explained scheduling decision: the rank inputs
-/// the scheduler saw (load, speed, stability) plus either its score or the
-/// matchmaking filter that rejected it.
-#[derive(Debug, Clone, Serialize)]
-pub struct CandidateDecision {
-    /// Resource id.
-    pub id: ResourceId,
-    /// Human-readable name.
-    pub name: String,
-    /// True iff the candidate survived all matchmaking filters.
-    pub eligible: bool,
-    /// The filter that rejected it (`None` when eligible).
-    pub reject: Option<RejectReason>,
-    /// Ranking score (lower is better; `None` when rejected).
-    pub score: Option<f64>,
-    /// Load proxy from the candidate's MDS state.
-    pub load: f64,
-    /// Calibrated speed factor.
-    pub speed: f64,
-    /// Stability classification at decision time.
-    pub stable: bool,
-    /// Estimated stage-in seconds the ranker saw (`None` when the grid is
-    /// data-blind).
-    pub stage_in_seconds: Option<f64>,
-}
-
-/// A full matchmaking + ranking decision with per-candidate reasoning, for
-/// telemetry (`scheduler.decision` events) and offline debugging.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScheduleDecision {
-    /// The winning resource, if any candidate was eligible.
-    pub chosen: Option<ResourceId>,
-    /// Every candidate considered, in view order.
-    pub candidates: Vec<CandidateDecision>,
-}
-
-/// Like [`choose_resource`], but records why each candidate was kept or
-/// rejected. Uses the identical filter, score, and tie-break, so
-/// `choose_resource_explained(..).chosen == choose_resource(..)` always.
-pub fn choose_resource_explained(
-    job: &JobSpec,
-    views: &[ResourceView],
-    policy: &SchedulerPolicy,
-) -> ScheduleDecision {
-    let candidates: Vec<CandidateDecision> = views
-        .iter()
-        .map(|v| {
-            let reject = matches(job, v, policy).err();
-            let eligible = reject.is_none();
-            CandidateDecision {
-                id: v.id,
-                name: v.name.clone(),
-                eligible,
-                reject,
-                score: eligible.then(|| score(v, policy)),
-                load: v.state.load(),
-                speed: v.measured_speed,
-                stable: v.stable,
-                stage_in_seconds: v.stage_in_seconds,
-            }
-        })
-        .collect();
-    ScheduleDecision {
-        chosen: choose_resource(job, views, policy),
-        candidates,
-    }
+    decide(job, views, policy).chosen
 }
 
 #[cfg(test)]
@@ -453,6 +449,31 @@ mod tests {
         assert_eq!(choose_resource(&job, &[condor], &policy), None);
     }
 
+    /// The decision's tally, recomputed view by view from [`matches`].
+    fn assert_tally_matches_filters(decision: &Decision, job: &JobSpec, views: &[ResourceView]) {
+        let policy = SchedulerPolicy::default();
+        assert_eq!(decision.candidates, views.len());
+        let verdicts: Vec<_> = views.iter().map(|v| matches(job, v, &policy)).collect();
+        assert_eq!(
+            decision.eligible,
+            verdicts.iter().filter(|r| r.is_ok()).count()
+        );
+        for reason in RejectReason::ALL {
+            assert_eq!(
+                decision.rejected(reason),
+                verdicts.iter().filter(|r| **r == Err(reason)).count(),
+                "{} rejects",
+                reason.label()
+            );
+        }
+        assert_eq!(
+            decision.eligible + decision.rejects.iter().sum::<usize>(),
+            decision.candidates,
+            "every candidate is eligible or rejected for one reason"
+        );
+        assert_eq!(decision.chosen.is_some(), decision.eligible > 0);
+    }
+
     #[test]
     fn explained_decision_agrees_with_choose_resource() {
         // Exercise mixed eligibility: a loaded cluster, a fast cluster, an
@@ -476,24 +497,25 @@ mod tests {
             JobSpec::simple(3, 100.0),
         ];
         for job in &jobs {
-            let explained = choose_resource_explained(job, &views, &policy);
+            let explained = decide(job, &views, &policy);
             assert_eq!(explained.chosen, choose_resource(job, &views, &policy));
-            assert_eq!(explained.candidates.len(), views.len());
-            for c in &explained.candidates {
-                assert_eq!(c.eligible, c.reject.is_none());
-                assert_eq!(c.eligible, c.score.is_some());
-            }
+            assert_tally_matches_filters(&explained, job, &views);
         }
         // The long-estimate job must show a Stability reject on the pools.
-        let long = choose_resource_explained(&jobs[1], &views, &policy);
-        assert_eq!(long.candidates[2].reject, Some(RejectReason::Stability));
+        let long = decide(&jobs[1], &views, &policy);
+        assert_eq!(
+            matches(&jobs[1], &views[2], &policy),
+            Err(RejectReason::Stability)
+        );
+        assert_eq!(long.rejected(RejectReason::Stability), 2);
+        assert_eq!(long.eligible, 2);
     }
 
     #[test]
     fn explained_decision_agrees_when_every_candidate_is_rejected() {
-        // Regression: with zero survivors the explained path must still
-        // agree with the plain path (both None) and enumerate a concrete
-        // reject reason for every candidate.
+        // Regression: with zero survivors the decision must still agree
+        // with the plain path (both None) and tally a concrete reject
+        // reason for every candidate.
         let policy = SchedulerPolicy::default();
         let mut job = JobSpec::simple(1, 100.0);
         job.needs_mpi = true;
@@ -504,15 +526,17 @@ mod tests {
             condor_view(1, 16, 1.0),
             condor_view(2, 4, 0.5),
         ];
-        let explained = choose_resource_explained(&job, &views, &policy);
+        let explained = decide(&job, &views, &policy);
         assert_eq!(explained.chosen, None);
         assert_eq!(explained.chosen, choose_resource(&job, &views, &policy));
-        assert_eq!(explained.candidates.len(), views.len());
-        for c in &explained.candidates {
-            assert!(!c.eligible);
-            assert!(c.reject.is_some(), "rejected candidates carry a reason");
-            assert_eq!(c.score, None);
-        }
+        assert_eq!(explained.eligible, 0);
+        assert_eq!(explained.stage_in_seconds, None);
+        assert_eq!(
+            explained.rejects.iter().sum::<usize>(),
+            views.len(),
+            "rejected candidates carry a reason"
+        );
+        assert_tally_matches_filters(&explained, &job, &views);
     }
 
     #[test]
@@ -526,17 +550,11 @@ mod tests {
         let mut sw_job = JobSpec::simple(2, 100.0);
         sw_job.software_deps = vec!["java".into()];
         let views = vec![condor];
-        let mpi_decision = choose_resource_explained(&mpi_job, &views, &policy);
-        let sw_decision = choose_resource_explained(&sw_job, &views, &policy);
-        assert_eq!(mpi_decision.candidates[0].reject, Some(RejectReason::Mpi));
-        assert_eq!(
-            sw_decision.candidates[0].reject,
-            Some(RejectReason::Software)
-        );
-        assert_ne!(
-            mpi_decision.candidates[0].reject,
-            sw_decision.candidates[0].reject
-        );
+        let mpi_decision = decide(&mpi_job, &views, &policy);
+        let sw_decision = decide(&sw_job, &views, &policy);
+        assert_eq!(mpi_decision.rejected(RejectReason::Mpi), 1);
+        assert_eq!(sw_decision.rejected(RejectReason::Software), 1);
+        assert_ne!(mpi_decision.rejects, sw_decision.rejects);
         assert_ne!(RejectReason::Mpi.label(), RejectReason::Software.label());
     }
 
@@ -560,10 +578,41 @@ mod tests {
             Some(ResourceId(1)),
             "data-aware: the warm cache wins"
         );
-        let explained = choose_resource_explained(&job, &[cold, warm], &policy);
+        let explained = decide(&job, &[cold.clone(), warm], &policy);
         assert_eq!(explained.chosen, Some(ResourceId(1)));
-        assert_eq!(explained.candidates[0].stage_in_seconds, Some(600.0));
-        assert_eq!(explained.candidates[1].stage_in_seconds, Some(0.0));
+        assert_eq!(explained.stage_in_seconds, Some(0.0));
+        let alone = decide(&job, &[cold], &policy);
+        assert_eq!(alone.stage_in_seconds, Some(600.0));
+    }
+
+    #[test]
+    fn tie_break_is_independent_of_candidate_order() {
+        // Equal scores: the faster resource wins, then the lower id,
+        // whichever order the candidates arrive in.
+        let policy = SchedulerPolicy {
+            use_speed_scaling: false,
+            ..Default::default()
+        };
+        let views = vec![
+            cluster_view(2, 8, 1.0),
+            cluster_view(0, 8, 1.0),
+            cluster_view(1, 8, 3.0),
+        ];
+        let mut reversed = views.clone();
+        reversed.reverse();
+        assert_eq!(
+            decide(&JobSpec::simple(1, 100.0), &views, &policy).chosen,
+            Some(ResourceId(1))
+        );
+        assert_eq!(
+            decide(&JobSpec::simple(1, 100.0), &reversed, &policy).chosen,
+            Some(ResourceId(1))
+        );
+        let slow_pair = &views[..2];
+        assert_eq!(
+            decide(&JobSpec::simple(1, 100.0), slow_pair, &policy).chosen,
+            Some(ResourceId(0))
+        );
     }
 
     #[test]

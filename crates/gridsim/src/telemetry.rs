@@ -31,7 +31,7 @@ use crate::data::{DataGridState, DataSnapshot, StageIn};
 use crate::job::JobId;
 use crate::mds::{Mds, MdsSnapshot};
 use crate::resource::ResourceSpec;
-use crate::scheduler::ScheduleDecision;
+use crate::scheduler::{Decision, RejectReason};
 use crate::slo::{Alert, AlertTransition, SloConfig, SloEngine, SloSnapshot};
 use serde::{Deserialize, Serialize, Value};
 use simkit::spans::{SpanId, SpanLog, SpanLogSummary};
@@ -294,17 +294,15 @@ impl GridTelemetry {
             .emit(now, "job.submit", &[("job", FieldValue::from(job.0))]);
     }
 
-    /// The scheduler ranked candidates for a job (explained decision).
-    pub fn on_decision(&mut self, now: SimTime, job: JobId, decision: &ScheduleDecision) {
+    /// The scheduler ranked candidates for a job: count the decision and
+    /// its rejects per filter, and emit a `scheduler.decision` event.
+    pub fn on_decision(&mut self, now: SimTime, job: JobId, decision: &Decision) {
         self.metrics.incr("scheduler.decisions");
-        let mut eligible = 0u64;
-        for c in &decision.candidates {
-            match c.reject {
-                Some(reason) => {
-                    self.metrics
-                        .incr(&format!("scheduler.reject.{}", reason.label()));
-                }
-                None => eligible += 1,
+        for reason in RejectReason::ALL {
+            let n = decision.rejected(reason);
+            if n > 0 {
+                self.metrics
+                    .add(&format!("scheduler.reject.{}", reason.label()), n as u64);
             }
         }
         let chosen: FieldValue = match decision.chosen {
@@ -317,16 +315,12 @@ impl GridTelemetry {
         let mut fields: Vec<(&str, FieldValue)> = vec![
             ("job", job.0.into()),
             ("chosen", chosen),
-            ("eligible", eligible.into()),
-            ("candidates", decision.candidates.len().into()),
+            ("eligible", decision.eligible.into()),
+            ("candidates", decision.candidates.into()),
         ];
         // With data-aware scheduling, surface the stage-in term the ranker
-        // saw for the winner (per-candidate terms live in the decision).
-        if let Some(s) = decision
-            .chosen
-            .and_then(|id| decision.candidates.iter().find(|c| c.id == id))
-            .and_then(|c| c.stage_in_seconds)
-        {
+        // saw for the winner.
+        if let Some(s) = decision.stage_in_seconds {
             fields.push(("stage_in_seconds", s.into()));
         }
         self.bus.emit(now, "scheduler.decision", &fields);

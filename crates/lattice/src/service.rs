@@ -228,8 +228,7 @@ impl GridService {
                 + self.config.snapshot_interval)
                 .min(deadline);
             self.grid.run_until(next_cut);
-            let done = self.grid.world().jobs_submitted() == self.grid.submissions_expected()
-                && self.grid.world().all_done();
+            let done = self.grid.workload_settled();
             // Record the pre-snapshot age (the worst this cycle saw), then
             // checkpoint. The gauge persists into the next segment's
             // series windows, so a service checkpointing too rarely trips
@@ -251,6 +250,7 @@ mod tests {
     use gridsim::job::JobSpec;
     use gridsim::recovery::RecoveryPolicy;
     use gridsim::resource::{ResourceKind, ResourceSpec};
+    use gridsim::{TenancyConfig, TenantSpec};
 
     fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("lattice_service_test").join(name);
@@ -407,5 +407,42 @@ mod tests {
         // The fallback generation is older but consistent, so the finished
         // run still matches the uninterrupted bytes.
         assert_eq!(report_json(svc.grid()), report_json(&reference));
+    }
+
+    #[test]
+    fn service_stops_at_the_first_cut_after_tenancy_rejections() {
+        // A guest offers 150 jobs against its 100-job queue quota: 50 bounce
+        // at admission and never become grid records, yet the service must
+        // still notice the workload settled and stop at the next cut
+        // instead of snapshotting daily until the deadline.
+        let dir = test_dir("rejections");
+        let cfg =
+            ServiceConfig::new(dir.join("grid.snap.json")).with_interval(SimDuration::from_days(1));
+        let mut svc = GridService::start(cfg, || {
+            let mut grid = Grid::new(GridConfig {
+                resources: vec![ResourceSpec::cluster(
+                    "cluster",
+                    ResourceKind::PbsCluster,
+                    8,
+                    1.0,
+                )],
+                tenancy: Some(TenancyConfig::default()),
+                seed: 29,
+                ..Default::default()
+            });
+            let guest = grid.register_tenant(TenantSpec::guest("walk-in"));
+            grid.submit_for(guest, (0..150).map(|i| JobSpec::simple(i, 1800.0)));
+            grid
+        })
+        .unwrap();
+        let written = svc.run_until(SimTime::from_days(30)).unwrap();
+        let tenancy = svc.grid().tenancy_snapshot(5).expect("tenancy on");
+        assert_eq!((tenancy.rejected, tenancy.completed), (50, 100));
+        assert!(svc.grid().workload_settled());
+        assert_eq!(
+            written, 1,
+            "the service kept cutting snapshots after the last job settled"
+        );
+        assert!(svc.grid().now() <= SimTime::from_days(1));
     }
 }

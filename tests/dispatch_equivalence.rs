@@ -1,12 +1,17 @@
-//! Differential tests: the feeder-indexed dispatch path must be *decision-
-//! and byte-identical* to the legacy full scan. Two grids built from the
-//! same config and workload — one forced onto the pre-index scan path via
-//! [`Grid::set_legacy_scan_path`] — are stepped in lockstep and compared by
-//! their full snapshot encodings (world + calendar + clock + event counter),
-//! so equality proves identical choices *and* bit-identical event streams,
-//! not just similar aggregates. Covered: plain mixed workloads, data-aware
-//! stage-in ranking, E12-style random fault timelines, and snapshot/restore
-//! at an event boundary (the index is derived state, rebuilt on restore).
+//! Restore-lockstep tests for the grid's one matchmaker. A live grid is
+//! stepped to a drawn event boundary and checkpointed; a copy restored
+//! from that snapshot then steps in lockstep with the live grid, and the
+//! two are compared by their full snapshot encodings (world + calendar +
+//! clock + event counter). Restore rebuilds every piece of derived state —
+//! BOINC's idle-host set and free/active counters among it — from the
+//! authoritative tables, so the two "paths" here are the live grid's
+//! incrementally maintained state and a from-scratch rebuild of it; any
+//! drift between them shows up as diverging bytes. Covered: plain mixed
+//! workloads, data-aware stage-in ranking, E12-style random fault
+//! timelines, both restore entry points, and random resource mixes.
+//!
+//! The file also pins the observed decision stream: a telemetry-on run
+//! whose serialized state embeds the scheduler's per-filter reject tally.
 
 use gridsim::boinc::BoincConfig;
 use gridsim::data::{DataConfig, ObjectRef};
@@ -16,9 +21,10 @@ use gridsim::job::JobSpec;
 use gridsim::platform::Platform;
 use gridsim::recovery::RecoveryPolicy;
 use gridsim::resource::{ResourceKind, ResourceSpec};
+use gridsim::telemetry::TelemetryConfig;
 use proptest::prelude::*;
 use rand::RngCore;
-use simkit::{SimDuration, SimRng, Snapshot};
+use simkit::{SimDuration, SimRng, SimTime, Snapshot};
 
 /// A grid with every resource flavour: stable clusters (MPI, software),
 /// a preemptable Condor pool, and a BOINC volunteer pool.
@@ -63,8 +69,8 @@ fn mixed_workload(seed: u64, n: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Step `a` (indexed) and `b` (legacy) in lockstep, comparing full snapshot
-/// bytes every `stride` events and at the end.
+/// Step `a` and `b` in lockstep, comparing full snapshot bytes every
+/// `stride` events and at the end.
 fn assert_lockstep_identical(a: &mut Grid, b: &mut Grid, stride: usize, max_events: usize) {
     for step in 0..max_events {
         let pa = a.step();
@@ -86,22 +92,38 @@ fn assert_lockstep_identical(a: &mut Grid, b: &mut Grid, stride: usize, max_even
     assert_eq!(a.to_snapshot(), b.to_snapshot(), "final snapshots diverged");
 }
 
+/// The event boundary at which a test checkpoints, drawn from its seed.
+fn drawn_split(seed: u64) -> u64 {
+    SimRng::new(seed ^ 0x5B117).range_u64(0, 5_000)
+}
+
+/// Step `live` to event `split` (or until its calendar drains), restore a
+/// copy from its snapshot, and step both in lockstep (see
+/// [`assert_lockstep_identical`]).
+fn assert_restored_copy_tracks_live(live: &mut Grid, split: u64, stride: usize, max_events: usize) {
+    for _ in 0..split {
+        if !live.step() {
+            break;
+        }
+    }
+    let snap = live.to_snapshot();
+    let mut restored = Grid::from_snapshot(&snap).expect("snapshot restores");
+    assert_eq!(restored.to_snapshot(), snap, "restore must be byte-stable");
+    assert_lockstep_identical(live, &mut restored, stride, max_events);
+}
+
 #[test]
-fn indexed_and_legacy_grids_are_byte_identical_in_lockstep() {
-    let mut indexed = Grid::new(mixed_config(11));
-    let mut legacy = Grid::new(mixed_config(11));
-    legacy.set_legacy_scan_path(true);
-    let jobs = mixed_workload(11, 35);
-    indexed.submit(jobs.clone());
-    legacy.submit(jobs);
-    assert_lockstep_identical(&mut indexed, &mut legacy, 250, 50_000);
+fn live_and_restored_grids_are_byte_identical_in_lockstep() {
+    let mut live = Grid::new(mixed_config(11));
+    live.submit(mixed_workload(11, 35));
+    assert_restored_copy_tracks_live(&mut live, drawn_split(11), 250, 50_000);
 }
 
 #[test]
 fn paths_agree_with_data_aware_stage_in_ranking() {
-    let config = |seed| GridConfig {
+    let config = GridConfig {
         data: Some(DataConfig::default()),
-        ..mixed_config(seed)
+        ..mixed_config(23)
     };
     let jobs: Vec<JobSpec> = mixed_workload(23, 30)
         .into_iter()
@@ -110,12 +132,9 @@ fn paths_agree_with_data_aware_stage_in_ranking() {
             j.with_input(ObjectRef::named(&name, 40 << 20))
         })
         .collect();
-    let mut indexed = Grid::new(config(23));
-    let mut legacy = Grid::new(config(23));
-    legacy.set_legacy_scan_path(true);
-    indexed.submit(jobs.clone());
-    legacy.submit(jobs);
-    assert_lockstep_identical(&mut indexed, &mut legacy, 250, 50_000);
+    let mut live = Grid::new(config);
+    live.submit(jobs);
+    assert_restored_copy_tracks_live(&mut live, drawn_split(23), 250, 50_000);
 }
 
 #[test]
@@ -126,51 +145,56 @@ fn paths_agree_under_fault_timelines_with_recovery() {
         ..mixed_config(seed)
     };
     for seed in [3u64, 91, 4242] {
-        let mut indexed = Grid::new(config(seed));
-        let mut legacy = Grid::new(config(seed));
-        legacy.set_legacy_scan_path(true);
+        let mut live = Grid::new(config(seed));
         // E12-style chaos: outages, silent MDS partitions, stragglers, …
-        // against the service resources; identical scripts on both grids.
-        let faults = |s: u64| {
-            let mut frng = SimRng::new(s ^ 0xFA17);
-            random_faults(&mut frng, &[0, 1, 2], SimDuration::from_hours(48), 12)
-        };
-        indexed.inject_faults(faults(seed));
-        legacy.inject_faults(faults(seed));
-        let jobs = mixed_workload(seed, 30);
-        indexed.submit(jobs.clone());
-        legacy.submit(jobs);
-        assert_lockstep_identical(&mut indexed, &mut legacy, 500, 200_000);
+        // against the service resources.
+        let mut frng = SimRng::new(seed ^ 0xFA17);
+        live.inject_faults(random_faults(
+            &mut frng,
+            &[0, 1, 2],
+            SimDuration::from_hours(48),
+            12,
+        ));
+        live.submit(mixed_workload(seed, 30));
+        assert_restored_copy_tracks_live(&mut live, drawn_split(seed), 500, 200_000);
     }
 }
 
 #[test]
 fn restored_snapshot_resumes_identically_on_either_path() {
-    // Run the indexed grid to an event boundary mid-flight, checkpoint, and
-    // restore. The restored grid (index rebuilt from the snapshot's resource
-    // list) is forced onto the legacy path; both must replay bit-identical
-    // histories to the end.
-    let mut indexed = Grid::new(mixed_config(47));
-    indexed.submit(mixed_workload(47, 35));
+    // Checkpoint mid-flight and restore through both entry points: the
+    // checksummed snapshot envelope and plain serde. Each copy must
+    // re-encode to the checkpoint's bytes, the two copies must replay
+    // identical histories, and the envelope copy must track the live grid.
+    let mut live = Grid::new(mixed_config(47));
+    live.submit(mixed_workload(47, 35));
     for _ in 0..2_000 {
-        assert!(indexed.step(), "workload drained before the checkpoint");
+        assert!(live.step(), "workload drained before the checkpoint");
     }
-    let snap = indexed.to_snapshot();
-    let mut legacy = Grid::from_snapshot(&snap).expect("snapshot restores");
-    legacy.set_legacy_scan_path(true);
-    // The derived index must not leak into snapshot bytes.
-    assert_eq!(legacy.to_snapshot(), snap, "restore must be byte-stable");
-    assert_lockstep_identical(&mut indexed, &mut legacy, 500, 200_000);
+    let snap = live.to_snapshot();
+    let mut via_envelope = Grid::from_snapshot(&snap).expect("snapshot restores");
+    let mut via_serde: Grid =
+        serde_json::from_str(&serde_json::to_string(&live).unwrap()).expect("serde restores");
+    // Derived state must not leak into snapshot bytes.
+    assert_eq!(
+        via_envelope.to_snapshot(),
+        snap,
+        "restore must be byte-stable"
+    );
+    assert_eq!(via_serde.to_snapshot(), snap, "restore must be byte-stable");
+    assert_lockstep_identical(&mut via_envelope, &mut via_serde, 500, 200_000);
+    let mut restored = Grid::from_snapshot(&snap).expect("snapshot restores");
+    assert_lockstep_identical(&mut live, &mut restored, 500, 200_000);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
     /// Random resource mixes, requirement-diverse workloads, and random
-    /// fault timelines: both matchmaker paths must produce identical
-    /// decisions and bit-identical grid event streams (proved via full
-    /// snapshot bytes, which embed the calendar and every per-job record,
-    /// including telemetry-free reject outcomes reflected in `failed_on`).
+    /// fault timelines: a copy restored at a drawn event boundary must
+    /// produce the live grid's decisions and a bit-identical event stream
+    /// (proved via full snapshot bytes, which embed the calendar and every
+    /// per-job record, including reject outcomes reflected in `failed_on`).
     #[test]
     fn random_mixes_and_faults_keep_paths_identical(
         seed in 0u64..10_000,
@@ -212,20 +236,82 @@ proptest! {
             seed,
             ..Default::default()
         };
-        let mut indexed = Grid::new(config.clone());
-        let mut legacy = Grid::new(config);
-        legacy.set_legacy_scan_path(true);
+        let mut live = Grid::new(config);
         if n_faults > 0 {
-            let faults = |s: u64| {
-                let mut frng = SimRng::new(s ^ 0xFA17);
-                random_faults(&mut frng, &fault_targets, SimDuration::from_hours(36), n_faults)
-            };
-            indexed.inject_faults(faults(seed));
-            legacy.inject_faults(faults(seed));
+            let mut frng = SimRng::new(seed ^ 0xFA17);
+            live.inject_faults(random_faults(
+                &mut frng,
+                &fault_targets,
+                SimDuration::from_hours(36),
+                n_faults,
+            ));
         }
-        let jobs = mixed_workload(seed, n_jobs);
-        indexed.submit(jobs.clone());
-        legacy.submit(jobs);
-        assert_lockstep_identical(&mut indexed, &mut legacy, 400, 150_000);
+        live.submit(mixed_workload(seed, n_jobs));
+        assert_restored_copy_tracks_live(&mut live, drawn_split(seed), 400, 150_000);
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// [`mixed_workload`] plus the two job classes it lacks for a full reject
+/// tally: long-estimate jobs (past the 10 h unstable cutoff, so the Condor
+/// and volunteer pools refuse them on stability) and Mac-only jobs (which
+/// the Linux clusters refuse on platform).
+fn reject_diverse_workload(seed: u64) -> Vec<JobSpec> {
+    let mut jobs = mixed_workload(seed, 35);
+    jobs.extend((35..40).map(|id| JobSpec::simple(id, 12.0 * 3600.0).with_estimate(14.0 * 3600.0)));
+    jobs.extend((40..45).map(|id| {
+        let mut job = JobSpec::simple(id, 2.0 * 3600.0).with_estimate(2.0 * 3600.0);
+        job.platforms = vec![Platform::MAC_X64];
+        job
+    }));
+    jobs
+}
+
+#[test]
+fn observed_decision_stream_matches_its_pin() {
+    // (mid-run state, report, final state) FNV-64 pins, captured with
+    // telemetry on before matchmaking moved onto one decision function.
+    // The serialized grid embeds the telemetry registry's reject counters
+    // and every `scheduler.decision` event's candidate and eligible
+    // counts, so a wrong tally moves these hashes even when placement
+    // does not.
+    let mut grid = Grid::new(GridConfig {
+        telemetry: Some(TelemetryConfig::default()),
+        recovery: Some(RecoveryPolicy::default()),
+        max_local_retries: 2,
+        ..mixed_config(19)
+    });
+    let mut frng = SimRng::new(19 ^ 0xFA17);
+    grid.inject_faults(random_faults(
+        &mut frng,
+        &[0, 1, 2],
+        SimDuration::from_hours(48),
+        12,
+    ));
+    grid.submit(reject_diverse_workload(19));
+    grid.run_until(SimTime::from_hours(6));
+    let mid = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
+    assert_eq!(mid, 0x633c_a062_0367_1fd3, "mid-run state drifted");
+    let report = grid.run_until_done(SimTime::from_days(30));
+    let rep = fnv1a(serde_json::to_string(&report).unwrap().as_bytes());
+    let fin = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
+    assert_eq!(rep, 0x33cb_a2a2_f205_5465, "report drifted");
+    assert_eq!(fin, 0x029f_fdce_bedc_f65e, "final state drifted");
+    // The unknown-package jobs never place; everything else completes.
+    assert_eq!((report.completed, report.unfinished), (40, 5));
+    let metrics = grid.world().telemetry().expect("telemetry on").metrics();
+    for reason in ["platform", "memory", "mpi", "software", "stability"] {
+        assert!(
+            metrics.counter(&format!("scheduler.reject.{reason}")) > 0,
+            "no {reason} reject recorded: the pin would not catch a wrong tally"
+        );
     }
 }

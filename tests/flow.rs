@@ -10,8 +10,8 @@
 //!    state, and report must still hash to exactly these values.
 //! 2. **Mid-DAG restore.** A grid checkpointed halfway through a DAG
 //!    campaign (stages still barred, churn model mid-timeline) must resume
-//!    to a byte-identical future on both the feeder-indexed and the legacy
-//!    full-scan dispatch paths.
+//!    to a byte-identical future through both restore paths: plain serde
+//!    and the checksummed snapshot envelope.
 
 use gridsim::boinc::BoincConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
@@ -20,7 +20,7 @@ use gridsim::{
     TelemetryConfig, ValidationConfig,
 };
 use lattice::run_dag_campaign;
-use simkit::{SimDuration, SimRng, SimTime};
+use simkit::{SimDuration, SimRng, SimTime, Snapshot};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -147,6 +147,7 @@ fn mid_dag_snapshot_restores_to_byte_identical_future_on_both_paths() {
     let mut original = dag_churn_grid(101);
     original.run_until(SimTime::from_hours(5));
     let checkpoint = serde_json::to_string(&original).unwrap();
+    let envelope = original.to_snapshot();
 
     // The checkpoint must be genuinely mid-DAG: some stage still barred
     // behind unfinished dependencies (otherwise this test degrades into a
@@ -160,26 +161,25 @@ fn mid_dag_snapshot_restores_to_byte_identical_future_on_both_paths() {
     let base = original.run_until_done(horizon);
     let base_state = serde_json::to_string(&original).unwrap();
 
-    // Indexed path (the default).
-    let mut indexed: Grid = serde_json::from_str(&checkpoint).unwrap();
-    let indexed_report = indexed.run_until_done(horizon);
+    // Plain serde restore.
+    let mut via_serde: Grid = serde_json::from_str(&checkpoint).unwrap();
+    let serde_report = via_serde.run_until_done(horizon);
     assert_eq!(
-        serde_json::to_string(&indexed_report).unwrap(),
+        serde_json::to_string(&serde_report).unwrap(),
         serde_json::to_string(&base).unwrap(),
-        "restored (indexed) future diverged from the uninterrupted run"
+        "restored (serde) future diverged from the uninterrupted run"
     );
-    assert_eq!(serde_json::to_string(&indexed).unwrap(), base_state);
+    assert_eq!(serde_json::to_string(&via_serde).unwrap(), base_state);
 
-    // Legacy full-scan path.
-    let mut legacy: Grid = serde_json::from_str(&checkpoint).unwrap();
-    legacy.set_legacy_scan_path(true);
-    let legacy_report = legacy.run_until_done(horizon);
+    // Snapshot-envelope restore (versioned, checksummed).
+    let mut via_envelope = Grid::from_snapshot(&envelope).expect("snapshot restores");
+    let envelope_report = via_envelope.run_until_done(horizon);
     assert_eq!(
-        serde_json::to_string(&legacy_report).unwrap(),
+        serde_json::to_string(&envelope_report).unwrap(),
         serde_json::to_string(&base).unwrap(),
-        "restored (legacy scan) future diverged from the uninterrupted run"
+        "restored (snapshot envelope) future diverged from the uninterrupted run"
     );
-    assert_eq!(serde_json::to_string(&legacy).unwrap(), base_state);
+    assert_eq!(serde_json::to_string(&via_envelope).unwrap(), base_state);
 
     // The campaign actually finished inside the horizon on all three.
     assert_eq!(base.flow.as_ref().unwrap().campaigns_completed, 1);

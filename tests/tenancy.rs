@@ -1,6 +1,6 @@
 //! Workspace-level tenancy integration tests.
 //!
-//! Four properties the multi-tenant submission layer must hold at the
+//! Three properties the multi-tenant submission layer must hold at the
 //! whole-grid level, beyond the `tenancy` crate's own unit/property tests:
 //!
 //! 1. **Inertness** — a grid with `tenancy: Some(..)` that only ever sees
@@ -8,14 +8,11 @@
 //!    `tenancy: None` grid, once the tenancy ledger itself is stripped from
 //!    the snapshot. The admission layer must consume no randomness and
 //!    perturb no scheduling decision when unused.
-//! 2. **Path equivalence** — with tenancy on and real tenant traffic, the
-//!    feeder-indexed dispatch path and the legacy full scan stay
-//!    byte-identical (extends `dispatch_equivalence.rs` to tenant grids).
-//! 3. **Restart safety** — a mid-flight checkpoint of a tenant grid
+//! 2. **Restart safety** — a mid-flight checkpoint of a tenant grid
 //!    round-trips bit-exactly and replays identically, and a *pre-tenancy*
 //!    snapshot (no `tenancy` key at all) restores into a tenancy-enabled
 //!    service with fresh books ([`Grid::enable_tenancy`]).
-//! 4. **Quota edges** — exactly-full queues admit everything, the first
+//! 3. **Quota edges** — exactly-full queues admit everything, the first
 //!    job past the cap bounces, and an exhausted CPU budget cuts off
 //!    later submissions, all observable through [`Grid::tenancy_snapshot`].
 
@@ -176,21 +173,6 @@ fn unused_tenancy_layer_is_inert() {
 }
 
 #[test]
-fn tenant_grids_agree_on_both_matchmaker_paths() {
-    let mut indexed = Grid::new(tenant_config(43));
-    let mut legacy = Grid::new(tenant_config(43));
-    legacy.set_legacy_scan_path(true);
-    seed_tenant_traffic(&mut indexed, 43);
-    seed_tenant_traffic(&mut legacy, 43);
-    assert_lockstep_identical(&mut indexed, &mut legacy, 250, 40_000);
-    // The run actually exercised the tenancy layer, not just empty books.
-    let snap = indexed.tenancy_snapshot(5).expect("tenancy enabled");
-    assert_eq!(snap.submitted, 63);
-    assert!(snap.completed > 0, "no tenant job completed: {snap:?}");
-    assert!(snap.credit > 0.0, "no credit granted");
-}
-
-#[test]
 fn tenant_state_survives_midflight_snapshot_restore() {
     let mut original = Grid::new(tenant_config(57));
     seed_tenant_traffic(&mut original, 57);
@@ -201,9 +183,12 @@ fn tenant_state_survives_midflight_snapshot_restore() {
     let mut restored = Grid::from_snapshot(&text).expect("snapshot decodes");
     assert_eq!(restored.to_snapshot(), text, "restore is not bit-exact");
     assert_lockstep_identical(&mut original, &mut restored, 250, 20_000);
+    // The run actually exercised the tenancy layer, not just empty books.
     let snap = restored.tenancy_snapshot(5).expect("tenancy survived");
-    assert!(snap.completed > 0);
+    assert_eq!(snap.submitted, 63);
+    assert!(snap.completed > 0, "no tenant job completed: {snap:?}");
     assert!(snap.cpu_hours > 0.0);
+    assert!(snap.credit > 0.0, "no credit granted");
 }
 
 #[test]
