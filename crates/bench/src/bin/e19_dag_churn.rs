@@ -35,6 +35,7 @@ use gridsim::grid::GridConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
 use gridsim::{ChurnConfig, DagSpec, FlowConfig, JobSpec, ValidationConfig};
 use lattice::run_dag_campaign;
+use simkit::snapshot::checksum as fnv1a;
 use simkit::{SimDuration, SimRng, SimTime};
 
 fn workspace_root() -> std::path::PathBuf {
@@ -145,15 +146,6 @@ fn run_arm(dag_aware: bool, realistic: bool, n: usize, hosts: usize, seed: u64) 
 /// `gridsim::churn` existed. `flow: None` + `churn: None` must still
 /// reproduce it exactly.
 const OPT_OUT_REPORT_FNV: u64 = 0x61f6_c13c_5f35_331c;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 #[derive(serde::Serialize)]
 struct InertArm {

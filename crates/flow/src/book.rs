@@ -668,7 +668,7 @@ mod tests {
         let restored: FlowBook = serde_json::from_str(&json).unwrap();
         assert_eq!(serde_json::to_string(&restored).unwrap(), json);
         assert_eq!(restored.slack_of(3), book.slack_of(3));
-        assert_eq!(restored.dag_aware(), false);
+        assert!(!restored.dag_aware());
         // The restored book continues identically.
         let mut a = book.clone();
         let mut b = restored;

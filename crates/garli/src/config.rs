@@ -218,8 +218,10 @@ mod tests {
 
     #[test]
     fn effective_categories_by_family() {
-        let mut c = GarliConfig::default();
-        c.rate_het = RateHetKind::None;
+        let mut c = GarliConfig {
+            rate_het: RateHetKind::None,
+            ..GarliConfig::default()
+        };
         assert_eq!(c.effective_rate_categories(), 1);
         c.rate_het = RateHetKind::GammaInv;
         c.num_rate_cats = 6;
@@ -228,9 +230,11 @@ mod tests {
 
     #[test]
     fn site_rates_match_kind() {
-        let mut c = GarliConfig::default();
-        c.rate_het = RateHetKind::GammaInv;
-        c.pinv = 0.2;
+        let c = GarliConfig {
+            rate_het: RateHetKind::GammaInv,
+            pinv: 0.2,
+            ..GarliConfig::default()
+        };
         let sr = c.site_rates();
         assert_eq!(sr.num_categories(), 5);
         assert!((sr.mean_rate() - 1.0).abs() < 1e-9);
@@ -238,9 +242,11 @@ mod tests {
 
     #[test]
     fn bootstrap_replicates_dominate() {
-        let mut c = GarliConfig::default();
-        c.search_replicates = 5;
-        c.bootstrap_replicates = 100;
+        let c = GarliConfig {
+            search_replicates: 5,
+            bootstrap_replicates: 100,
+            ..GarliConfig::default()
+        };
         assert!(c.is_bootstrap());
         assert_eq!(c.total_replicates(), 100);
     }

@@ -232,9 +232,11 @@ mod tests {
 
     #[test]
     fn rates_track_params() {
-        let mut c = GarliConfig::default();
-        c.rate_het = RateHetKind::Gamma;
-        c.num_rate_cats = 4;
+        let c = GarliConfig {
+            rate_het: RateHetKind::Gamma,
+            num_rate_cats: 4,
+            ..GarliConfig::default()
+        };
         let mut p = ModelParams::from_config(&c);
         p.alpha = 0.3;
         let r = build_rates(&c, &p);

@@ -268,8 +268,10 @@ mod tests {
 
     #[test]
     fn model_mutation_keeps_parameters_in_bounds() {
-        let mut config = GarliConfig::default();
-        config.state_frequencies = StateFrequencies::Estimate;
+        let config = GarliConfig {
+            state_frequencies: StateFrequencies::Estimate,
+            ..GarliConfig::default()
+        };
         let mut rng = SimRng::new(65);
         let mut ind = individual(6, &config);
         for _ in 0..500 {

@@ -556,7 +556,7 @@ mod tests {
                 match m.next_wait(host, now, available) {
                     Some(w) => {
                         wait = w;
-                        now = now + wait;
+                        now += wait;
                     }
                     None => break,
                 }
@@ -604,7 +604,7 @@ mod tests {
                         .any(|g| (g - hours).abs() < 1e-9),
                     "wait {hours}h is not a trace gap"
                 );
-                now = now + wa;
+                now += wa;
             }
         }
     }
@@ -647,7 +647,7 @@ mod tests {
         }
         let mut now = SimTime::ZERO;
         for step in 0..32 {
-            now = now + SimDuration::from_hours(1);
+            now += SimDuration::from_hours(1);
             let _ = m.next_wait(step % 8, now, step % 2 == 0);
         }
         let json = serde_json::to_string(&m).unwrap();
@@ -655,7 +655,7 @@ mod tests {
         assert_eq!(serde_json::to_string(&restored).unwrap(), json);
         // Restored model continues identically.
         for step in 0..16u64 {
-            now = now + SimDuration::from_hours(1);
+            now += SimDuration::from_hours(1);
             let host = (step % 8) as usize;
             assert_eq!(
                 m.next_wait(host, now, step % 2 == 1),

@@ -128,8 +128,11 @@ impl GridEvent {
     }
 }
 
-/// Grid-wide configuration.
-#[derive(Debug, Clone)]
+/// Grid-wide configuration. The `flow`/`churn` keys are written only when
+/// those subsystems are on, so a flow-free, churn-free config renders in
+/// the format every earlier snapshot used, and those snapshots restore;
+/// `tenancy` is always written but absent from pre-tenancy snapshots.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GridConfig {
     /// The service-grid resources (Condor/PBS/SGE). A `BoincPool` spec here
     /// is ignored — configure the pool via `boinc` instead.
@@ -178,6 +181,7 @@ pub struct GridConfig {
     /// the tenant book entirely, and the book itself consumes no
     /// randomness and schedules no events, so a tenancy-free grid is
     /// byte-identical to one built before the crate existed.
+    #[serde(default)]
     pub tenancy: Option<tenancy::TenancyConfig>,
     /// DAG-structured campaigns (stage barriers, critical-path slack fed
     /// into dispatch priority — see the `flow` crate). `None` (the
@@ -185,87 +189,16 @@ pub struct GridConfig {
     /// randomness, schedules no events, and its snapshot key is only
     /// written when it exists, so a flow-free grid is byte-identical to
     /// one built before the crate existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub flow: Option<flow::FlowConfig>,
     /// Realistic volunteer availability (lifetime decay, diurnal/weekly
     /// rhythms, correlated site outages, trace replay — see
     /// [`crate::churn`]). Requires `boinc`. `None` (the default) keeps
     /// the flat exponential on/off flips, byte-identical to before.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub churn: Option<crate::churn::ChurnConfig>,
     /// Master seed.
     pub seed: u64,
-}
-
-// Manual encoding: the pre-flow fields keep their derive-style always-emit
-// layout (`tenancy` included — its `null` is part of the pinned format),
-// while the `flow`/`churn` keys exist only when those subsystems are on.
-// A flow-free, churn-free config therefore renders byte-identically to the
-// format every earlier snapshot used, and those snapshots restore here.
-impl Serialize for GridConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("resources".to_string(), self.resources.to_value()),
-            ("boinc".to_string(), self.boinc.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-            (
-                "schedule_interval".to_string(),
-                self.schedule_interval.to_value(),
-            ),
-            (
-                "mds_report_interval".to_string(),
-                self.mds_report_interval.to_value(),
-            ),
-            ("mds_lifetime".to_string(), self.mds_lifetime.to_value()),
-            (
-                "dispatch_overhead".to_string(),
-                self.dispatch_overhead.to_value(),
-            ),
-            (
-                "max_local_retries".to_string(),
-                self.max_local_retries.to_value(),
-            ),
-            ("recovery".to_string(), self.recovery.to_value()),
-            ("telemetry".to_string(), self.telemetry.to_value()),
-            ("data".to_string(), self.data.to_value()),
-            ("validation".to_string(), self.validation.to_value()),
-            ("tenancy".to_string(), self.tenancy.to_value()),
-        ];
-        if let Some(fc) = &self.flow {
-            fields.push(("flow".to_string(), fc.to_value()));
-        }
-        if let Some(cc) = &self.churn {
-            fields.push(("churn".to_string(), cc.to_value()));
-        }
-        fields.push(("seed".to_string(), self.seed.to_value()));
-        Value::Map(fields)
-    }
-}
-
-impl Deserialize for GridConfig {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for GridConfig"))?;
-        Ok(GridConfig {
-            resources: serde::field(fields, "resources")?,
-            boinc: serde::field(fields, "boinc")?,
-            policy: serde::field(fields, "policy")?,
-            schedule_interval: serde::field(fields, "schedule_interval")?,
-            mds_report_interval: serde::field(fields, "mds_report_interval")?,
-            mds_lifetime: serde::field(fields, "mds_lifetime")?,
-            dispatch_overhead: serde::field(fields, "dispatch_overhead")?,
-            max_local_retries: serde::field(fields, "max_local_retries")?,
-            recovery: serde::field(fields, "recovery")?,
-            telemetry: serde::field(fields, "telemetry")?,
-            data: serde::field(fields, "data")?,
-            validation: serde::field(fields, "validation")?,
-            // Absent in pre-tenancy snapshots.
-            tenancy: serde::field_or(fields, "tenancy", || None)?,
-            // Absent in pre-flow (and flow/churn-off) snapshots.
-            flow: serde::field_or(fields, "flow", || None)?,
-            churn: serde::field_or(fields, "churn", || None)?,
-            seed: serde::field(fields, "seed")?,
-        })
-    }
 }
 
 impl Default for GridConfig {
@@ -289,6 +222,33 @@ impl Default for GridConfig {
             seed: 0,
         }
     }
+}
+
+/// How a job leaves the grid (see [`GridWorld::settle`]).
+enum Terminal {
+    /// A result came back from `resource`, an LRM or the volunteer pool.
+    Completed {
+        resource: usize,
+        /// When the counted execution began.
+        started: SimTime,
+        /// CPU-seconds of the accepted result: useful, or waste if corrupt.
+        cpu_seconds: f64,
+        /// CPU-seconds of earlier attempts lost on the same LRM.
+        wasted_cpu_seconds: f64,
+        /// Execution attempts on the resource, the dispatch's own included.
+        attempts: u32,
+        /// Workunit reissues in the volunteer pool.
+        reissues: u32,
+        /// The accepted result was garbage (quorum 1, or a bad result that
+        /// slipped past trust).
+        corrupt: bool,
+        /// The quorum engine's completion record, when validation is on.
+        validation: Option<quorum::Completion>,
+    },
+    /// The recovery policy's retry budget is exhausted.
+    RetryBudgetSpent,
+    /// The quorum engine gave up on the workunit.
+    ValidationFailed,
 }
 
 /// The simulation model.
@@ -343,30 +303,15 @@ impl GridWorld {
         self.completed + self.dead_lettered == self.records.len()
     }
 
-    /// Jobs completed so far.
-    pub fn completed(&self) -> usize {
-        self.completed
-    }
-
     /// Jobs whose `Submit` event has been delivered so far.
     pub fn jobs_submitted(&self) -> usize {
         self.records.len()
-    }
-
-    /// Jobs permanently failed (dead-lettered) so far.
-    pub fn dead_lettered(&self) -> usize {
-        self.dead_lettered
     }
 
     /// The tenant book, when the grid runs with [`GridConfig::tenancy`]
     /// (for inspection: quotas, usage, credit).
     pub fn tenant_book(&self) -> Option<&tenancy::TenantBook> {
         self.tenancy.as_ref()
-    }
-
-    /// The workflow book, when flow is on.
-    pub fn flow_book(&self) -> Option<&flow::FlowBook> {
-        self.flow.as_ref()
     }
 
     /// Measured (calibrated) speed of each resource.
@@ -377,16 +322,6 @@ impl GridWorld {
     /// The telemetry sink, if the grid was configured with one.
     pub fn telemetry(&self) -> Option<&GridTelemetry> {
         self.telemetry.as_ref()
-    }
-
-    /// The MDS database (for monitoring snapshots).
-    pub fn mds(&self) -> &Mds {
-        &self.mds
-    }
-
-    /// The data plane, if the grid was configured with one.
-    pub fn data(&self) -> Option<&DataGridState> {
-        self.data.as_ref()
     }
 
     fn provider_report(&mut self, resource: usize, now: SimTime) {
@@ -438,22 +373,6 @@ impl GridWorld {
                 }
             }
             views.push(entry);
-        }
-        // DAG-aware hint layer: reorder the backlog by stage slack so
-        // critical-path stages dispatch first. The sort is stable, so FIFO
-        // order still breaks ties, and jobs outside any campaign sort last
-        // (infinite slack). Blind mode (`dag_aware: false`) and flow-free
-        // grids skip this entirely — the queue is untouched.
-        if let Some(book) = &self.flow {
-            if book.dag_aware() {
-                let mut jobs: Vec<JobId> = self.pending.drain(..).collect();
-                jobs.sort_by(|a, b| {
-                    let sa = book.slack_of(a.0).unwrap_or(f64::INFINITY);
-                    let sb = book.slack_of(b.0).unwrap_or(f64::INFINITY);
-                    sa.total_cmp(&sb)
-                });
-                self.pending = jobs.into();
-            }
         }
         let now_s = now.as_secs_f64();
         let policy = self.config.policy;
@@ -523,16 +442,8 @@ impl GridWorld {
         }
         if to_boinc {
             // Checkpointed progress cannot ride into a BOINC workunit: the
-            // volunteer client starts from scratch, so whatever a previous
-            // resource computed is written off as waste here.
-            if let Some((remaining, origin)) = self.carry.remove(&job.id) {
-                let discarded_ref = (job.true_reference_seconds - remaining).max(0.0);
-                if discarded_ref > 0.0 {
-                    let speed = self.measured_speeds[origin].max(1e-9);
-                    let record = self.records.get_mut(&job.id).expect("record exists");
-                    record.wasted_cpu_seconds += discarded_ref / speed;
-                }
-            }
+            // volunteer client starts from scratch.
+            self.write_off_carry(job.id);
             self.boinc
                 .as_mut()
                 .expect("boinc pool present")
@@ -561,16 +472,30 @@ impl GridWorld {
         }
     }
 
-    /// Handle a tenant-attributed submission: run admission control and,
-    /// if the book accepts (admitted or queued), create grid state. A
-    /// rejected job never becomes a record — [`Grid::run_until_done`]
-    /// accounts for it via the book's rejection total instead.
-    fn tenant_submit(&mut self, tenant: u64, job: Box<JobSpec>, now: SimTime) {
+    /// The grid's one entry: turn `job` into a record. Plain submissions,
+    /// tenant submissions the book accepted and released workflow stages
+    /// all come through here; the caller decides whether the job joins the
+    /// pending queue now or waits for fair-share release.
+    fn admit(&mut self, job: JobSpec, now: SimTime) {
         let id = job.id;
         assert!(
             !self.records.contains_key(&id),
             "duplicate job id {id:?} submitted"
         );
+        if let Some(d) = self.data.as_mut() {
+            d.register_job(&job);
+        }
+        self.records.insert(id, JobRecord::new(job, now));
+        if let Some(t) = self.telemetry.as_mut() {
+            t.on_submit(now, id);
+        }
+    }
+
+    /// Handle a tenant-attributed submission: run admission control and
+    /// admit the job if the book accepts it (admitted or queued). A
+    /// rejected job never becomes a record — [`Grid::workload_settled`]
+    /// accounts for it via the book's rejection total instead.
+    fn tenant_submit(&mut self, tenant: u64, job: JobSpec, now: SimTime) {
         let book = self
             .tenancy
             .as_mut()
@@ -578,84 +503,149 @@ impl GridWorld {
         let cost = job
             .estimated_reference_seconds
             .unwrap_or(job.true_reference_seconds);
-        match book.submit(tenancy::TenantId(tenant), id.0, cost, now) {
-            tenancy::AdmissionOutcome::Rejected { reason } => {
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_tenant_rejected(now, id, tenant, reason.label());
-                }
-                return;
-            }
-            tenancy::AdmissionOutcome::Admitted => {
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_tenant_admitted(now, id, tenant);
-                }
-            }
-            tenancy::AdmissionOutcome::Queued { reason } => {
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_tenant_queued(now, id, tenant, reason.label());
-                }
-            }
-        }
-        if let Some(d) = self.data.as_mut() {
-            d.register_job(&job);
-        }
-        self.records.insert(id, JobRecord::new(*job, now));
+        let outcome = book.submit(tenancy::TenantId(tenant), job.id.0, cost, now);
         if let Some(t) = self.telemetry.as_mut() {
-            t.on_submit(now, id);
+            t.on_tenant_admission(now, job.id, tenant, &outcome);
+        }
+        if !matches!(outcome, tenancy::AdmissionOutcome::Rejected { .. }) {
+            self.admit(job, now);
         }
     }
 
-    /// Fair-share arbitration point, run at the top of every scheduling
-    /// tick: move released jobs from the tenant book into the pending
-    /// queue, refilling only up to `total_slots × backlog_factor` so
-    /// over-quota work keeps competing in the book rather than in FIFO
-    /// order. A no-op without tenancy.
-    fn tenancy_release(&mut self, now: SimTime) {
-        let Some(book) = self.tenancy.as_mut() else {
-            return;
-        };
-        let total_slots: usize = self.resources.iter().map(|r| r.slots).sum();
-        let target = ((total_slots as f64) * book.backlog_factor()).ceil() as usize;
-        let budget = target.saturating_sub(self.pending.len());
-        if budget == 0 {
-            return;
-        }
-        let released = book.release(now, budget);
-        for r in released {
-            self.pending.push_back(JobId(r.job));
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_tenant_release(now, JobId(r.job), r.tenant.0, r.waited.as_secs_f64());
+    /// The tick's backlog step, run before every scheduling pass. Tenancy's
+    /// fair-share arbitration moves released jobs from the tenant book into
+    /// the pending queue, refilling only up to `total_slots ×
+    /// backlog_factor` so over-quota work keeps competing in the book
+    /// rather than in FIFO order. Then DAG-aware flow reorders the queue by
+    /// stage slack so critical-path stages dispatch first; the sort is
+    /// stable, so FIFO order still breaks ties, and jobs outside any
+    /// campaign sort last (infinite slack). Without tenancy or DAG-aware
+    /// flow the queue is untouched.
+    fn refill_backlog(&mut self, now: SimTime) {
+        if let Some(book) = self.tenancy.as_mut() {
+            let total_slots: usize = self.resources.iter().map(|r| r.slots).sum();
+            let target = ((total_slots as f64) * book.backlog_factor()).ceil() as usize;
+            let budget = target.saturating_sub(self.pending.len());
+            if budget > 0 {
+                for r in book.release(now, budget) {
+                    self.pending.push_back(JobId(r.job));
+                    if let Some(t) = self.telemetry.as_mut() {
+                        let waited = r.waited.as_secs_f64();
+                        t.on_tenant_release(now, JobId(r.job), r.tenant.0, waited);
+                    }
+                }
             }
         }
-    }
-
-    /// Settle a terminal result with the tenant book: charge the CPU time
-    /// to the owning tenant's fair-share usage and grant credit when the
-    /// result validated. A no-op without tenancy or for jobs that entered
-    /// through the single-tenant path.
-    fn tenancy_on_terminal(&mut self, job: JobId, cpu_seconds: f64, credited: bool, now: SimTime) {
-        let Some(book) = self.tenancy.as_mut() else {
-            return;
-        };
-        if let Some((tenant, credit)) = book.on_terminal(job.0, cpu_seconds, credited, now) {
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_tenant_credit(now, job, tenant.0, credit, credited);
-            }
+        if let Some(book) = self.flow.as_ref().filter(|b| b.dag_aware()) {
+            self.pending.make_contiguous().sort_by(|a, b| {
+                let sa = book.slack_of(a.0).unwrap_or(f64::INFINITY);
+                let sb = book.slack_of(b.0).unwrap_or(f64::INFINITY);
+                sa.total_cmp(&sb)
+            });
         }
     }
 
-    /// Settle a terminal result with the workflow book: decrement the
-    /// stage barrier and materialize whatever stages the result released.
-    /// Failed terminals (dead letters, validation failures, corrupt
-    /// acceptances) still satisfy barriers — a lost bootstrap replicate
-    /// degrades the consensus rather than hanging the campaign — but are
-    /// counted as stage failures. A no-op without flow or for jobs outside
-    /// any campaign.
-    fn flow_on_terminal(&mut self, job: JobId, failed: bool, now: SimTime) {
+    /// The grid's one exit: make `job`'s record terminal. Every subsystem
+    /// hears of it here, in a fixed order: the record and the grid's
+    /// counters, recovery state, write-off of checkpointed progress a dead
+    /// letter still carried, telemetry, the tenant book's CPU charge and
+    /// credit, and last the workflow barrier, which may release (and
+    /// admit) the next stage.
+    fn settle(&mut self, job: JobId, terminal: Terminal, now: SimTime) {
+        let record = self.records.get_mut(&job).expect("record exists");
+        assert!(
+            record.outcome == JobOutcome::Unfinished,
+            "job {job:?} reached a second terminal state"
+        );
+        let (cpu_seconds, corrupt) = match &terminal {
+            Terminal::Completed {
+                resource,
+                started,
+                cpu_seconds,
+                wasted_cpu_seconds,
+                attempts,
+                reissues,
+                corrupt,
+                ..
+            } => {
+                record.outcome = JobOutcome::Completed;
+                record.started = Some(*started);
+                record.finished = Some(now);
+                record.completed_by = Some(self.resources[*resource].name.clone());
+                if *corrupt {
+                    // Accepted-but-garbage result (quorum 1 or a bad result
+                    // slipping past trust): the CPU bought nothing.
+                    record.corrupt_result = true;
+                    record.wasted_cpu_seconds += cpu_seconds;
+                } else {
+                    record.useful_cpu_seconds += cpu_seconds;
+                }
+                record.wasted_cpu_seconds += wasted_cpu_seconds;
+                record.attempts += attempts.saturating_sub(1); // dispatch counted once
+                record.reissues += reissues;
+                self.completed += 1;
+                (*cpu_seconds, *corrupt)
+            }
+            Terminal::RetryBudgetSpent | Terminal::ValidationFailed => {
+                record.outcome = JobOutcome::DeadLettered;
+                self.dead_lettered += 1;
+                (0.0, false)
+            }
+        };
+        let dead = record.outcome == JobOutcome::DeadLettered;
+        self.grid_retries.remove(&job);
+        self.failed_on.remove(&job);
+        // A completion consumed its carried progress; a dead letter wastes it.
+        if dead {
+            self.write_off_carry(job);
+        } else {
+            self.carry.remove(&job);
+        }
+        // BOINC-style credit: CPU charged at result time, credit granted
+        // only when the result validated clean. Dead-lettered work still
+        // burned CPU: its waste is charged, with no credit.
+        let charge = if dead {
+            self.records[&job].wasted_cpu_seconds
+        } else {
+            cpu_seconds
+        };
+        let credited = !dead && !corrupt;
+        if let Some(t) = self.telemetry.as_mut() {
+            match &terminal {
+                Terminal::Completed {
+                    resource,
+                    started,
+                    validation,
+                    ..
+                } => {
+                    let name = &self.resources[*resource].name;
+                    t.on_completed(now, job, name, Some(*started), corrupt);
+                    if let Some(c) = validation {
+                        let quorum_seconds = now.saturating_since(*started).as_secs_f64();
+                        t.on_validation_complete(now, job, c, quorum_seconds);
+                    }
+                }
+                Terminal::RetryBudgetSpent => t.on_dead_letter(now, job),
+                Terminal::ValidationFailed => {
+                    t.on_validation_failed(now, job);
+                    t.on_dead_letter(now, job);
+                }
+            }
+        }
+        if let Some(book) = self.tenancy.as_mut() {
+            if let Some((tenant, credit)) = book.on_terminal(job.0, charge, credited, now) {
+                if let Some(t) = self.telemetry.as_mut() {
+                    t.on_tenant_credit(now, job, tenant.0, credit, credited);
+                }
+            }
+        }
+        // Failed terminals (dead letters, corrupt acceptances) still satisfy
+        // stage barriers — a lost bootstrap replicate degrades the consensus
+        // rather than hanging the campaign — but count as stage failures.
         let Some(book) = self.flow.as_mut() else {
             return;
         };
-        let progress = book.on_terminal(job.0, failed, now);
+        let progress = book.on_terminal(job.0, dead || corrupt, now);
         let Some(campaign) = progress.campaign else {
             return;
         };
@@ -665,41 +655,38 @@ impl GridWorld {
         for r in &progress.released {
             self.materialize_stage(campaign, r, now);
         }
-        if let Some(done) = progress.campaign_completed {
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_flow_campaign_completed(
-                    now,
-                    done.campaign,
-                    done.makespan_seconds,
-                    done.deadline_missed,
-                );
-            }
+        if let (Some(done), Some(t)) = (progress.campaign_completed, self.telemetry.as_mut()) {
+            t.on_flow_campaign_completed(
+                now,
+                done.campaign,
+                done.makespan_seconds,
+                done.deadline_missed,
+            );
         }
     }
 
-    /// Turn one released stage into grid state: a record and a pending
-    /// entry per fan-out job. Stage jobs carry the spec's reference
-    /// seconds and (when present) the scheduler estimate, so deadline
-    /// policies and data-aware ranking see them like any other job.
+    /// Drop `job`'s carried checkpoint, booking the reference-seconds it had
+    /// computed as waste at the speed of the resource that computed them.
+    fn write_off_carry(&mut self, job: JobId) {
+        if let Some((remaining, origin)) = self.carry.remove(&job) {
+            let record = self.records.get_mut(&job).expect("record exists");
+            let discarded_ref = (record.spec.true_reference_seconds - remaining).max(0.0);
+            record.wasted_cpu_seconds += discarded_ref / self.measured_speeds[origin].max(1e-9);
+        }
+    }
+
+    /// Turn one released stage into grid state: an admitted, pending job
+    /// per fan-out slot. Stage jobs carry the spec's reference seconds and
+    /// (when present) the scheduler estimate, so deadline policies and
+    /// data-aware ranking see them like any other job.
     fn materialize_stage(&mut self, campaign: usize, r: &flow::ReleasedStage, now: SimTime) {
-        for k in 0..r.fanout {
-            let id = JobId(r.first_job + k);
-            assert!(
-                !self.records.contains_key(&id),
-                "flow stage job id {id:?} collides with an existing job"
-            );
-            let mut spec = JobSpec::simple(id.0, r.job_seconds);
+        for id in r.first_job..r.first_job + r.fanout {
+            let mut spec = JobSpec::simple(id, r.job_seconds);
             if let Some(est) = r.estimate_seconds {
                 spec = spec.with_estimate(est);
             }
-            if let Some(d) = self.data.as_mut() {
-                d.register_job(&spec);
-            }
-            self.records.insert(id, JobRecord::new(spec, now));
-            self.pending.push_back(id);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_submit(now, id);
-            }
+            self.admit(spec, now);
+            self.pending.push_back(JobId(id));
         }
         if let Some(t) = self.telemetry.as_mut() {
             t.on_flow_stage_released(now, campaign, r);
@@ -722,36 +709,20 @@ impl GridWorld {
                 wasted_cpu_seconds,
                 attempts,
             } => {
-                let record = self.records.get_mut(&job).expect("record exists");
-                assert!(
-                    record.outcome == JobOutcome::Unfinished,
-                    "job {job:?} reached a second terminal state"
-                );
-                record.outcome = JobOutcome::Completed;
-                record.started = Some(started);
-                record.finished = Some(now);
-                record.completed_by = Some(self.resources[resource].name.clone());
-                record.useful_cpu_seconds += cpu_seconds;
-                record.wasted_cpu_seconds += wasted_cpu_seconds;
-                record.attempts += attempts.saturating_sub(1); // dispatch counted once
-                self.completed += 1;
                 if let Some(tracker) = &mut self.stability {
                     tracker.record_success(resource);
                 }
-                self.carry.remove(&job);
-                self.grid_retries.remove(&job);
-                self.failed_on.remove(&job);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_completed(
-                        now,
-                        job,
-                        &self.resources[resource].name,
-                        Some(started),
-                        false,
-                    );
-                }
-                self.tenancy_on_terminal(job, cpu_seconds, true, now);
-                self.flow_on_terminal(job, false, now);
+                let terminal = Terminal::Completed {
+                    resource,
+                    started,
+                    cpu_seconds,
+                    wasted_cpu_seconds,
+                    attempts,
+                    reissues: 0,
+                    corrupt: false,
+                    validation: None,
+                };
+                self.settle(job, terminal, now);
             }
             LrmOutcome::BouncedToGrid {
                 job,
@@ -799,34 +770,9 @@ impl GridWorld {
                             self.carry.insert(job, (remaining, resource));
                         }
                         if retries > policy.max_grid_retries {
-                            // Dead-letter: the retry budget is exhausted.
-                            // Surface the job to the user instead of
-                            // requeueing forever.
-                            let record = self.records.get_mut(&job).expect("record exists");
-                            assert!(
-                                record.outcome == JobOutcome::Unfinished,
-                                "job {job:?} reached a second terminal state"
-                            );
-                            record.outcome = JobOutcome::DeadLettered;
-                            self.dead_lettered += 1;
-                            self.grid_retries.remove(&job);
-                            self.failed_on.remove(&job);
-                            if let Some((rem, origin)) = self.carry.remove(&job) {
-                                let discarded_ref = (true_ref - rem).max(0.0);
-                                if discarded_ref > 0.0 {
-                                    let origin_speed = self.measured_speeds[origin].max(1e-9);
-                                    let record = self.records.get_mut(&job).expect("record exists");
-                                    record.wasted_cpu_seconds += discarded_ref / origin_speed;
-                                }
-                            }
-                            if let Some(t) = self.telemetry.as_mut() {
-                                t.on_dead_letter(now, job);
-                            }
-                            // Dead-lettered work still burned CPU: charge
-                            // the waste to the tenant, grant no credit.
-                            let wasted = self.records[&job].wasted_cpu_seconds;
-                            self.tenancy_on_terminal(job, wasted, false, now);
-                            self.flow_on_terminal(job, true, now);
+                            // Dead-letter: surface the job to the user
+                            // instead of requeueing forever.
+                            self.settle(job, Terminal::RetryBudgetSpent, now);
                         } else {
                             // Give the failed resource another chance after
                             // the backoff: blacklisting handles genuinely
@@ -856,77 +802,46 @@ impl GridWorld {
                 corrupt,
                 validation,
             } => {
-                let boinc_name = self.boinc_index.map(|i| self.resources[i].name.clone());
-                let record = self.records.get_mut(&job).expect("record exists");
-                assert!(
-                    record.outcome == JobOutcome::Unfinished,
-                    "job {job:?} reached a second terminal state"
-                );
-                record.outcome = JobOutcome::Completed;
-                record.started = Some(started);
-                record.finished = Some(now);
-                record.completed_by = boinc_name.clone();
-                if corrupt {
-                    // Accepted-but-garbage result (quorum 1 or a bad result
-                    // slipping past trust): the CPU bought nothing.
-                    record.corrupt_result = true;
-                    record.wasted_cpu_seconds += useful_cpu_seconds;
-                } else {
-                    record.useful_cpu_seconds += useful_cpu_seconds;
-                }
-                record.reissues += reissues;
-                self.completed += 1;
-                self.carry.remove(&job);
-                self.grid_retries.remove(&job);
-                self.failed_on.remove(&job);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_completed(
-                        now,
-                        job,
-                        boinc_name.as_deref().unwrap_or("boinc-pool"),
-                        Some(started),
-                        corrupt,
-                    );
-                    if let Some(c) = &validation {
-                        let quorum_seconds = now.saturating_since(started).as_secs_f64();
-                        t.on_validation_complete(now, job, c, quorum_seconds);
-                    }
-                }
-                // BOINC-style credit: CPU charged at result time, credit
-                // granted only when the result validated clean.
-                self.tenancy_on_terminal(job, useful_cpu_seconds, !corrupt, now);
-                self.flow_on_terminal(job, corrupt, now);
+                let terminal = Terminal::Completed {
+                    resource: self.boinc_index.expect("boinc pool present"),
+                    started,
+                    cpu_seconds: useful_cpu_seconds,
+                    wasted_cpu_seconds: 0.0,
+                    attempts: 1,
+                    reissues,
+                    corrupt,
+                    validation,
+                };
+                self.settle(job, terminal, now);
             }
+            // The quorum engine gave up: the job becomes a dead letter, the
+            // same terminal state an exhausted retry budget reaches.
             BoincOutcome::ValidationFailed { job } => {
-                // The quorum engine gave up: surface the job as a dead
-                // letter (same terminal state the recovery policy uses for
-                // exhausted retry budgets).
-                let record = self.records.get_mut(&job).expect("record exists");
-                assert!(
-                    record.outcome == JobOutcome::Unfinished,
-                    "job {job:?} reached a second terminal state"
-                );
-                record.outcome = JobOutcome::DeadLettered;
-                self.dead_lettered += 1;
-                self.carry.remove(&job);
-                self.grid_retries.remove(&job);
-                self.failed_on.remove(&job);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_validation_failed(now, job);
-                    t.on_dead_letter(now, job);
-                }
-                let wasted = self.records[&job].wasted_cpu_seconds;
-                self.tenancy_on_terminal(job, wasted, false, now);
-                self.flow_on_terminal(job, true, now);
+                self.settle(job, Terminal::ValidationFailed, now);
             }
         }
     }
 
-    /// Apply one scripted fault action at `now`.
+    /// Apply one scripted fault action at `now`. A resource's own outage
+    /// process (`OutageStart`/`OutageEnd`) goes through the same arms.
     fn apply_fault(&mut self, action: FaultAction, now: SimTime, cal: &mut Calendar<GridEvent>) {
         match action {
             FaultAction::Down { resource } => {
-                self.note_resource_down(now, resource);
+                if resource < self.resources.len() {
+                    // An outage colds the site cache: staged inputs die with
+                    // the head node, so post-recovery dispatches re-pay the
+                    // transfer.
+                    let dropped = self
+                        .data
+                        .as_mut()
+                        .and_then(|d| d.invalidate_resource(resource));
+                    if let Some(t) = self.telemetry.as_mut() {
+                        if let Some(dropped) = dropped {
+                            t.on_cache_invalidate(now, resource, dropped);
+                        }
+                        t.on_resource_down(now, resource);
+                    }
+                }
                 let outcomes = match self.lrms.get_mut(resource) {
                     Some(Some(lrm)) => lrm.go_offline(now, resource, cal),
                     _ => Vec::new(),
@@ -936,28 +851,23 @@ impl GridWorld {
                 }
             }
             FaultAction::Up { resource } => {
-                self.note_resource_up(now, resource);
+                if resource < self.resources.len() {
+                    if let Some(t) = self.telemetry.as_mut() {
+                        t.on_resource_up(now, resource);
+                    }
+                }
                 if let Some(Some(lrm)) = self.lrms.get_mut(resource) {
                     lrm.go_online(now, resource, cal);
                 }
             }
-            FaultAction::PartitionStart { resource } => {
+            FaultAction::PartitionStart { resource } | FaultAction::PartitionEnd { resource } => {
+                let started = matches!(action, FaultAction::PartitionStart { .. });
                 if let Some(p) = self.partitioned.get_mut(resource) {
-                    *p = true;
+                    *p = started;
                 }
-                if self.resources.get(resource).is_some() {
+                if resource < self.resources.len() {
                     if let Some(t) = self.telemetry.as_mut() {
-                        t.on_partition(now, resource, true);
-                    }
-                }
-            }
-            FaultAction::PartitionEnd { resource } => {
-                if let Some(p) = self.partitioned.get_mut(resource) {
-                    *p = false;
-                }
-                if self.resources.get(resource).is_some() {
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.on_partition(now, resource, false);
+                        t.on_partition(now, resource, started);
                     }
                 }
             }
@@ -980,31 +890,6 @@ impl GridWorld {
                 if let Some(b) = self.boinc.as_mut() {
                     b.set_malicious_fraction(fraction);
                 }
-            }
-        }
-    }
-
-    fn note_resource_down(&mut self, now: SimTime, resource: usize) {
-        if self.resources.get(resource).is_some() {
-            // An outage colds the site cache: staged inputs die with the
-            // head node, so post-recovery dispatches re-pay the transfer.
-            if let Some(d) = self.data.as_mut() {
-                if let Some(dropped) = d.invalidate_resource(resource) {
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.on_cache_invalidate(now, resource, dropped);
-                    }
-                }
-            }
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_resource_down(now, resource);
-            }
-        }
-    }
-
-    fn note_resource_up(&mut self, now: SimTime, resource: usize) {
-        if self.resources.get(resource).is_some() {
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_resource_up(now, resource);
             }
         }
     }
@@ -1118,6 +1003,13 @@ impl Deserialize for GridWorld {
         let grid_retries: Vec<(JobId, u32)> = serde::field(fields, "grid_retries")?;
         let pending: Vec<JobId> = serde::field(fields, "pending")?;
         let resources: Vec<ResourceSpec> = serde::field(fields, "resources")?;
+        let records: HashMap<JobId, JobRecord> = records.into_iter().collect();
+        // Every queued id is dereferenced on the next scheduling pass, so a
+        // dangling one must fail the restore, not the tick after it.
+        if let Some(id) = pending.iter().find(|id| !records.contains_key(id)) {
+            let msg = format!("pending job {id:?} has no record");
+            return Err(serde::Error::custom(msg));
+        }
         Ok(GridWorld {
             config: serde::field(fields, "config")?,
             // Derived matchmaking state: rebuilt from the restored resource
@@ -1129,7 +1021,7 @@ impl Deserialize for GridWorld {
             measured_speeds: serde::field(fields, "measured_speeds")?,
             mds: serde::field(fields, "mds")?,
             pending: pending.into(),
-            records: records.into_iter().collect(),
+            records,
             failed_on: failed_on
                 .into_iter()
                 .map(|(id, v)| (id, v.into_iter().collect()))
@@ -1176,24 +1068,14 @@ impl World for GridWorld {
         match event {
             GridEvent::Submit(job) => {
                 let id = job.id;
-                assert!(
-                    !self.records.contains_key(&id),
-                    "duplicate job id {id:?} submitted"
-                );
-                if let Some(d) = self.data.as_mut() {
-                    d.register_job(&job);
-                }
-                self.records.insert(id, JobRecord::new(*job, now));
+                self.admit(*job, now);
                 self.pending.push_back(id);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_submit(now, id);
-                }
             }
             GridEvent::TenantSubmit { tenant, job } => {
-                self.tenant_submit(tenant, job, now);
+                self.tenant_submit(tenant, *job, now);
             }
             GridEvent::ScheduleTick => {
-                self.tenancy_release(now);
+                self.refill_backlog(now);
                 self.schedule_pass(now, cal);
                 cal.schedule(now + self.config.schedule_interval, GridEvent::ScheduleTick);
             }
@@ -1227,14 +1109,7 @@ impl World for GridWorld {
                 self.apply_lrm_outcome(resource, outcome, now, cal);
             }
             GridEvent::OutageStart { resource } => {
-                self.note_resource_down(now, resource);
-                let outcomes = match self.lrms.get_mut(resource) {
-                    Some(Some(lrm)) => lrm.go_offline(now, resource, cal),
-                    _ => Vec::new(),
-                };
-                for o in outcomes {
-                    self.apply_lrm_outcome(resource, o, now, cal);
-                }
+                self.apply_fault(FaultAction::Down { resource }, now, cal);
                 // Reschedule the repair only for resources that actually
                 // carry an outage process; injected or stray events must not
                 // panic and must not start a phantom MTBF/MTTR cycle.
@@ -1245,10 +1120,7 @@ impl World for GridWorld {
                 }
             }
             GridEvent::OutageEnd { resource } => {
-                self.note_resource_up(now, resource);
-                if let Some(Some(lrm)) = self.lrms.get_mut(resource) {
-                    lrm.go_online(now, resource, cal);
-                }
+                self.apply_fault(FaultAction::Up { resource }, now, cal);
                 if let Some((mtbf, _)) = self.resources.get(resource).and_then(|spec| spec.outages)
                 {
                     let up = SimDuration::from_secs_f64(self.rng.exponential(mtbf * 3600.0));
@@ -1334,8 +1206,9 @@ const TENANT_TOP_ROWS: usize = 10;
 /// bound and rationale as [`TENANT_TOP_ROWS`]).
 const FLOW_TOP_ROWS: usize = 10;
 
-/// Aggregate results of a grid run.
-#[derive(Debug, Clone)]
+/// Aggregate results of a grid run. The `flow` key is written only when
+/// the subsystem is on, so flow-free report JSON keeps the pre-flow format.
+#[derive(Debug, Clone, Serialize)]
 pub struct GridReport {
     /// Jobs submitted.
     pub total_jobs: usize,
@@ -1377,59 +1250,10 @@ pub struct GridReport {
     pub tenancy: Option<tenancy::TenancySnapshot>,
     /// Workflow accounting (`None` when the grid runs without
     /// [`GridConfig::flow`]).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub flow: Option<flow::FlowSnapshot>,
     /// Per-job records, sorted by job id.
     pub records: Vec<JobRecord>,
-}
-
-// Manual encoding for the same reason as [`GridConfig`]: the `flow` key is
-// emitted only when the subsystem is on, so flow-free report JSON stays
-// byte-identical to the pre-flow format (E12-style pins assert this).
-impl Serialize for GridReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("total_jobs".to_string(), self.total_jobs.to_value()),
-            ("completed".to_string(), self.completed.to_value()),
-            ("dead_lettered".to_string(), self.dead_lettered.to_value()),
-            ("unfinished".to_string(), self.unfinished.to_value()),
-            (
-                "corrupt_completions".to_string(),
-                self.corrupt_completions.to_value(),
-            ),
-            (
-                "blacklist_events".to_string(),
-                self.blacklist_events.to_value(),
-            ),
-            (
-                "makespan_seconds".to_string(),
-                self.makespan_seconds.to_value(),
-            ),
-            (
-                "mean_turnaround_seconds".to_string(),
-                self.mean_turnaround_seconds.to_value(),
-            ),
-            (
-                "useful_cpu_seconds".to_string(),
-                self.useful_cpu_seconds.to_value(),
-            ),
-            (
-                "wasted_cpu_seconds".to_string(),
-                self.wasted_cpu_seconds.to_value(),
-            ),
-            ("total_reissues".to_string(), self.total_reissues.to_value()),
-            ("total_attempts".to_string(), self.total_attempts.to_value()),
-            ("dispatches".to_string(), self.dispatches.to_value()),
-            ("completed_by".to_string(), self.completed_by.to_value()),
-            ("data".to_string(), self.data.to_value()),
-            ("validation".to_string(), self.validation.to_value()),
-            ("tenancy".to_string(), self.tenancy.to_value()),
-        ];
-        if let Some(fl) = &self.flow {
-            fields.push(("flow".to_string(), fl.to_value()));
-        }
-        fields.push(("records".to_string(), self.records.to_value()));
-        Value::Map(fields)
-    }
 }
 
 /// The public driver around the simulation.
@@ -2893,6 +2717,37 @@ mod tests {
                 fingerprint(&reference),
                 "divergence after restoring at event #{steps}"
             );
+        }
+    }
+
+    #[test]
+    fn snapshot_queueing_a_job_without_a_record_is_refused() {
+        use simkit::{Snapshot, SnapshotError};
+        fn entry<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+            let Value::Map(entries) = value else {
+                panic!("expected a map around `{key}`");
+            };
+            &mut entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("key present")
+                .1
+        }
+        let mut grid = Grid::new(one_cluster_config(1, 1.0));
+        grid.submit((1..=3).map(|i| JobSpec::simple(i, 3600.0)));
+        grid.run_until(SimTime::from_secs(1));
+        // A well-formed envelope (valid checksum) whose queue names job 99,
+        // which was never submitted: the restore itself must refuse it
+        // rather than hand back a grid whose next tick panics.
+        let mut state = simkit::snapshot::decode_value(&grid.to_snapshot()).unwrap();
+        let Value::Seq(pending) = entry(entry(&mut state, "world"), "pending") else {
+            panic!("pending is a sequence");
+        };
+        pending.push(JobId(99).to_value());
+        match Grid::from_snapshot(&simkit::snapshot::encode(&state)) {
+            Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("no record"), "{msg}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a dangling pending id restored"),
         }
     }
 }

@@ -42,7 +42,7 @@ use simkit::telemetry::{
 use simkit::timeseries::{SeriesSet, SeriesSetConfig, TimeSeriesSnapshot};
 use simkit::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use tenancy::TenancySnapshot;
+use tenancy::{AdmissionOutcome, TenancySnapshot};
 
 /// Telemetry knobs on [`crate::grid::GridConfig`]. The grid runs with
 /// telemetry *off* unless a config carries `Some(TelemetryConfig)`; the
@@ -700,48 +700,37 @@ impl GridTelemetry {
             .emit(now, "validation.failed", &[("job", job.0.into())]);
     }
 
-    /// A tenant submission was admitted with release capacity to spare.
-    pub fn on_tenant_admitted(&mut self, now: SimTime, job: JobId, tenant: u64) {
+    /// Admission control's verdict on a tenant submission: admitted with
+    /// release capacity to spare, queued (over the in-flight quota, or
+    /// behind older queued work), or rejected. Queue and reject reasons
+    /// carry their stable `label()`.
+    pub fn on_tenant_admission(
+        &mut self,
+        now: SimTime,
+        job: JobId,
+        tenant: u64,
+        outcome: &AdmissionOutcome,
+    ) {
         self.metrics.incr("tenancy.submitted");
-        self.metrics.incr("tenancy.admitted");
-        self.bus.emit(
-            now,
-            "tenancy.admit",
-            &[("job", job.0.into()), ("tenant", tenant.into())],
-        );
-    }
-
-    /// A tenant submission was accepted but parked (over the in-flight
-    /// quota, or behind older queued work).
-    pub fn on_tenant_queued(&mut self, now: SimTime, job: JobId, tenant: u64, reason: &str) {
-        self.metrics.incr("tenancy.submitted");
-        self.metrics.incr("tenancy.queued");
-        self.bus.emit(
-            now,
-            "tenancy.queue",
-            &[
-                ("job", job.0.into()),
-                ("tenant", tenant.into()),
-                ("reason", reason.into()),
-            ],
-        );
-    }
-
-    /// A tenant submission was refused by admission control (`reason` is
-    /// the stable [`tenancy::RejectReason::label`]).
-    pub fn on_tenant_rejected(&mut self, now: SimTime, job: JobId, tenant: u64, reason: &str) {
-        self.metrics.incr("tenancy.submitted");
-        self.metrics.incr("tenancy.rejected");
-        self.metrics.incr(&format!("tenancy.rejected.{reason}"));
-        self.bus.emit(
-            now,
-            "tenancy.reject",
-            &[
-                ("job", job.0.into()),
-                ("tenant", tenant.into()),
-                ("reason", reason.into()),
-            ],
-        );
+        let (kind, reason) = match outcome {
+            AdmissionOutcome::Admitted => {
+                self.metrics.incr("tenancy.admitted");
+                ("tenancy.admit", None)
+            }
+            AdmissionOutcome::Queued { reason } => {
+                self.metrics.incr("tenancy.queued");
+                ("tenancy.queue", Some(reason.label()))
+            }
+            AdmissionOutcome::Rejected { reason } => {
+                self.metrics.incr("tenancy.rejected");
+                self.metrics
+                    .incr(&format!("tenancy.rejected.{}", reason.label()));
+                ("tenancy.reject", Some(reason.label()))
+            }
+        };
+        let mut fields = vec![("job", job.0.into()), ("tenant", tenant.into())];
+        fields.extend(reason.map(|r| ("reason", r.into())));
+        self.bus.emit(now, kind, &fields);
     }
 
     /// Fair-share released a queued tenant job into the grid backlog after

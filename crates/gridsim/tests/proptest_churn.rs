@@ -6,17 +6,15 @@ use gridsim::{ChurnConfig, ChurnModel, ChurnTrace, SiteOutageConfig};
 use proptest::prelude::*;
 use simkit::{SimRng, SimTime};
 
-fn build(
-    seed: u64,
-    hosts: usize,
+fn config(
     half_life: Option<f64>,
     amplitude: f64,
     peak: f64,
     weekend: f64,
     outages: bool,
     trace: Option<Vec<f64>>,
-) -> ChurnModel {
-    let config = ChurnConfig {
+) -> ChurnConfig {
+    ChurnConfig {
         lifetime_half_life_hours: half_life,
         diurnal_amplitude: amplitude,
         peak_hour: peak,
@@ -27,7 +25,10 @@ fn build(
             mean_duration_hours: 2.0,
         }),
         trace: trace.map(|gaps_hours| ChurnTrace { gaps_hours }),
-    };
+    }
+}
+
+fn build(seed: u64, hosts: usize, config: ChurnConfig) -> ChurnModel {
     config.validate().expect("generated configs are valid");
     ChurnModel::new(config, 10.0, 14.0, hosts, SimRng::new(seed).fork("churn"))
 }
@@ -55,7 +56,8 @@ proptest! {
         outages in 0u8..2,
     ) {
         let half_life = (decay == 1).then_some(half_life_raw);
-        let mut m = build(seed, hosts, half_life, amplitude, peak, weekend, outages == 1, None);
+        let churn = config(half_life, amplitude, peak, weekend, outages == 1, None);
+        let mut m = build(seed, hosts, churn);
         for host in 0..hosts {
             let (mut available, first) = {
                 let (a, w) = m.initial_state(host);
@@ -75,7 +77,7 @@ proptest! {
                             secs > 0.0 && secs.is_finite(),
                             "non-positive gap {} for host {}", secs, host
                         );
-                        now = now + wait;
+                        now += wait;
                     }
                     None => {
                         prop_assert!(
@@ -107,9 +109,10 @@ proptest! {
         gaps in prop::collection::vec(0.1f64..48.0, 1..12),
         steps in 1usize..64,
     ) {
-        let mut a = build(seed, hosts, None, 0.3, 12.0, 0.8, false, Some(gaps.clone()));
-        let mut b = build(seed, hosts, None, 0.3, 12.0, 0.8, false, Some(gaps.clone()));
-        let mut c = build(seed ^ 0x5DEECE66D, hosts, None, 0.3, 12.0, 0.8, false, Some(gaps.clone()));
+        let churn = config(None, 0.3, 12.0, 0.8, false, Some(gaps.clone()));
+        let mut a = build(seed, hosts, churn.clone());
+        let mut b = build(seed, hosts, churn.clone());
+        let mut c = build(seed ^ 0x5DEECE66D, hosts, churn);
         let mut diverged = false;
         for host in 0..hosts {
             let (av_a, w_a) = a.initial_state(host);
@@ -130,7 +133,7 @@ proptest! {
                     gaps.iter().any(|g| (g - hours).abs() < 1e-9),
                     "wait {}h is not a trace gap", hours
                 );
-                now = now + wa;
+                now += wa;
             }
         }
         // Not an invariant (different seeds can pick the same phases for

@@ -153,7 +153,7 @@ mod tests {
     fn gamma_p_exponential_case() {
         // a = 1: P(1, x) = 1 - e^{-x}.
         for &x in &[0.1, 0.5, 1.0, 3.0, 10.0] {
-            assert!((gamma_p(1.0, x) - (1.0 - (-x as f64).exp())).abs() < 1e-12);
+            assert!((gamma_p(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-12);
         }
     }
 

@@ -113,9 +113,9 @@ mod tests {
         let b = split_into_batches(2000, 64);
         let mut covered = vec![false; 2000];
         for batch in &b {
-            for i in batch.start..batch.end {
-                assert!(!covered[i], "overlap at {i}");
-                covered[i] = true;
+            for (offset, slot) in covered[batch.start..batch.end].iter_mut().enumerate() {
+                assert!(!*slot, "overlap at {}", batch.start + offset);
+                *slot = true;
             }
         }
         assert!(covered.iter().all(|&c| c));

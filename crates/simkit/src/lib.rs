@@ -30,7 +30,6 @@
 //!   track) with Chrome-trace-format export.
 //! * [`profile`] — a self-profiler attributing *host* wall-clock to
 //!   per-event-kind buckets (events/sec reporting for benches).
-//! * [`trace`] — a bounded event trace for debugging simulations.
 //!
 //! # Example
 //!
@@ -68,7 +67,6 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 pub mod timeseries;
-pub mod trace;
 
 pub use calendar::Calendar;
 pub use faults::FaultScript;

@@ -9,6 +9,7 @@
 //! The generator is ChaCha8: cryptographic-quality statistical behaviour at a
 //! throughput far beyond what an event-level simulation needs.
 
+use crate::snapshot::checksum as fnv1a;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
@@ -213,15 +214,6 @@ impl RngCore for SimRng {
     fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
         self.inner.try_fill_bytes(dest)
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn splitmix(mut z: u64) -> u64 {

@@ -97,7 +97,8 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit hash, the integrity check for snapshot state bodies.
+/// FNV-1a 64-bit hash: the integrity check for snapshot state bodies, and
+/// the label hash behind [`crate::SimRng::fork`].
 pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -30,12 +30,14 @@ fn main() {
     let alignment =
         Simulator::new(&model, SiteRates::gamma(4, 0.5)).simulate(&truth, 500, &mut rng);
 
-    let mut config = GarliConfig::default();
-    config.rate_het = RateHetKind::Gamma;
-    config.num_rate_cats = 4;
-    config.genthresh_for_topo_term = 15;
-    config.max_generations = 150;
-    config.bootstrap_replicates = replicates;
+    let config = GarliConfig {
+        rate_het: RateHetKind::Gamma,
+        num_rate_cats: 4,
+        genthresh_for_topo_term: 15,
+        max_generations: 150,
+        bootstrap_replicates: replicates,
+        ..GarliConfig::default()
+    };
 
     println!("training the runtime model …");
     let corpus = lattice::training::generate_training_jobs(40, Scale::Compact, 31);

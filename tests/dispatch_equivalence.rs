@@ -24,6 +24,7 @@ use gridsim::resource::{ResourceKind, ResourceSpec};
 use gridsim::telemetry::TelemetryConfig;
 use proptest::prelude::*;
 use rand::RngCore;
+use simkit::snapshot::checksum as fnv1a;
 use simkit::{SimDuration, SimRng, SimTime, Snapshot};
 
 /// A grid with every resource flavour: stable clusters (MPI, software),
@@ -188,7 +189,7 @@ fn restored_snapshot_resumes_identically_on_either_path() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random resource mixes, requirement-diverse workloads, and random
     /// fault timelines: a copy restored at a drawn event boundary must
@@ -214,7 +215,7 @@ proptest! {
                 2 + (rng.next_u64() % 12) as usize,
                 rng.range_f64(0.6, 1.8),
             );
-            if rng.next_u64() % 2 == 0 {
+            if rng.next_u64().is_multiple_of(2) {
                 spec.software.push("gromacs".into());
             }
             resources.push(spec);
@@ -249,15 +250,6 @@ proptest! {
         live.submit(mixed_workload(seed, n_jobs));
         assert_restored_copy_tracks_live(&mut live, drawn_split(seed), 400, 150_000);
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// [`mixed_workload`] plus the two job classes it lacks for a full reject

@@ -12,24 +12,20 @@
 //!    campaign (stages still barred, churn model mid-timeline) must resume
 //!    to a byte-identical future through both restore paths: plain serde
 //!    and the checksummed snapshot envelope.
+//! 3. **Everything-on pin.** Every opt-in subsystem at once (recovery,
+//!    telemetry, data, validation, tenancy, flow, churn) under faults,
+//!    pinned by FNV-64 and required to drive every way a job enters the
+//!    grid and every way it reaches a terminal state.
 
 use gridsim::boinc::BoincConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
 use gridsim::{
     ChurnConfig, DagSpec, DataConfig, FlowConfig, Grid, GridConfig, JobSpec, RecoveryPolicy,
-    TelemetryConfig, ValidationConfig,
+    TelemetryConfig, TenancyConfig, TenantSpec, ValidationConfig,
 };
 use lattice::run_dag_campaign;
+use simkit::snapshot::checksum as fnv1a;
 use simkit::{SimDuration, SimRng, SimTime, Snapshot};
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// The E12-style mixed workload: two cluster sites plus a volunteer pool,
 /// site outages, staged inputs, redundant validation, checkpoint recovery.
@@ -223,4 +219,126 @@ fn dag_aware_scheduling_is_deterministic_per_seed() {
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7), run(8));
+}
+
+/// Every opt-in subsystem on at once: two cluster sites (the PBS one with
+/// its own outage process) plus a realistically churning volunteer pool,
+/// tight recovery and validation budgets so jobs dead-letter both ways, a
+/// shared staged input, a registered lab and a guest who overfills their
+/// admission queue, one DAG campaign, random site faults and a window of
+/// erroneous volunteer results.
+fn everything_on_grid(seed: u64) -> Grid {
+    let alignment = gridsim::data::ObjectRef::named("alignment.phy", 32 << 20);
+    let config = GridConfig {
+        resources: vec![
+            ResourceSpec::condor_pool("condor", 12, 1.5, 2.0).with_site("umd"),
+            ResourceSpec::cluster("cluster", ResourceKind::PbsCluster, 6, 1.0)
+                .with_site("bowie")
+                .with_outages(48.0, 2.0),
+        ],
+        boinc: Some(BoincConfig {
+            num_clients: 30,
+            abandon_probability: 0.1,
+            deadline: gridsim::boinc::DeadlinePolicy::Fixed(SimDuration::from_hours(12)),
+            ..Default::default()
+        }),
+        churn: Some(ChurnConfig::realistic()),
+        max_local_retries: 1,
+        recovery: Some(RecoveryPolicy {
+            max_grid_retries: 1,
+            ..Default::default()
+        }),
+        telemetry: Some(TelemetryConfig::observability(SimDuration::from_hours(2))),
+        data: Some(DataConfig::default()),
+        validation: Some(ValidationConfig {
+            max_error_results: 1,
+            max_total_results: 3,
+            ..Default::default()
+        }),
+        tenancy: Some(TenancyConfig::default()),
+        flow: Some(FlowConfig::default()),
+        seed,
+        ..Default::default()
+    };
+    let mut grid = Grid::new(config);
+    let mut rng = SimRng::new(seed ^ 0xA11);
+    let mut faults =
+        gridsim::fault::random_faults(&mut rng, &[0, 1], SimDuration::from_hours(36), 8);
+    faults.merge(gridsim::fault::erroneous_results(
+        0.4,
+        SimTime::from_hours(6),
+        SimDuration::from_hours(36),
+    ));
+    grid.inject_faults(faults);
+    grid.submit((0..18).map(|i| {
+        let mut j = JobSpec::simple(i, 2.5 * 3600.0).with_estimate(2.7 * 3600.0);
+        j.checkpointable = i % 2 == 0;
+        if i % 3 == 0 {
+            j = j.with_input(alignment);
+        }
+        j
+    }));
+    let lab = grid.register_tenant(TenantSpec::registered("lab", 2.0));
+    let guest = grid.register_tenant(TenantSpec::guest("guest@example.org"));
+    grid.submit_for(
+        lab,
+        (100..124).map(|i| JobSpec::simple(i, 2.0 * 3600.0).with_input(alignment)),
+    );
+    grid.submit_for(guest, (200..330).map(|i| JobSpec::simple(i, 3600.0)));
+    let dag = DagSpec::phylo_pipeline("tol", 2, 8, 1800.0, 4.0 * 3600.0, 2.0 * 3600.0, 900.0)
+        .with_deadline_hours(96.0);
+    grid.submit_dag(1000, dag).expect("valid pipeline");
+    grid
+}
+
+#[test]
+fn everything_on_grid_matches_its_pin() {
+    // (mid-run state, report, final state) — captured before job admission
+    // and settlement each moved into one place in the grid.
+    let mut grid = everything_on_grid(23);
+    // The profiler only observes (it is not part of the snapshot), and its
+    // per-event-kind counts show the outage process ran.
+    grid.enable_profiling();
+    grid.run_until(SimTime::from_hours(6));
+    let mid = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
+    assert_eq!(mid, 0xaf45_153a_aa5a_98b4, "mid-run state drifted");
+    let report = grid.run_until_done(SimTime::from_days(30));
+    let rep = fnv1a(serde_json::to_string(&report).unwrap().as_bytes());
+    let fin = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
+    assert_eq!(rep, 0xde14_bfca_6ec3_6990, "report drifted");
+    assert_eq!(fin, 0x9edf_3ba7_8788_d088, "final state drifted");
+
+    // Every way into and out of the grid fired, so the pin cannot pass
+    // without exercising them.
+    let m = grid.world().telemetry().expect("telemetry on").metrics();
+    let tenancy = report.tenancy.as_ref().expect("tenancy on");
+    let flow = report.flow.as_ref().expect("flow on");
+    assert_eq!(
+        (report.total_jobs, report.completed, report.dead_lettered),
+        (154, 124, 30)
+    );
+    assert_eq!((tenancy.rejected, flow.campaigns_completed), (30, 1));
+    for lrm in ["condor", "cluster"] {
+        assert!(report.completed_by[lrm] > 0, "no {lrm} completion");
+    }
+    assert!(report.completed_by["boinc-pool"] > 0, "no BOINC completion");
+    assert!(report.corrupt_completions > 0, "no corrupt completion");
+    let validation_failed = m.counter("validation.failed");
+    assert!(validation_failed > 0, "no validation failure");
+    assert!(
+        m.counter("job.dead_lettered") > validation_failed,
+        "no retry-budget dead letter"
+    );
+    for path in ["tenancy.admitted", "tenancy.queued", "tenancy.rejected"] {
+        assert!(m.counter(path) > 0, "no {path} submission");
+    }
+    // The root stage releases at submission; later ones only on settle.
+    assert!(m.counter("flow.stages_released") > 1, "no stage release");
+    let profile = grid.profile_report().expect("profiling on");
+    for kind in ["outage_start", "outage_end"] {
+        assert!(
+            profile.kinds.iter().any(|k| k.kind == kind && k.events > 0),
+            "no {kind} event"
+        );
+    }
 }
