@@ -4,8 +4,16 @@
 //! categorical features order their levels by mean response and scan the
 //! same way — the classic trick that finds the optimal two-way level
 //! partition for L2 loss without enumerating 2^k subsets.
+//!
+//! The split search allocates nothing per node. A tree's bootstrap rows
+//! live in one sample buffer, and each node owns a range `samples[lo..hi]`
+//! of it. Candidate features are scored from a column-major copy of the
+//! table, through one reused `(x, y)` buffer and fixed 64-entry level
+//! tables; only the winning rule splits the range, by a stable in-place
+//! partition. Every sum runs in a fixed order, so a bootstrap sample and
+//! an RNG state always grow the same tree, bit for bit.
 
-use crate::dataset::{Dataset, FeatureKind};
+use crate::dataset::{Dataset, FeatureKind, MAX_LEVELS};
 use crate::Predictor;
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
@@ -105,14 +113,23 @@ struct Builder<'a> {
     config: CartConfig,
     nodes: Vec<Node>,
     purity: Vec<f64>,
+    /// Column-major features: `columns[f * data.len() + i]` is row `i`'s
+    /// feature `f`.
+    columns: Vec<f64>,
+    /// The bootstrap rows (repeats allowed); a node owns `samples[lo..hi]`.
+    samples: Vec<usize>,
+    /// Rows routed right, parked while a partition compacts the left ones.
+    spill: Vec<usize>,
+    /// Features tried at the current node.
+    features: Vec<usize>,
+    /// `(value, target)` pairs of the numeric feature being scored.
+    pairs: Vec<(f64, f64)>,
 }
 
-/// Candidate split outcome.
-struct BestSplit {
+/// The best split found at a node.
+struct Split {
     rule: SplitRule,
     gain: f64,
-    left: Vec<usize>,
-    right: Vec<usize>,
 }
 
 impl RegressionTree {
@@ -123,13 +140,26 @@ impl RegressionTree {
     /// Panics if `indices` is empty.
     pub fn fit(data: &Dataset, indices: &[usize], config: CartConfig, rng: &mut SimRng) -> Self {
         assert!(!indices.is_empty(), "cannot fit on zero rows");
+        let n = data.len();
+        let p = data.num_features();
+        let mut columns = vec![0.0; n * p];
+        for (i, row) in data.rows().iter().enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                columns[f * n + i] = v;
+            }
+        }
         let mut b = Builder {
             data,
             config,
             nodes: Vec::new(),
-            purity: vec![0.0; data.num_features()],
+            purity: vec![0.0; p],
+            columns,
+            samples: indices.to_vec(),
+            spill: Vec::with_capacity(indices.len()),
+            features: Vec::with_capacity(p),
+            pairs: Vec::with_capacity(indices.len()),
         };
-        b.grow(indices.to_vec(), 0, rng);
+        b.grow(0, indices.len(), 0, rng);
         RegressionTree {
             nodes: b.nodes,
             purity_decrease: b.purity,
@@ -169,71 +199,65 @@ impl Predictor for RegressionTree {
     }
 }
 
-fn mean_of(data: &Dataset, idx: &[usize]) -> f64 {
-    idx.iter().map(|&i| data.target(i)).sum::<f64>() / idx.len() as f64
-}
-
-fn sse_of(data: &Dataset, idx: &[usize]) -> f64 {
-    let (mut s, mut s2) = (0.0, 0.0);
-    for &i in idx {
-        let y = data.target(i);
-        s += y;
-        s2 += y * y;
-    }
-    s2 - s * s / idx.len() as f64
-}
-
 impl Builder<'_> {
-    /// Grow the subtree for `idx`, returning its node index.
-    fn grow(&mut self, idx: Vec<usize>, depth: usize, rng: &mut SimRng) -> usize {
-        let make_leaf = |b: &mut Builder, idx: &[usize]| {
-            let value = mean_of(b.data, idx);
-            b.nodes.push(Node::Leaf { value });
-            b.nodes.len() - 1
-        };
-        if depth >= self.config.max_depth
-            || idx.len() < self.config.min_samples_split
-            || idx.len() < 2 * self.config.min_samples_leaf
+    /// Grow the subtree for `samples[lo..hi]`, returning its node index.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut SimRng) -> usize {
+        let n = hi - lo;
+        let split = if depth >= self.config.max_depth
+            || n < self.config.min_samples_split
+            || n < 2 * self.config.min_samples_leaf
         {
-            return make_leaf(self, &idx);
-        }
-        match self.best_split(&idx, rng) {
-            Some(best) if best.gain > 1e-12 => {
-                self.purity[best.rule.feature()] += best.gain;
-                // Reserve the slot, then grow children.
-                let slot = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
-                let left = self.grow(best.left, depth + 1, rng);
-                let right = self.grow(best.right, depth + 1, rng);
-                self.nodes[slot] = Node::Internal {
-                    rule: best.rule,
-                    left,
-                    right,
-                };
-                slot
-            }
-            _ => make_leaf(self, &idx),
-        }
+            None
+        } else {
+            self.best_split(lo, hi, rng).filter(|s| s.gain > 1e-12)
+        };
+        let Some(Split { rule, gain }) = split else {
+            let targets = self.data.targets();
+            let value = self.samples[lo..hi]
+                .iter()
+                .map(|&i| targets[i])
+                .sum::<f64>()
+                / n as f64;
+            self.nodes.push(Node::Leaf { value });
+            return self.nodes.len() - 1;
+        };
+        self.purity[rule.feature()] += gain;
+        let mid = self.partition(lo, hi, &rule);
+        // Reserve the slot, then grow children.
+        let slot = self.nodes.len();
+        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
+        let left = self.grow(lo, mid, depth + 1, rng);
+        let right = self.grow(mid, hi, depth + 1, rng);
+        self.nodes[slot] = Node::Internal { rule, left, right };
+        slot
     }
 
-    /// Best split over the (possibly subsampled) feature set.
-    fn best_split(&self, idx: &[usize], rng: &mut SimRng) -> Option<BestSplit> {
+    /// Best split over the (possibly subsampled) feature set. The first
+    /// feature in examination order wins a gain tie.
+    fn best_split(&mut self, lo: usize, hi: usize, rng: &mut SimRng) -> Option<Split> {
         let p = self.data.num_features();
-        let features: Vec<usize> = match self.config.mtry {
-            Some(m) if m < p => {
-                let mut all: Vec<usize> = (0..p).collect();
-                rng.shuffle(&mut all);
-                all.truncate(m.max(1));
-                all
-            }
-            _ => (0..p).collect(),
-        };
-        let parent_sse = sse_of(self.data, idx);
-        let mut best: Option<BestSplit> = None;
-        for &f in &features {
+        self.features.clear();
+        self.features.extend(0..p);
+        if let Some(m) = self.config.mtry.filter(|&m| m < p) {
+            rng.shuffle(&mut self.features);
+            self.features.truncate(m.max(1));
+        }
+        let targets = self.data.targets();
+        let (mut s, mut s2) = (0.0, 0.0);
+        for &i in &self.samples[lo..hi] {
+            let y = targets[i];
+            s += y;
+            s2 += y * y;
+        }
+        let parent_sse = s2 - s * s / (hi - lo) as f64;
+        let mut best: Option<Split> = None;
+        for k in 0..self.features.len() {
+            let f = self.features[k];
             let candidate = match self.data.kinds()[f] {
-                FeatureKind::Continuous => self.best_numeric_split(idx, f, parent_sse),
-                FeatureKind::Categorical { .. } => self.best_categorical_split(idx, f, parent_sse),
+                FeatureKind::Continuous => self.numeric_split(lo, hi, f, parent_sse),
+                FeatureKind::Categorical { levels } => {
+                    self.categorical_split(lo, hi, f, levels, parent_sse)
+                }
             };
             if let Some(c) = candidate {
                 if best.as_ref().is_none_or(|b| c.gain > b.gain) {
@@ -244,12 +268,21 @@ impl Builder<'_> {
         best
     }
 
-    fn best_numeric_split(&self, idx: &[usize], f: usize, parent_sse: f64) -> Option<BestSplit> {
-        let mut pairs: Vec<(f64, f64)> = idx
-            .iter()
-            .map(|&i| (self.data.row(i)[f], self.data.target(i)))
-            .collect();
-        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+    fn numeric_split(&mut self, lo: usize, hi: usize, f: usize, parent_sse: f64) -> Option<Split> {
+        let rows = self.data.len();
+        let column = &self.columns[f * rows..(f + 1) * rows];
+        let targets = self.data.targets();
+        self.pairs.clear();
+        self.pairs.extend(
+            self.samples[lo..hi]
+                .iter()
+                .map(|&i| (column[i], targets[i])),
+        );
+        // Stable: equal values keep sample order, which fixes the prefix
+        // sums' summation order.
+        self.pairs
+            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+        let pairs = &self.pairs;
         let n = pairs.len();
         let total_s: f64 = pairs.iter().map(|p| p.1).sum();
         let total_s2: f64 = pairs.iter().map(|p| p.1 * p.1).sum();
@@ -275,42 +308,46 @@ impl Builder<'_> {
                 best_thresh = Some(0.5 * (pairs[k].0 + pairs[k + 1].0));
             }
         }
-        let threshold = best_thresh?;
-        let rule = SplitRule::Numeric {
-            feature: f,
-            threshold,
-        };
-        let (left, right) = partition(self.data, idx, &rule);
-        Some(BestSplit {
-            rule,
+        Some(Split {
+            rule: SplitRule::Numeric {
+                feature: f,
+                threshold: best_thresh?,
+            },
             gain: best_gain,
-            left,
-            right,
         })
     }
 
-    fn best_categorical_split(
+    fn categorical_split(
         &self,
-        idx: &[usize],
+        lo: usize,
+        hi: usize,
         f: usize,
+        levels: usize,
         parent_sse: f64,
-    ) -> Option<BestSplit> {
-        // Per-level aggregates.
-        let levels = match self.data.kinds()[f] {
-            FeatureKind::Categorical { levels } => levels,
-            FeatureKind::Continuous => unreachable!(),
-        };
-        let mut count = vec![0usize; levels];
-        let mut sum = vec![0.0f64; levels];
-        let mut sum2 = vec![0.0f64; levels];
-        for &i in idx {
-            let c = self.data.row(i)[f] as usize;
+    ) -> Option<Split> {
+        // Per-level aggregates, accumulated in sample order.
+        let rows = self.data.len();
+        let column = &self.columns[f * rows..(f + 1) * rows];
+        let targets = self.data.targets();
+        let mut count = [0usize; MAX_LEVELS];
+        let mut sum = [0.0f64; MAX_LEVELS];
+        let mut sum2 = [0.0f64; MAX_LEVELS];
+        for &i in &self.samples[lo..hi] {
+            let c = column[i] as usize;
+            let y = targets[i];
             count[c] += 1;
-            sum[c] += self.data.target(i);
-            sum2[c] += self.data.target(i) * self.data.target(i);
+            sum[c] += y;
+            sum2[c] += y * y;
         }
-        // Order present levels by mean response; scan prefixes.
-        let mut present: Vec<usize> = (0..levels).filter(|&c| count[c] > 0).collect();
+        // Order present levels by mean response (stable, so equal means
+        // keep level order); scan prefixes.
+        let mut present = [0usize; MAX_LEVELS];
+        let mut k = 0;
+        for c in (0..levels).filter(|&c| count[c] > 0) {
+            present[k] = c;
+            k += 1;
+        }
+        let present = &mut present[..k];
         if present.len() < 2 {
             return None;
         }
@@ -319,14 +356,14 @@ impl Builder<'_> {
                 .partial_cmp(&(sum[b] / count[b] as f64))
                 .expect("finite targets")
         });
-        let total_n: usize = idx.len();
-        let total_s: f64 = sum.iter().sum();
-        let total_s2: f64 = sum2.iter().sum();
+        let total_n = hi - lo;
+        let total_s: f64 = sum[..levels].iter().sum();
+        let total_s2: f64 = sum2[..levels].iter().sum();
         let (mut ln, mut ls, mut ls2) = (0usize, 0.0, 0.0);
         let mut best_gain = 0.0;
         let mut best_mask = None;
         let mut mask: u64 = 0;
-        for (pos, &c) in present.iter().enumerate().take(present.len() - 1) {
+        for &c in &present[..present.len() - 1] {
             ln += count[c];
             ls += sum[c];
             ls2 += sum2[c];
@@ -342,39 +379,298 @@ impl Builder<'_> {
                 best_gain = gain;
                 best_mask = Some(mask);
             }
-            let _ = pos;
         }
-        let left_levels = best_mask?;
-        let rule = SplitRule::Categorical {
-            feature: f,
-            left_levels,
-        };
-        let (left, right) = partition(self.data, idx, &rule);
-        Some(BestSplit {
-            rule,
+        Some(Split {
+            rule: SplitRule::Categorical {
+                feature: f,
+                left_levels: best_mask?,
+            },
             gain: best_gain,
-            left,
-            right,
         })
+    }
+
+    /// Stably partition `samples[lo..hi]` by `rule`, routing each row
+    /// through the test [`Predictor::predict`] uses: left rows first, then
+    /// right rows, each side in its original order. Returns the boundary.
+    fn partition(&mut self, lo: usize, hi: usize, rule: &SplitRule) -> usize {
+        self.spill.clear();
+        let mut mid = lo;
+        for k in lo..hi {
+            let i = self.samples[k];
+            if rule.goes_left(self.data.row(i)) {
+                self.samples[mid] = i;
+                mid += 1;
+            } else {
+                self.spill.push(i);
+            }
+        }
+        self.samples[mid..hi].copy_from_slice(&self.spill);
+        mid
     }
 }
 
-fn partition(data: &Dataset, idx: &[usize], rule: &SplitRule) -> (Vec<usize>, Vec<usize>) {
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for &i in idx {
-        if rule.goes_left(data.row(i)) {
-            left.push(i);
-        } else {
-            right.push(i);
+/// The builder as it stood before the allocation-free split search: each
+/// node owns an index `Vec`, and every candidate feature builds its
+/// partition. Kept verbatim as the oracle for the differential test.
+#[cfg(test)]
+mod reference {
+    use super::{CartConfig, Node, RegressionTree, SplitRule};
+    use crate::dataset::{Dataset, FeatureKind};
+    use simkit::SimRng;
+
+    /// [`RegressionTree::fit`] on the reference builder.
+    pub(super) fn fit(
+        data: &Dataset,
+        indices: &[usize],
+        config: CartConfig,
+        rng: &mut SimRng,
+    ) -> RegressionTree {
+        assert!(!indices.is_empty(), "cannot fit on zero rows");
+        let mut b = Builder {
+            data,
+            config,
+            nodes: Vec::new(),
+            purity: vec![0.0; data.num_features()],
+        };
+        b.grow(indices.to_vec(), 0, rng);
+        RegressionTree {
+            nodes: b.nodes,
+            purity_decrease: b.purity,
         }
     }
-    (left, right)
+
+    struct Builder<'a> {
+        data: &'a Dataset,
+        config: CartConfig,
+        nodes: Vec<Node>,
+        purity: Vec<f64>,
+    }
+
+    /// Candidate split outcome.
+    struct BestSplit {
+        rule: SplitRule,
+        gain: f64,
+        left: Vec<usize>,
+        right: Vec<usize>,
+    }
+
+    fn mean_of(data: &Dataset, idx: &[usize]) -> f64 {
+        idx.iter().map(|&i| data.target(i)).sum::<f64>() / idx.len() as f64
+    }
+
+    fn sse_of(data: &Dataset, idx: &[usize]) -> f64 {
+        let (mut s, mut s2) = (0.0, 0.0);
+        for &i in idx {
+            let y = data.target(i);
+            s += y;
+            s2 += y * y;
+        }
+        s2 - s * s / idx.len() as f64
+    }
+
+    impl Builder<'_> {
+        /// Grow the subtree for `idx`, returning its node index.
+        fn grow(&mut self, idx: Vec<usize>, depth: usize, rng: &mut SimRng) -> usize {
+            let make_leaf = |b: &mut Builder, idx: &[usize]| {
+                let value = mean_of(b.data, idx);
+                b.nodes.push(Node::Leaf { value });
+                b.nodes.len() - 1
+            };
+            if depth >= self.config.max_depth
+                || idx.len() < self.config.min_samples_split
+                || idx.len() < 2 * self.config.min_samples_leaf
+            {
+                return make_leaf(self, &idx);
+            }
+            match self.best_split(&idx, rng) {
+                Some(best) if best.gain > 1e-12 => {
+                    self.purity[best.rule.feature()] += best.gain;
+                    // Reserve the slot, then grow children.
+                    let slot = self.nodes.len();
+                    self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
+                    let left = self.grow(best.left, depth + 1, rng);
+                    let right = self.grow(best.right, depth + 1, rng);
+                    self.nodes[slot] = Node::Internal {
+                        rule: best.rule,
+                        left,
+                        right,
+                    };
+                    slot
+                }
+                _ => make_leaf(self, &idx),
+            }
+        }
+
+        /// Best split over the (possibly subsampled) feature set.
+        fn best_split(&self, idx: &[usize], rng: &mut SimRng) -> Option<BestSplit> {
+            let p = self.data.num_features();
+            let features: Vec<usize> = match self.config.mtry {
+                Some(m) if m < p => {
+                    let mut all: Vec<usize> = (0..p).collect();
+                    rng.shuffle(&mut all);
+                    all.truncate(m.max(1));
+                    all
+                }
+                _ => (0..p).collect(),
+            };
+            let parent_sse = sse_of(self.data, idx);
+            let mut best: Option<BestSplit> = None;
+            for &f in &features {
+                let candidate = match self.data.kinds()[f] {
+                    FeatureKind::Continuous => self.best_numeric_split(idx, f, parent_sse),
+                    FeatureKind::Categorical { .. } => {
+                        self.best_categorical_split(idx, f, parent_sse)
+                    }
+                };
+                if let Some(c) = candidate {
+                    if best.as_ref().is_none_or(|b| c.gain > b.gain) {
+                        best = Some(c);
+                    }
+                }
+            }
+            best
+        }
+
+        fn best_numeric_split(
+            &self,
+            idx: &[usize],
+            f: usize,
+            parent_sse: f64,
+        ) -> Option<BestSplit> {
+            let mut pairs: Vec<(f64, f64)> = idx
+                .iter()
+                .map(|&i| (self.data.row(i)[f], self.data.target(i)))
+                .collect();
+            pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+            let n = pairs.len();
+            let total_s: f64 = pairs.iter().map(|p| p.1).sum();
+            let total_s2: f64 = pairs.iter().map(|p| p.1 * p.1).sum();
+            let (mut ls, mut ls2) = (0.0, 0.0);
+            let mut best_gain = 0.0;
+            let mut best_thresh = None;
+            for k in 0..n - 1 {
+                ls += pairs[k].1;
+                ls2 += pairs[k].1 * pairs[k].1;
+                if pairs[k].0 == pairs[k + 1].0 {
+                    continue; // can't split between equal values
+                }
+                let nl = (k + 1) as f64;
+                let nr = (n - k - 1) as f64;
+                if (k + 1) < self.config.min_samples_leaf
+                    || (n - k - 1) < self.config.min_samples_leaf
+                {
+                    continue;
+                }
+                let sse = (ls2 - ls * ls / nl) + ((total_s2 - ls2) - (total_s - ls).powi(2) / nr);
+                let gain = parent_sse - sse;
+                if gain > best_gain {
+                    best_gain = gain;
+                    best_thresh = Some(0.5 * (pairs[k].0 + pairs[k + 1].0));
+                }
+            }
+            let threshold = best_thresh?;
+            let rule = SplitRule::Numeric {
+                feature: f,
+                threshold,
+            };
+            let (left, right) = partition(self.data, idx, &rule);
+            Some(BestSplit {
+                rule,
+                gain: best_gain,
+                left,
+                right,
+            })
+        }
+
+        fn best_categorical_split(
+            &self,
+            idx: &[usize],
+            f: usize,
+            parent_sse: f64,
+        ) -> Option<BestSplit> {
+            // Per-level aggregates.
+            let levels = match self.data.kinds()[f] {
+                FeatureKind::Categorical { levels } => levels,
+                FeatureKind::Continuous => unreachable!(),
+            };
+            let mut count = vec![0usize; levels];
+            let mut sum = vec![0.0f64; levels];
+            let mut sum2 = vec![0.0f64; levels];
+            for &i in idx {
+                let c = self.data.row(i)[f] as usize;
+                count[c] += 1;
+                sum[c] += self.data.target(i);
+                sum2[c] += self.data.target(i) * self.data.target(i);
+            }
+            // Order present levels by mean response; scan prefixes.
+            let mut present: Vec<usize> = (0..levels).filter(|&c| count[c] > 0).collect();
+            if present.len() < 2 {
+                return None;
+            }
+            present.sort_by(|&a, &b| {
+                (sum[a] / count[a] as f64)
+                    .partial_cmp(&(sum[b] / count[b] as f64))
+                    .expect("finite targets")
+            });
+            let total_n: usize = idx.len();
+            let total_s: f64 = sum.iter().sum();
+            let total_s2: f64 = sum2.iter().sum();
+            let (mut ln, mut ls, mut ls2) = (0usize, 0.0, 0.0);
+            let mut best_gain = 0.0;
+            let mut best_mask = None;
+            let mut mask: u64 = 0;
+            for (pos, &c) in present.iter().enumerate().take(present.len() - 1) {
+                ln += count[c];
+                ls += sum[c];
+                ls2 += sum2[c];
+                mask |= 1u64 << c;
+                let rn = total_n - ln;
+                if ln < self.config.min_samples_leaf || rn < self.config.min_samples_leaf {
+                    continue;
+                }
+                let sse = (ls2 - ls * ls / ln as f64)
+                    + ((total_s2 - ls2) - (total_s - ls).powi(2) / rn as f64);
+                let gain = parent_sse - sse;
+                if gain > best_gain {
+                    best_gain = gain;
+                    best_mask = Some(mask);
+                }
+                let _ = pos;
+            }
+            let left_levels = best_mask?;
+            let rule = SplitRule::Categorical {
+                feature: f,
+                left_levels,
+            };
+            let (left, right) = partition(self.data, idx, &rule);
+            Some(BestSplit {
+                rule,
+                gain: best_gain,
+                left,
+                right,
+            })
+        }
+    }
+
+    fn partition(data: &Dataset, idx: &[usize], rule: &SplitRule) -> (Vec<usize>, Vec<usize>) {
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        for &i in idx {
+            if rule.goes_left(data.row(i)) {
+                left.push(i);
+            } else {
+                right.push(i);
+            }
+        }
+        (left, right)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
 
     fn step_data() -> Dataset {
         // y = 0 for x < 5, y = 10 for x >= 5: one perfect numeric split.
@@ -512,5 +808,96 @@ mod tests {
         let t = RegressionTree::fit(&d, &idx, CartConfig::default(), &mut rng);
         assert_eq!(t.num_leaves(), 1);
         assert_eq!(t.predict(&[999.0]), 7.0);
+    }
+
+    /// A random mixed table aimed at the split search's edge cases:
+    /// continuous columns drawing from a few values (heavy ties),
+    /// categorical columns of 2–8 levels that may use only one of them,
+    /// duplicated rows, and stretches of constant target that include both
+    /// signed zeros.
+    fn tangled_data(rng: &mut SimRng) -> Dataset {
+        let p = 1 + rng.index(5);
+        let kinds: Vec<FeatureKind> = (0..p)
+            .map(|_| {
+                if rng.chance(0.5) {
+                    FeatureKind::Continuous
+                } else {
+                    FeatureKind::Categorical {
+                        levels: 2 + rng.index(7),
+                    }
+                }
+            })
+            .collect();
+        // Distinct values per column; 0 marks a column of real-valued draws.
+        let pools: Vec<usize> = kinds
+            .iter()
+            .map(|kind| match kind {
+                FeatureKind::Continuous if rng.chance(0.2) => 0,
+                FeatureKind::Continuous => 1 + rng.index(8),
+                FeatureKind::Categorical { levels } => 1 + rng.index(*levels),
+            })
+            .collect();
+        let schema = kinds
+            .iter()
+            .enumerate()
+            .map(|(j, &kind)| (format!("f{j}"), kind))
+            .collect();
+        let mut d = Dataset::new(schema);
+        let mut y = 0.0;
+        for r in 0..1 + rng.index(60) {
+            if r > 0 && rng.chance(0.15) {
+                let src = rng.index(r);
+                d.push(d.row(src).to_vec(), d.target(src));
+                continue;
+            }
+            let row = kinds
+                .iter()
+                .zip(&pools)
+                .map(|(kind, &pool)| match kind {
+                    FeatureKind::Continuous if pool == 0 => rng.normal(0.0, 1.0),
+                    FeatureKind::Continuous => rng.index(pool) as f64 * 0.5 - 1.0,
+                    FeatureKind::Categorical { .. } => rng.index(pool) as f64,
+                })
+                .collect();
+            if rng.chance(0.5) {
+                y = match rng.index(4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => rng.index(5) as f64 - 2.0,
+                    _ => rng.normal(0.0, 10.0),
+                };
+            }
+            d.push(row, y);
+        }
+        d
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The allocation-free builder grows the reference builder's tree
+        /// bit for bit and leaves the RNG at the same point.
+        #[test]
+        fn builder_matches_reference(seed in 0u64..u64::MAX) {
+            let mut rng = SimRng::new(seed);
+            let data = tangled_data(&mut rng);
+            let n = data.len();
+            let p = data.num_features();
+            let indices: Vec<usize> = (0..1 + rng.index(2 * n)).map(|_| rng.index(n)).collect();
+            let config = CartConfig {
+                max_depth: rng.index(11),
+                min_samples_split: 2 + rng.index(5),
+                min_samples_leaf: 1 + rng.index(3),
+                mtry: rng.chance(0.7).then(|| 1 + rng.index(p)),
+            };
+            let mut fast_rng = rng.fork("fit");
+            let mut oracle_rng = rng.fork("fit");
+            let fast = RegressionTree::fit(&data, &indices, config, &mut fast_rng);
+            let oracle = reference::fit(&data, &indices, config, &mut oracle_rng);
+            prop_assert_eq!(&fast, &oracle);
+            // `Debug` tells -0.0 from 0.0, which `PartialEq` does not.
+            prop_assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+            prop_assert_eq!(fast_rng.next_u64(), oracle_rng.next_u64());
+        }
     }
 }

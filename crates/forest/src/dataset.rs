@@ -8,6 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Most levels a categorical feature may have: a tree's split rule routes
+/// levels by a `u64` bitmask.
+pub(crate) const MAX_LEVELS: usize = 64;
+
 /// What a feature column contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FeatureKind {
@@ -31,8 +35,20 @@ pub struct Dataset {
 
 impl Dataset {
     /// Empty table with the given schema.
+    ///
+    /// # Panics
+    /// Panics if a categorical feature declares more than 64 levels, the
+    /// width of a split rule's level mask.
     pub fn new(schema: Vec<(String, FeatureKind)>) -> Dataset {
-        let (names, kinds) = schema.into_iter().unzip();
+        let (names, kinds): (Vec<String>, Vec<FeatureKind>) = schema.into_iter().unzip();
+        for (name, kind) in names.iter().zip(&kinds) {
+            if let FeatureKind::Categorical { levels } = kind {
+                assert!(
+                    *levels <= MAX_LEVELS,
+                    "feature {name}: {levels} levels exceed the {MAX_LEVELS}-level split mask"
+                );
+            }
+        }
         Dataset {
             names,
             kinds,
@@ -178,6 +194,14 @@ mod tests {
     fn invalid_category_rejected() {
         let mut d = Dataset::new(schema());
         d.push(vec![1.0, 3.0], 1.0);
+    }
+
+    /// A 70-level feature would let training group level 64 with level 0
+    /// (`1u64 << 64` wraps) while prediction routes level 64 right.
+    #[test]
+    #[should_panic(expected = "70 levels exceed the 64-level split mask")]
+    fn categorical_wider_than_split_mask_rejected() {
+        let _ = Dataset::new(vec![("c".into(), FeatureKind::Categorical { levels: 70 })]);
     }
 
     #[test]

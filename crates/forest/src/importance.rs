@@ -117,7 +117,6 @@ pub fn importance(forest: &RandomForest, data: &Dataset, seed: u64) -> Importanc
                 / oob.len() as f64;
             deltas[j].push(perm_mse - base_mse);
         }
-        let _ = t;
     }
     let baseline = if trees_used > 0 {
         baseline_total / trees_used as f64

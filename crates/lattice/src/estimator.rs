@@ -4,7 +4,10 @@
 //! prediction for incoming jobs, out-of-bag variance explained (the
 //! paper's "approximately 93 %"), and the Fig. 2 permutation-importance
 //! report. The production model used 10⁴ trees; that is the default here
-//! too (training on ~150 jobs still takes well under a second).
+//! too. Training 10⁴ trees on 150 jobs takes a median 0.79 s on a 2-vCPU
+//! Intel Xeon host (`forest/train_150x9/10000` in `cargo bench -p bench
+//! --bench forest_train`; 1.65 s before the split search stopped
+//! allocating per node).
 
 use crate::predictors::JobFeatures;
 use crate::training::TrainingJob;
@@ -160,5 +163,28 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn empty_training_rejected() {
         let _ = RuntimeEstimator::train(&[], 10, 0);
+    }
+
+    /// The forest trained on the tracked 150-job corpus, pinned: the FNV
+    /// checksum of its serde JSON followed by the bits of its prediction
+    /// for every training row. Any change to tree growing, bootstrap
+    /// sampling or RNG use moves it.
+    #[test]
+    fn corpus_forest_matches_its_pin() {
+        const PIN: u64 = 0xcfe8_39a7_8d6f_9540;
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench_results/corpus_full_150_2011.json"
+        );
+        let text = std::fs::read_to_string(path).expect("tracked corpus");
+        let jobs: Vec<TrainingJob> = serde_json::from_str(&text).expect("corpus parses");
+        let est = RuntimeEstimator::train(&jobs, 500, 2011);
+        let mut bytes = serde_json::to_string(est.forest())
+            .expect("forest serializes")
+            .into_bytes();
+        for row in est.dataset().rows() {
+            bytes.extend_from_slice(&est.forest().predict(row).to_bits().to_le_bytes());
+        }
+        assert_eq!(simkit::snapshot::checksum(&bytes), PIN);
     }
 }

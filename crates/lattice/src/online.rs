@@ -8,7 +8,6 @@
 
 use crate::estimator::RuntimeEstimator;
 use crate::predictors::JobFeatures;
-use forest::dataset::Dataset;
 
 /// An estimator that retrains as reference-machine observations arrive.
 #[derive(Debug)]
@@ -50,14 +49,8 @@ impl OnlineEstimator {
         let pre = self.predict_seconds(&features);
         self.prediction_log.push((pre, actual_seconds));
         // Append to the training matrix and rebuild.
-        let mut rows: Vec<Vec<f64>> = self.estimator.dataset().rows().to_vec();
-        let mut targets: Vec<f64> = self.estimator.dataset().targets().to_vec();
-        rows.push(features.to_row());
-        targets.push(actual_seconds);
-        let mut ds = Dataset::new(crate::predictors::predictor_schema());
-        for (row, t) in rows.into_iter().zip(targets) {
-            ds.push(row, t);
-        }
+        let mut ds = self.estimator.dataset().clone();
+        ds.push(features.to_row(), actual_seconds);
         self.observations += 1;
         self.estimator = RuntimeEstimator::train_on_dataset(
             ds,
