@@ -27,7 +27,7 @@
 //! `bench_results/e15_crash_resume.json`; a telemetry snapshot of the
 //! observed arm in `bench_results/e15_crash_resume_metrics.json`.
 
-use bench::{env_usize, header, results_dir, write_json, write_metrics};
+use bench::{env_usize, header, results_dir, write_baseline, write_json, write_metrics};
 use gridsim::boinc::BoincConfig;
 use gridsim::data::ObjectRef;
 use gridsim::fault::{self, FaultAction};
@@ -40,7 +40,6 @@ use gridsim::{DataConfig, ValidationConfig};
 use lattice::service::{GridService, ResumeOutcome, ServiceConfig};
 use simkit::{FaultScript, SimDuration, SimRng, SimTime, Snapshot};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Instant;
 
 const DEADLINE: SimTime = SimTime::from_days(30);
@@ -225,10 +224,6 @@ struct BenchSummary {
     max_write_micros: u64,
     max_load_micros: u64,
     kills: usize,
-}
-
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 fn main() {
@@ -422,13 +417,7 @@ fn main() {
         summary.mean_load_micros,
         summary.max_load_micros
     );
-    let bench_path = workspace_root().join("BENCH_e15_crash_resume.json");
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&summary).expect("summary serializes"),
-    )
-    .expect("write BENCH summary");
-    eprintln!("[out] {}", bench_path.display());
+    write_baseline("e15_crash_resume", &summary);
 
     write_json("e15_crash_resume", &rows);
 }

@@ -25,7 +25,7 @@
 //!
 //! Knobs: `LATTICE_E16_JOBS` (default 150), `LATTICE_SEED` (default 2011).
 
-use bench::{env_usize, header, write_json, write_metrics};
+use bench::{env_usize, header, write_baseline, write_json, write_metrics};
 use gridsim::boinc::BoincConfig;
 use gridsim::fault::{self, FaultAction};
 use gridsim::grid::{Grid, GridConfig, GridReport};
@@ -165,10 +165,6 @@ struct BenchSummary {
     spans_dropped: u64,
     reissue_spans_in_trace: usize,
     profile: simkit::profile::ProfileReport,
-}
-
-fn workspace_root() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Parse the Chrome trace, index every event's span id, and return the
@@ -419,13 +415,7 @@ fn main() {
         reissue_spans_in_trace: reissue_spans,
         profile,
     };
-    let bench_path = workspace_root().join("BENCH_e16_observability.json");
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&summary).expect("summary serializes"),
-    )
-    .expect("write BENCH summary");
-    eprintln!("[out] {}", bench_path.display());
+    write_baseline("e16_observability", &summary);
 
     write_json("e16_observability", &timeline);
     write_metrics("e16_observability", &snapshot);

@@ -16,16 +16,12 @@
 //! `E17_WU_PER_HOST` scales workunits per arm (default 10, so the 100k arm
 //! carries 1M workunits), `E17_SEED`.
 
-use bench::{env_usize, header, write_json, write_metrics};
+use bench::{env_usize, gate_baseline, header, write_baseline, write_json, write_metrics};
 use gridsim::boinc::BoincConfig;
 use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::JobSpec;
 use simkit::{SimRng, SimTime};
 use std::time::Instant;
-
-fn workspace_root() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 /// `VmHWM` (peak resident set, cumulative over the process) and `VmRSS`
 /// (current resident set) in bytes, from `/proc/self/status`. Arms run in
@@ -136,14 +132,8 @@ fn print_arm(label: &str, a: &Arm) {
 
 /// Compare a fresh trajectory against the committed baseline; returns the
 /// regression messages (empty = pass).
-fn gate_regressions(baseline: &str, fresh: &[Arm]) -> Vec<String> {
-    let doc: serde::Value = match serde_json::from_str(baseline) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("baseline unreadable: {e}")],
-    };
-    let Some(fields) = doc.as_map() else {
-        return vec!["baseline is not a JSON object".into()];
-    };
+fn gate_regressions(baseline: &serde::Value, fresh: &[Arm]) -> Vec<String> {
+    let fields = baseline.as_map().unwrap_or_default();
     let Ok(base): Result<Vec<serde::Value>, _> = serde::field(fields, "trajectory") else {
         return vec!["baseline has no trajectory".into()];
     };
@@ -197,35 +187,13 @@ fn main() {
     };
 
     // Regression gate against the committed baseline (before overwriting).
-    let bench_path = workspace_root().join("BENCH_e17_dispatch_throughput.json");
-    if std::env::var("E17_GATE").as_deref() == Ok("1") {
-        match std::fs::read_to_string(&bench_path) {
-            Ok(baseline) => {
-                let failures = gate_regressions(&baseline, &summary.trajectory);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("[gate] REGRESSION: {f}");
-                    }
-                    std::process::exit(1);
-                }
-                println!("[gate] events/sec within 20% of committed baseline");
-            }
-            Err(e) => {
-                eprintln!(
-                    "[gate] FAIL: no committed baseline at {}: {e}",
-                    bench_path.display()
-                );
-                std::process::exit(1);
-            }
-        }
+    let name = "e17_dispatch_throughput";
+    if gate_baseline(name, "E17_GATE", |base| {
+        gate_regressions(base, &summary.trajectory)
+    }) {
+        println!("[gate] events/sec within 20% of committed baseline");
     }
-
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&summary).expect("summary serializes"),
-    )
-    .expect("write BENCH summary");
-    eprintln!("[out] {}", bench_path.display());
-    write_json("e17_dispatch_throughput", &summary);
-    write_metrics("e17_dispatch_throughput", &summary);
+    write_baseline(name, &summary);
+    write_json(name, &summary);
+    write_metrics(name, &summary);
 }

@@ -26,7 +26,7 @@
 //! `E18_SEED`; `E18_PROFILE=1` prints per-event-kind profiler reports for
 //! both paths.
 
-use bench::{env_usize, header, write_json, write_metrics};
+use bench::{env_usize, gate_baseline, header, write_baseline, write_json, write_metrics};
 use gridsim::boinc::BoincConfig;
 use gridsim::grid::{Grid, GridConfig};
 use gridsim::job::JobSpec;
@@ -36,10 +36,6 @@ use simkit::{SimDuration, SimRng, SimTime};
 use std::collections::HashMap;
 use std::time::Instant;
 use tenancy::{ArrivalConfig, ArrivalGenerator, Quota, Submission, Submitter, TenantSpec};
-
-fn workspace_root() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 // ---------------------------------------------------------------- fairness
 
@@ -370,14 +366,8 @@ struct Summary {
 
 /// Compare fresh scale arms against the committed baseline; returns the
 /// regression messages (empty = pass).
-fn gate_regressions(baseline: &str, fresh: &[ScaleArm]) -> Vec<String> {
-    let doc: serde::Value = match serde_json::from_str(baseline) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("baseline unreadable: {e}")],
-    };
-    let Some(fields) = doc.as_map() else {
-        return vec!["baseline is not a JSON object".into()];
-    };
+fn gate_regressions(baseline: &serde::Value, fresh: &[ScaleArm]) -> Vec<String> {
+    let fields = baseline.as_map().unwrap_or_default();
     let Ok(base): Result<Vec<serde::Value>, _> = serde::field(fields, "scale") else {
         return vec!["baseline has no scale arms".into()];
     };
@@ -478,35 +468,13 @@ fn main() {
     };
 
     // Regression gate against the committed baseline (before overwriting).
-    let bench_path = workspace_root().join("BENCH_e18_multi_tenant.json");
-    if std::env::var("E18_GATE").as_deref() == Ok("1") {
-        match std::fs::read_to_string(&bench_path) {
-            Ok(baseline) => {
-                let failures = gate_regressions(&baseline, &summary.scale);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("[gate] REGRESSION: {f}");
-                    }
-                    std::process::exit(1);
-                }
-                println!("[gate] events/sec within 50% of committed baseline");
-            }
-            Err(e) => {
-                eprintln!(
-                    "[gate] FAIL: no committed baseline at {}: {e}",
-                    bench_path.display()
-                );
-                std::process::exit(1);
-            }
-        }
+    let name = "e18_multi_tenant";
+    if gate_baseline(name, "E18_GATE", |base| {
+        gate_regressions(base, &summary.scale)
+    }) {
+        println!("[gate] events/sec within 50% of committed baseline");
     }
-
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&summary).expect("summary serializes"),
-    )
-    .expect("write BENCH summary");
-    eprintln!("[out] {}", bench_path.display());
-    write_json("e18_multi_tenant", &summary);
-    write_metrics("e18_multi_tenant", &summary);
+    write_baseline(name, &summary);
+    write_json(name, &summary);
+    write_metrics(name, &summary);
 }

@@ -29,7 +29,7 @@
 //! Knobs: `E19_CAMPAIGNS` (default 8), `E19_HOSTS` volunteer-pool size
 //! (default 40), `E19_SEED` (default 2019).
 
-use bench::{env_usize, header, write_json, write_metrics};
+use bench::{env_usize, gate_baseline, header, write_baseline, write_json, write_metrics};
 use gridsim::boinc::BoincConfig;
 use gridsim::grid::GridConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
@@ -37,10 +37,6 @@ use gridsim::{ChurnConfig, DagSpec, FlowConfig, JobSpec, ValidationConfig};
 use lattice::run_dag_campaign;
 use simkit::snapshot::checksum as fnv1a;
 use simkit::{SimDuration, SimRng, SimTime};
-
-fn workspace_root() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 /// The fixed campaign set: pipelines alternating tight (28 h) and loose
 /// (96 h) deadlines, with replicate fan-outs that grow with the index so
@@ -214,14 +210,8 @@ struct Summary {
 /// Compare fresh arms against the committed baseline; returns regression
 /// messages (empty = pass). Arms match on (scheduling, churn, campaigns);
 /// mismatched shapes (e.g. a reduced run against a full baseline) skip.
-fn gate_regressions(baseline: &str, fresh: &[Arm]) -> Vec<String> {
-    let doc: serde::Value = match serde_json::from_str(baseline) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("baseline unreadable: {e}")],
-    };
-    let Some(fields) = doc.as_map() else {
-        return vec!["baseline is not a JSON object".into()];
-    };
+fn gate_regressions(baseline: &serde::Value, fresh: &[Arm]) -> Vec<String> {
+    let fields = baseline.as_map().unwrap_or_default();
     let Ok(base): Result<Vec<serde::Value>, _> = serde::field(fields, "arms") else {
         return vec!["baseline has no arms".into()];
     };
@@ -358,35 +348,13 @@ fn main() {
     };
 
     // Regression gate against the committed baseline (before overwriting).
-    let bench_path = workspace_root().join("BENCH_e19_dag_churn.json");
-    if std::env::var("E19_GATE").as_deref() == Ok("1") {
-        match std::fs::read_to_string(&bench_path) {
-            Ok(baseline) => {
-                let failures = gate_regressions(&baseline, &summary.arms);
-                if !failures.is_empty() {
-                    for f in &failures {
-                        eprintln!("[gate] REGRESSION: {f}");
-                    }
-                    std::process::exit(1);
-                }
-                println!("[gate] misses and makespans within the committed baseline");
-            }
-            Err(e) => {
-                eprintln!(
-                    "[gate] FAIL: no committed baseline at {}: {e}",
-                    bench_path.display()
-                );
-                std::process::exit(1);
-            }
-        }
+    let name = "e19_dag_churn";
+    if gate_baseline(name, "E19_GATE", |base| {
+        gate_regressions(base, &summary.arms)
+    }) {
+        println!("[gate] misses and makespans within the committed baseline");
     }
-
-    std::fs::write(
-        &bench_path,
-        serde_json::to_string_pretty(&summary).expect("summary serializes"),
-    )
-    .expect("write BENCH summary");
-    eprintln!("[out] {}", bench_path.display());
-    write_json("e19_dag_churn", &summary);
-    write_metrics("e19_dag_churn", &summary);
+    write_baseline(name, &summary);
+    write_json(name, &summary);
+    write_metrics(name, &summary);
 }

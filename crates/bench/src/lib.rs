@@ -73,6 +73,61 @@ pub fn write_json(name: &str, value: &impl serde::Serialize) {
     eprintln!("[out] {}", path.display());
 }
 
+/// The committed baseline `BENCH_<name>.json` at the workspace root.
+fn baseline_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../BENCH_{name}.json"))
+}
+
+/// Write an experiment's summary as its committed baseline
+/// `BENCH_<name>.json` at the workspace root.
+pub fn write_baseline(name: &str, summary: &impl serde::Serialize) {
+    let path = baseline_path(name);
+    let text = serde_json::to_string_pretty(summary).expect("summary serializes");
+    std::fs::write(&path, text).expect("write BENCH summary");
+    eprintln!("[out] {}", path.display());
+}
+
+/// The regression gate: when `env_var` is `1`, read the committed
+/// `BENCH_<name>.json` (call this before [`write_baseline`] replaces it)
+/// and run the experiment's own `check` over it. `check` returns one
+/// message per regression; any message, or a missing or unreadable
+/// baseline, is printed and exits the process with status 1. Returns true
+/// iff the gate ran and passed.
+pub fn gate_baseline(
+    name: &str,
+    env_var: &str,
+    check: impl FnOnce(&serde::Value) -> Vec<String>,
+) -> bool {
+    if std::env::var(env_var).as_deref() != Ok("1") {
+        return false;
+    }
+    let path = baseline_path(name);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        eprintln!(
+            "[gate] FAIL: no committed baseline at {}: {e}",
+            path.display()
+        );
+        std::process::exit(1);
+    });
+    let failures = baseline_failures(&text, check);
+    for f in &failures {
+        eprintln!("[gate] REGRESSION: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+    true
+}
+
+/// The regressions `check` finds in a baseline's text.
+fn baseline_failures(text: &str, check: impl FnOnce(&serde::Value) -> Vec<String>) -> Vec<String> {
+    match serde_json::from_str::<serde::Value>(text) {
+        Err(e) => vec![format!("baseline unreadable: {e}")],
+        Ok(doc) if doc.as_map().is_none() => vec!["baseline is not a JSON object".into()],
+        Ok(doc) => check(&doc),
+    }
+}
+
 /// Schema version stamped into every `<exp>_metrics.json` artifact.
 /// Bump when the envelope layout or the embedded telemetry snapshot's
 /// field contract changes incompatibly, so downstream tooling comparing
@@ -141,6 +196,29 @@ mod tests {
         let json = serde_json::to_string(&metrics_envelope(&inner)).unwrap();
         assert_eq!(json, r#"{"schema_version":1,"snapshot":{"jobs":3}}"#);
         assert_eq!(METRICS_SCHEMA_VERSION, 1);
+    }
+
+    #[test]
+    fn baseline_checks_see_only_well_formed_objects() {
+        let arms = |doc: &serde::Value| {
+            let fields = doc.as_map().unwrap_or_default();
+            match serde::field::<Vec<u64>>(fields, "arms") {
+                Ok(arms) if arms.iter().all(|&a| a < 10) => Vec::new(),
+                Ok(_) => vec!["arm regressed".to_string()],
+                Err(_) => vec!["baseline has no arms".to_string()],
+            }
+        };
+        assert!(baseline_failures(r#"{"arms":[1,2]}"#, arms).is_empty());
+        assert_eq!(
+            baseline_failures(r#"{"arms":[12]}"#, arms),
+            ["arm regressed"]
+        );
+        assert_eq!(baseline_failures("{}", arms), ["baseline has no arms"]);
+        assert_eq!(
+            baseline_failures("[1]", arms),
+            ["baseline is not a JSON object"]
+        );
+        assert!(baseline_failures("{", arms)[0].starts_with("baseline unreadable"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Deterministic bandwidth/latency links with in-sim-time serialization.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Static description of one network path (portal→site, server→client).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -41,7 +41,11 @@ pub struct TransferOutcome {
 /// streams its payload at the spec bandwidth. Concurrent requests therefore
 /// queue behind each other exactly as on a real shared uplink, and the model
 /// stays deterministic — same request sequence, same horizon.
-#[derive(Debug, Clone)]
+///
+/// In a snapshot the busy horizon is the live state (a restored link must
+/// keep queueing transfers behind whatever was in flight); the counters ride
+/// along so lifetime accounting survives a resume.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Link {
     spec: LinkSpec,
     busy_until: f64,
@@ -140,38 +144,6 @@ impl Link {
         } else {
             (self.busy_seconds / now_seconds).min(1.0)
         }
-    }
-}
-
-// Snapshot serde: the busy horizon is the live state (a restored link must
-// keep queueing transfers behind whatever was in flight); the counters ride
-// along so lifetime accounting survives a resume.
-impl Serialize for Link {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("busy_until".to_string(), self.busy_until.to_value()),
-            ("bytes_moved".to_string(), self.bytes_moved.to_value()),
-            ("transfers".to_string(), self.transfers.to_value()),
-            ("busy_seconds".to_string(), self.busy_seconds.to_value()),
-            ("queued_seconds".to_string(), self.queued_seconds.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Link {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for Link"))?;
-        Ok(Link {
-            spec: serde::field(fields, "spec")?,
-            busy_until: serde::field(fields, "busy_until")?,
-            bytes_moved: serde::field(fields, "bytes_moved")?,
-            transfers: serde::field(fields, "transfers")?,
-            busy_seconds: serde::field(fields, "busy_seconds")?,
-            queued_seconds: serde::field(fields, "queued_seconds")?,
-        })
     }
 }
 

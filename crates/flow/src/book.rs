@@ -36,7 +36,12 @@ impl Default for FlowConfig {
 }
 
 /// One live campaign inside the [`FlowBook`].
-#[derive(Debug, Clone)]
+///
+/// Snapshot form: specs, barriers, and counters only. The job-range
+/// lookup, slack table, and dependency adjacency are derived, skipped, and
+/// rebuilt by the hand-written `Deserialize`, so books restored from either
+/// dispatch path stay byte-comparable.
+#[derive(Debug, Clone, Serialize)]
 struct Campaign {
     spec: DagSpec,
     first_job: u64,
@@ -52,12 +57,16 @@ struct Campaign {
     // Derived (rebuilt on restore, never serialized):
     /// `offsets[s]` = first job id of stage `s`; `offsets[stages.len()]` is
     /// one past the campaign's last job.
+    #[serde(skip)]
     offsets: Vec<u64>,
     /// CPM slack per stage (seconds; negative = deadline already blown).
+    #[serde(skip)]
     slack: Vec<f64>,
     /// Reverse dependency edges.
+    #[serde(skip)]
     dependents: Vec<Vec<usize>>,
     /// Dependencies not yet complete, per stage.
+    #[serde(skip)]
     deps_remaining: Vec<usize>,
 }
 
@@ -172,7 +181,7 @@ pub struct CampaignCompleted {
 }
 
 /// The grid-side ledger of DAG campaigns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlowBook {
     config: FlowConfig,
     campaigns: Vec<Campaign>,
@@ -181,6 +190,7 @@ pub struct FlowBook {
     campaigns_completed: u64,
     deadlines_missed: u64,
     /// Derived: `(first_job, end_job, campaign)` sorted by `first_job`.
+    #[serde(skip)]
     ranges: Vec<(u64, u64, usize)>,
 }
 
@@ -467,27 +477,7 @@ pub struct CampaignRow {
     pub deadline_missed: bool,
 }
 
-// Snapshot serde: specs, barriers, and counters only. The job-range
-// lookup, slack table, and dependency adjacency are derived and rebuilt,
-// so books restored from either dispatch path stay byte-comparable.
-impl Serialize for Campaign {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("first_job".to_string(), self.first_job.to_value()),
-            ("submitted_at".to_string(), self.submitted_at.to_value()),
-            ("released".to_string(), self.released.to_value()),
-            ("remaining".to_string(), self.remaining.to_value()),
-            ("failures".to_string(), self.failures.to_value()),
-            ("completed_at".to_string(), self.completed_at.to_value()),
-            (
-                "deadline_missed".to_string(),
-                self.deadline_missed.to_value(),
-            ),
-        ])
-    }
-}
-
+// Hand-written so restore can rebuild (and validate) the skipped tables.
 impl Deserialize for Campaign {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let fields = value
@@ -513,31 +503,7 @@ impl Deserialize for Campaign {
     }
 }
 
-impl Serialize for FlowBook {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("campaigns".to_string(), self.campaigns.to_value()),
-            (
-                "stages_released".to_string(),
-                self.stages_released.to_value(),
-            ),
-            (
-                "stages_completed".to_string(),
-                self.stages_completed.to_value(),
-            ),
-            (
-                "campaigns_completed".to_string(),
-                self.campaigns_completed.to_value(),
-            ),
-            (
-                "deadlines_missed".to_string(),
-                self.deadlines_missed.to_value(),
-            ),
-        ])
-    }
-}
-
+// Hand-written so restore can rebuild the skipped job-range lookup.
 impl Deserialize for FlowBook {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let fields = value

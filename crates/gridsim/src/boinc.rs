@@ -202,34 +202,12 @@ struct Assignment {
 /// set: the quorum engine plus a per-workunit ledger of CPU-seconds banked
 /// per returned result (arrival order), so useful vs. wasted compute can be
 /// split along the engine's valid/invalid verdict at completion.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 struct ValidationState {
     engine: QuorumEngine,
+    /// Keyed by `JobId` (dense, so an [`IdMap`]), which encodes as id-sorted
+    /// `[id, cpus]` pairs.
     cpu_by_result: IdMap<Vec<f64>>,
-}
-
-// Snapshot serde: the CPU ledger is keyed by `JobId` (dense, so an
-// [`IdMap`]), which encodes as id-sorted `[id, cpus]` pairs — the same
-// byte-stable shape the previous sorted-`HashMap` rendering produced.
-impl Serialize for ValidationState {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("engine".to_string(), self.engine.to_value()),
-            ("cpu_by_result".to_string(), self.cpu_by_result.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ValidationState {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for ValidationState"))?;
-        Ok(ValidationState {
-            engine: serde::field(fields, "engine")?,
-            cpu_by_result: serde::field(fields, "cpu_by_result")?,
-        })
-    }
 }
 
 /// What the grid must act on after a BOINC state change.
@@ -263,7 +241,15 @@ pub enum BoincOutcome {
 }
 
 /// The simulated BOINC project (server + volunteer hosts).
-#[derive(Debug)]
+///
+/// Snapshot form: the work queue keeps its FIFO order (escalation copies
+/// push_front, so order is semantic), while the workunit, assignment, and
+/// useful-CPU maps are [`IdMap`]s, encoded as id-sorted pairs. Client task
+/// records carry their `done` [`EventHandle`]s verbatim; they stay valid
+/// because the grid calendar snapshots its handle space intact. The
+/// feeder index is derived and skipped: the hand-written `Deserialize`
+/// rebuilds it from the client and workunit tables.
+#[derive(Debug, Serialize)]
 pub struct BoincSim {
     config: BoincConfig,
     clients: Vec<Client>,
@@ -291,31 +277,34 @@ pub struct BoincSim {
     validation: Option<ValidationState>,
     rng: SimRng,
     /// Realistic availability (`GridConfig::churn`); `None` keeps the flat
-    /// exponential flips.
+    /// exponential flips. The key exists only when the model is enabled,
+    /// keeping churn-off snapshots byte-identical to the pre-churn format.
+    #[serde(skip_serializing_if = "Option::is_none")]
     churn: Option<ChurnModel>,
     // --- Feeder index: derived state, never serialized (rebuilt on restore
     // and therefore invisible to snapshot byte-identity comparisons). ---
     /// Clients that are available, untasked, and not mid-RPC — exactly the
     /// set the matchmaker hands work to. Ordered ascending, so work goes to
     /// low-index hosts first.
+    #[serde(skip)]
     idle: BTreeSet<usize>,
     /// Clients with `available && task.is_none()` (the MDS "free slots"
     /// signal; unlike `idle` it includes clients mid-RPC).
+    #[serde(skip)]
     free_clients: usize,
     /// Clients currently holding a task.
+    #[serde(skip)]
     active: usize,
     /// Workunits not yet completed.
+    #[serde(skip)]
     unfinished: usize,
     /// Sum of `reissues` across all workunits.
+    #[serde(skip)]
     reissues_total: u32,
     /// Sum of `reissues` across completed workunits (reissue counts never
     /// change after completion, so `total - completed` is the pending sum).
+    #[serde(skip)]
     reissues_completed: u32,
-    /// Client speed factors, ascending (median/mean cache; updated
-    /// incrementally on speed change rather than rebuilt per query).
-    sorted_speeds: Vec<f64>,
-    /// Sum of client speed factors.
-    speed_sum: f64,
 }
 
 impl BoincSim {
@@ -388,17 +377,15 @@ impl BoincSim {
             unfinished: 0,
             reissues_total: 0,
             reissues_completed: 0,
-            sorted_speeds: Vec::new(),
-            speed_sum: 0.0,
         };
         sim.rebuild_derived();
         sim
     }
 
-    /// Recompute every derived structure (idle index, counters, speed-stat
-    /// cache) from the authoritative client/workunit state. Called after
-    /// construction and after snapshot restore — derived state is never
-    /// serialized, so the encoding is identical to the pre-index format.
+    /// Recompute every derived structure (idle index, counters) from the
+    /// authoritative client/workunit state. Called after construction and
+    /// after snapshot restore — derived state is never serialized, so the
+    /// encoding is identical to the pre-index format.
     fn rebuild_derived(&mut self) {
         (self.idle, self.free_clients, self.active) = self.scan_clients();
         (
@@ -406,10 +393,6 @@ impl BoincSim {
             self.reissues_total,
             self.reissues_completed,
         ) = self.scan_workunits();
-        self.sorted_speeds = self.clients.iter().map(|c| c.speed).collect();
-        self.sorted_speeds
-            .sort_by(|a, b| a.partial_cmp(b).expect("speeds are finite"));
-        self.speed_sum = self.sorted_speeds.iter().sum();
     }
 
     /// The idle set and the free/active client counters, recomputed from
@@ -583,35 +566,12 @@ impl BoincSim {
         &self.config
     }
 
-    /// Median client speed (used for calibration/reporting). Served from
-    /// the incrementally maintained sorted-speed cache — O(1) per query
-    /// instead of re-sorting the whole pool.
+    /// Median client speed (used for calibration when the grid is built):
+    /// the upper middle of the sorted speeds.
     pub fn median_speed(&self) -> f64 {
-        self.sorted_speeds[self.sorted_speeds.len() / 2]
-    }
-
-    /// Mean client speed, from the same cache.
-    pub fn mean_speed(&self) -> f64 {
-        self.speed_sum / self.sorted_speeds.len() as f64
-    }
-
-    /// Change one client's speed factor (hardware upgrade / recalibration
-    /// hook), keeping the speed-stat cache consistent incrementally: the old
-    /// value is removed from and the new one inserted into the sorted cache
-    /// by binary search, no full rebuild.
-    pub fn set_client_speed(&mut self, client: usize, speed: f64) {
-        assert!(
-            speed.is_finite() && speed > 0.0,
-            "invalid client speed: {speed}"
-        );
-        let old = self.clients[client].speed;
-        self.clients[client].speed = speed;
-        let at = self.sorted_speeds.partition_point(|&s| s < old);
-        debug_assert_eq!(self.sorted_speeds[at].to_bits(), old.to_bits());
-        self.sorted_speeds.remove(at);
-        let at = self.sorted_speeds.partition_point(|&s| s < speed);
-        self.sorted_speeds.insert(at, speed);
-        self.speed_sum += speed - old;
+        let mut speeds: Vec<f64> = self.clients.iter().map(|c| c.speed).collect();
+        speeds.sort_by(|a, b| a.partial_cmp(b).expect("speeds are finite"));
+        speeds[speeds.len() / 2]
     }
 
     /// Dynamic state for the MDS provider: available idle hosts are "free
@@ -1148,66 +1108,16 @@ pub struct FlipInfo {
     pub died: bool,
 }
 
-// Snapshot serde: the work queue keeps its FIFO order (escalation copies
-// push_front, so order is semantic), while the workunit, assignment, and
-// useful-CPU maps are [`IdMap`]s whose encoding is already id-sorted pairs
-// — byte-identical to the sorted-`HashMap` renderings they replaced.
-// Client task records carry their `done` [`EventHandle`]s verbatim; they
-// stay valid because the grid calendar snapshots its handle space intact.
-// Feeder-index state (idle set, counters, speed cache) is derived, so it
-// is *not* serialized: restore rebuilds it from the client and workunit
-// tables.
-impl Serialize for BoincSim {
-    fn to_value(&self) -> Value {
-        let queue: Vec<JobId> = self.queue.iter().copied().collect();
-        let mut fields = vec![
-            ("config".to_string(), self.config.to_value()),
-            ("clients".to_string(), self.clients.to_value()),
-            ("queue".to_string(), queue.to_value()),
-            ("workunits".to_string(), self.workunits.to_value()),
-            ("assignments".to_string(), self.assignments.to_value()),
-            (
-                "next_assignment".to_string(),
-                self.next_assignment.to_value(),
-            ),
-            (
-                "wasted_cpu_seconds".to_string(),
-                self.wasted_cpu_seconds.to_value(),
-            ),
-            ("useful_by_wu".to_string(), self.useful_by_wu.to_value()),
-            (
-                "corruption_rate".to_string(),
-                self.corruption_rate.to_value(),
-            ),
-            ("corrupt_caught".to_string(), self.corrupt_caught.to_value()),
-            (
-                "corrupt_accepted".to_string(),
-                self.corrupt_accepted.to_value(),
-            ),
-            ("erroneous_rate".to_string(), self.erroneous_rate.to_value()),
-            ("malicious".to_string(), self.malicious.to_value()),
-            ("validation".to_string(), self.validation.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-        ];
-        // The churn key exists only when the model is enabled, keeping
-        // churn-off snapshots byte-identical to the pre-churn format.
-        if let Some(churn) = &self.churn {
-            fields.push(("churn".to_string(), churn.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
+// Hand-written so restore can rebuild the skipped feeder index.
 impl Deserialize for BoincSim {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let fields = value
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected map for BoincSim"))?;
-        let queue: Vec<JobId> = serde::field(fields, "queue")?;
         let mut sim = BoincSim {
             config: serde::field(fields, "config")?,
             clients: serde::field(fields, "clients")?,
-            queue: queue.into_iter().collect(),
+            queue: serde::field(fields, "queue")?,
             workunits: serde::field(fields, "workunits")?,
             assignments: serde::field(fields, "assignments")?,
             next_assignment: serde::field(fields, "next_assignment")?,
@@ -1228,8 +1138,6 @@ impl Deserialize for BoincSim {
             unfinished: 0,
             reissues_total: 0,
             reissues_completed: 0,
-            sorted_speeds: Vec::new(),
-            speed_sum: 0.0,
         };
         sim.rebuild_derived();
         Ok(sim)

@@ -23,7 +23,7 @@ use crate::stability::{ResourceHealth, StabilityTracker};
 use crate::telemetry::{GridTelemetry, TelemetryConfig, TelemetrySnapshot};
 use serde::{Deserialize, Serialize, Value};
 use simkit::{Calendar, FaultScript, SimDuration, SimRng, SimTime, Simulation, World};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Events circulating through the grid simulation.
 #[derive(Debug, Serialize, Deserialize)]
@@ -252,6 +252,11 @@ enum Terminal {
 }
 
 /// The simulation model.
+///
+/// In a snapshot, hash-keyed maps are id-sorted `[key, value]` pairs so
+/// snapshot → restore → snapshot is byte-stable; `pending` keeps its live
+/// FIFO order because queue position is semantic.
+#[derive(Serialize, Deserialize)]
 pub struct GridWorld {
     config: GridConfig,
     /// All resources (service-grid first, then the BOINC pool if present).
@@ -262,8 +267,10 @@ pub struct GridWorld {
     measured_speeds: Vec<f64>,
     mds: Mds,
     pending: VecDeque<JobId>,
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     records: HashMap<JobId, JobRecord>,
-    failed_on: HashMap<JobId, HashSet<usize>>,
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
+    failed_on: HashMap<JobId, BTreeSet<usize>>,
     /// Per-resource flag: provider reports silently dropped (MDS partition)
     /// while the resource keeps computing.
     partitioned: Vec<bool>,
@@ -271,28 +278,38 @@ pub struct GridWorld {
     stability: Option<StabilityTracker>,
     /// Checkpointed progress carried across grid-level bounces:
     /// job → (reference-seconds still owed, resource that computed it).
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     carry: HashMap<JobId, (f64, usize)>,
     /// Grid-level bounce count per live job (recovery policy only).
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     grid_retries: HashMap<JobId, u32>,
     /// Jobs permanently failed under the recovery policy's retry budget.
     dead_lettered: usize,
     completed: usize,
     dispatches: u64,
     submissions_rendered: u64,
-    /// Tenant book (admission, fair-share, credit); present iff
-    /// `config.tenancy` is.
-    tenancy: Option<tenancy::TenantBook>,
-    /// Workflow book (DAG campaigns, stage barriers, slack hints); present
-    /// iff `config.flow` is.
-    flow: Option<flow::FlowBook>,
     /// Telemetry sink; present iff `config.telemetry` is.
     telemetry: Option<GridTelemetry>,
     /// Data plane; present iff `config.data` is.
     data: Option<DataGridState>,
     rng: SimRng,
+    /// Tenant book (admission, fair-share, credit); present iff
+    /// `config.tenancy` is. The key is written only when tenancy is on, so
+    /// a tenancy-free world snapshots to bytes identical to those written
+    /// before the subsystem existed — and restores from them as "no tenant
+    /// state" (`Grid::enable_tenancy` can start fresh books on top).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    tenancy: Option<tenancy::TenantBook>,
+    /// Workflow book (DAG campaigns, stage barriers, slack hints); present
+    /// iff `config.flow` is. Same key contract as `tenancy` (snapshot v3's
+    /// only new key); the book's own deserializer rebuilds slack tables
+    /// and job-range lookups.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    flow: Option<flow::FlowBook>,
     /// Host-side self-profiler (wall-clock per event kind). Pure observer:
     /// excluded from snapshots and never consulted by the simulation, so a
     /// restored grid simply restarts profiling from zero.
+    #[serde(skip)]
     profiler: Option<simkit::profile::Profiler>,
 }
 
@@ -919,138 +936,6 @@ impl GridWorld {
     }
 }
 
-// Snapshot encoding: hash-keyed maps flatten to id-sorted `[key, value]`
-// pairs so snapshot → restore → snapshot is byte-stable; `pending` keeps its
-// live FIFO order because queue position is semantic.
-impl Serialize for GridWorld {
-    fn to_value(&self) -> Value {
-        let mut records: Vec<(JobId, &JobRecord)> =
-            self.records.iter().map(|(&id, r)| (id, r)).collect();
-        records.sort_by_key(|(id, _)| *id);
-        let records: Vec<Value> = records
-            .into_iter()
-            .map(|(id, r)| Value::Seq(vec![id.to_value(), r.to_value()]))
-            .collect();
-        let mut failed_on: Vec<(JobId, Vec<usize>)> = self
-            .failed_on
-            .iter()
-            .map(|(&id, set)| {
-                let mut v: Vec<usize> = set.iter().copied().collect();
-                v.sort_unstable();
-                (id, v)
-            })
-            .collect();
-        failed_on.sort_by_key(|(id, _)| *id);
-        let mut carry: Vec<(JobId, (f64, usize))> =
-            self.carry.iter().map(|(&id, &c)| (id, c)).collect();
-        carry.sort_by_key(|(id, _)| *id);
-        let mut grid_retries: Vec<(JobId, u32)> =
-            self.grid_retries.iter().map(|(&id, &n)| (id, n)).collect();
-        grid_retries.sort_by_key(|(id, _)| *id);
-        let pending: Vec<JobId> = self.pending.iter().copied().collect();
-        let mut fields = vec![
-            ("config".to_string(), self.config.to_value()),
-            ("resources".to_string(), self.resources.to_value()),
-            ("lrms".to_string(), self.lrms.to_value()),
-            ("boinc".to_string(), self.boinc.to_value()),
-            ("boinc_index".to_string(), self.boinc_index.to_value()),
-            (
-                "measured_speeds".to_string(),
-                self.measured_speeds.to_value(),
-            ),
-            ("mds".to_string(), self.mds.to_value()),
-            ("pending".to_string(), pending.to_value()),
-            ("records".to_string(), Value::Seq(records)),
-            ("failed_on".to_string(), failed_on.to_value()),
-            ("partitioned".to_string(), self.partitioned.to_value()),
-            ("stability".to_string(), self.stability.to_value()),
-            ("carry".to_string(), carry.to_value()),
-            ("grid_retries".to_string(), grid_retries.to_value()),
-            ("dead_lettered".to_string(), self.dead_lettered.to_value()),
-            ("completed".to_string(), self.completed.to_value()),
-            ("dispatches".to_string(), self.dispatches.to_value()),
-            (
-                "submissions_rendered".to_string(),
-                self.submissions_rendered.to_value(),
-            ),
-            ("telemetry".to_string(), self.telemetry.to_value()),
-            ("data".to_string(), self.data.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-        ];
-        // Key emitted only when tenancy is on: a tenancy-free world
-        // snapshots to bytes identical to those written before the
-        // subsystem existed — and restores from them (see `field_or` on
-        // the read side, the forward-compat half of the same contract).
-        if let Some(book) = &self.tenancy {
-            fields.push(("tenancy".to_string(), book.to_value()));
-        }
-        // Same contract for the workflow book (snapshot v3's only new key).
-        if let Some(book) = &self.flow {
-            fields.push(("flow".to_string(), book.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
-impl Deserialize for GridWorld {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for GridWorld"))?;
-        let records: Vec<(JobId, JobRecord)> = serde::field(fields, "records")?;
-        let failed_on: Vec<(JobId, Vec<usize>)> = serde::field(fields, "failed_on")?;
-        let carry: Vec<(JobId, (f64, usize))> = serde::field(fields, "carry")?;
-        let grid_retries: Vec<(JobId, u32)> = serde::field(fields, "grid_retries")?;
-        let pending: Vec<JobId> = serde::field(fields, "pending")?;
-        let resources: Vec<ResourceSpec> = serde::field(fields, "resources")?;
-        let records: HashMap<JobId, JobRecord> = records.into_iter().collect();
-        // Every queued id is dereferenced on the next scheduling pass, so a
-        // dangling one must fail the restore, not the tick after it.
-        if let Some(id) = pending.iter().find(|id| !records.contains_key(id)) {
-            let msg = format!("pending job {id:?} has no record");
-            return Err(serde::Error::custom(msg));
-        }
-        Ok(GridWorld {
-            config: serde::field(fields, "config")?,
-            // Derived matchmaking state: rebuilt from the restored resource
-            // list, never part of the snapshot bytes.
-            resources,
-            lrms: serde::field(fields, "lrms")?,
-            boinc: serde::field(fields, "boinc")?,
-            boinc_index: serde::field(fields, "boinc_index")?,
-            measured_speeds: serde::field(fields, "measured_speeds")?,
-            mds: serde::field(fields, "mds")?,
-            pending: pending.into(),
-            records,
-            failed_on: failed_on
-                .into_iter()
-                .map(|(id, v)| (id, v.into_iter().collect()))
-                .collect(),
-            partitioned: serde::field(fields, "partitioned")?,
-            stability: serde::field(fields, "stability")?,
-            carry: carry.into_iter().collect(),
-            grid_retries: grid_retries.into_iter().collect(),
-            dead_lettered: serde::field(fields, "dead_lettered")?,
-            completed: serde::field(fields, "completed")?,
-            dispatches: serde::field(fields, "dispatches")?,
-            submissions_rendered: serde::field(fields, "submissions_rendered")?,
-            telemetry: serde::field(fields, "telemetry")?,
-            data: serde::field(fields, "data")?,
-            rng: serde::field(fields, "rng")?,
-            // Absent in pre-tenancy (and tenancy-off) snapshots: restore
-            // as "no tenant state" and let `Grid::enable_tenancy` start
-            // fresh books on top if the service wants them.
-            tenancy: serde::field_or(fields, "tenancy", || None)?,
-            // Absent in pre-flow (and flow-off) snapshots; the book's own
-            // deserializer rebuilds slack tables and job-range lookups.
-            flow: serde::field_or(fields, "flow", || None)?,
-            // Host-side observer, meaningless across processes: a restored
-            // grid starts profiling from zero if re-enabled.
-            profiler: None,
-        })
-    }
-}
-
 impl World for GridWorld {
     type Event = GridEvent;
 
@@ -1320,11 +1205,12 @@ impl Grid {
                 pool.enable_validation(vc, rng.fork("validation"));
             }
             // The pool advertises itself as one big unstable resource.
+            let speed = pool.median_speed();
             let spec = ResourceSpec {
                 name: "boinc-pool".into(),
                 kind: ResourceKind::BoincPool,
                 slots: bc.num_clients,
-                speed: pool.median_speed(),
+                speed,
                 memory_per_slot: 2 * 1024 * 1024 * 1024,
                 platforms: crate::platform::Platform::ALL_COMMON.to_vec(),
                 mpi_capable: false,
@@ -1334,7 +1220,7 @@ impl Grid {
                 outages: None,
                 site: None,
             };
-            measured_speeds.push(pool.median_speed());
+            measured_speeds.push(speed);
             resources.push(spec);
             lrms.push(None);
             boinc_index = Some(idx);
@@ -1780,6 +1666,13 @@ impl Deserialize for Grid {
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected map for Grid"))?;
         let world: GridWorld = serde::field(fields, "world")?;
+        // Every queued id is dereferenced on the next scheduling pass, so a
+        // dangling one must fail the restore, not the tick after it.
+        let records = &world.records;
+        if let Some(id) = world.pending.iter().find(|id| !records.contains_key(id)) {
+            let msg = format!("pending job {id:?} has no record");
+            return Err(serde::Error::custom(msg));
+        }
         let calendar: Calendar<GridEvent> = serde::field(fields, "calendar")?;
         let now: SimTime = serde::field(fields, "now")?;
         let processed: u64 = serde::field(fields, "processed")?;

@@ -12,7 +12,7 @@ use crate::grid::GridEvent;
 use crate::job::{JobId, JobSpec};
 use crate::mds::ResourceState;
 use crate::resource::ResourceSpec;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use simkit::calendar::EventHandle;
 use simkit::{Calendar, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, VecDeque};
@@ -98,11 +98,17 @@ pub enum LrmOutcome {
 }
 
 /// A simulated Condor/PBS/SGE resource.
-#[derive(Debug)]
+///
+/// In a snapshot the local queue keeps its FIFO order (it is live dispatch
+/// order, not a set). Slot records carry their `done`/`interrupt`
+/// [`EventHandle`]s verbatim — they stay valid because the grid calendar
+/// is snapshotted with its handle space intact.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct LrmSim {
     spec: ResourceSpec,
     queue: VecDeque<JobId>,
     slots: Vec<Slot>,
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     jobs: HashMap<JobId, JobState>,
     online: bool,
     next_generation: u64,
@@ -471,62 +477,6 @@ impl LrmSim {
         }
         self.online = true;
         self.fill_slots(now, resource_index, cal);
-    }
-}
-
-// Snapshot serde: the local queue keeps its FIFO order (it is live dispatch
-// order, not a set), and the job-state map flattens to id-sorted pairs so
-// the encoding is byte-stable. Slot records carry their `done`/`interrupt`
-// [`EventHandle`]s verbatim — they stay valid because the grid calendar is
-// snapshotted with its handle space intact.
-impl Serialize for LrmSim {
-    fn to_value(&self) -> Value {
-        let mut jobs: Vec<(JobId, &JobState)> =
-            self.jobs.iter().map(|(&id, st)| (id, st)).collect();
-        jobs.sort_by_key(|(id, _)| *id);
-        let jobs: Vec<Value> = jobs
-            .into_iter()
-            .map(|(id, st)| Value::Seq(vec![id.to_value(), st.to_value()]))
-            .collect();
-        let queue: Vec<JobId> = self.queue.iter().copied().collect();
-        Value::Map(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("queue".to_string(), queue.to_value()),
-            ("slots".to_string(), self.slots.to_value()),
-            ("jobs".to_string(), Value::Seq(jobs)),
-            ("online".to_string(), self.online.to_value()),
-            (
-                "next_generation".to_string(),
-                self.next_generation.to_value(),
-            ),
-            (
-                "max_local_retries".to_string(),
-                self.max_local_retries.to_value(),
-            ),
-            ("speed_factor".to_string(), self.speed_factor.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LrmSim {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for LrmSim"))?;
-        let queue: Vec<JobId> = serde::field(fields, "queue")?;
-        let jobs: Vec<(JobId, JobState)> = serde::field(fields, "jobs")?;
-        Ok(LrmSim {
-            spec: serde::field(fields, "spec")?,
-            queue: queue.into_iter().collect(),
-            slots: serde::field(fields, "slots")?,
-            jobs: jobs.into_iter().collect(),
-            online: serde::field(fields, "online")?,
-            next_generation: serde::field(fields, "next_generation")?,
-            max_local_retries: serde::field(fields, "max_local_retries")?,
-            speed_factor: serde::field(fields, "speed_factor")?,
-            rng: serde::field(fields, "rng")?,
-        })
     }
 }
 

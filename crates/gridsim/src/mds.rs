@@ -9,7 +9,7 @@
 //! offline and make sure no new jobs are scheduled there" (§V.A).
 
 use crate::resource::ResourceId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use simkit::stats::Tally;
 use simkit::telemetry::{staleness_buckets_seconds, Histogram};
 use simkit::{SimDuration, SimTime};
@@ -46,10 +46,12 @@ struct ProviderStats {
 }
 
 /// The central aggregated MDS database.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mds {
     lifetime: SimDuration,
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     entries: HashMap<ResourceId, (ResourceState, SimTime)>,
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     stats: HashMap<ResourceId, ProviderStats>,
     staleness: Histogram,
 }
@@ -149,48 +151,6 @@ impl Mds {
             resources,
             staleness: self.staleness.clone(),
         }
-    }
-}
-
-// Snapshot serde: both live maps are keyed by `ResourceId`, so they flatten
-// to id-sorted pairs for byte-stable encodings.
-impl Serialize for Mds {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(ResourceId, (ResourceState, SimTime))> = self
-            .entries
-            .iter()
-            .map(|(&id, &entry)| (id, entry))
-            .collect();
-        entries.sort_by_key(|(id, _)| *id);
-        let mut stats: Vec<(ResourceId, &ProviderStats)> =
-            self.stats.iter().map(|(&id, s)| (id, s)).collect();
-        stats.sort_by_key(|(id, _)| *id);
-        let stats: Vec<Value> = stats
-            .into_iter()
-            .map(|(id, s)| Value::Seq(vec![id.to_value(), s.to_value()]))
-            .collect();
-        Value::Map(vec![
-            ("lifetime".to_string(), self.lifetime.to_value()),
-            ("entries".to_string(), entries.to_value()),
-            ("stats".to_string(), Value::Seq(stats)),
-            ("staleness".to_string(), self.staleness.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Mds {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for Mds"))?;
-        let entries: Vec<(ResourceId, (ResourceState, SimTime))> = serde::field(fields, "entries")?;
-        let stats: Vec<(ResourceId, ProviderStats)> = serde::field(fields, "stats")?;
-        Ok(Mds {
-            lifetime: serde::field(fields, "lifetime")?,
-            entries: entries.into_iter().collect(),
-            stats: stats.into_iter().collect(),
-            staleness: serde::field(fields, "staleness")?,
-        })
     }
 }
 

@@ -33,7 +33,7 @@ use crate::mds::{Mds, MdsSnapshot};
 use crate::resource::ResourceSpec;
 use crate::scheduler::{Decision, RejectReason};
 use crate::slo::{Alert, AlertTransition, SloConfig, SloEngine, SloSnapshot};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use simkit::spans::{SpanId, SpanLog, SpanLogSummary};
 use simkit::stats::TimeWeighted;
 use simkit::telemetry::{
@@ -127,10 +127,16 @@ struct JobTrace {
 }
 
 /// All telemetry state for one grid run.
-#[derive(Debug, Clone)]
+///
+/// In a snapshot the utilisation timelines (`TimeWeighted`) carry their own
+/// integrals, so a restored telemetry continues the exact same time
+/// averages. The `default` fields are absent from snapshots written before
+/// the observability layer.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GridTelemetry {
     bus: EventBus,
     metrics: MetricsRegistry,
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     spans: BTreeMap<JobId, JobSpan>,
     names: Vec<String>,
     sites: Vec<Option<String>>,
@@ -138,10 +144,15 @@ pub struct GridTelemetry {
     busy: Vec<f64>,
     util: Vec<TimeWeighted>,
     site_util: BTreeMap<String, TimeWeighted>,
+    #[serde(default)]
     series: Option<SeriesSet>,
+    #[serde(default)]
     slo: Option<SloEngine>,
+    #[serde(default)]
     tracer: Option<SpanLog>,
+    #[serde(default, with = "simkit::snapshot::sorted_pairs")]
     traces: BTreeMap<JobId, JobTrace>,
+    #[serde(default)]
     pending_alerts: Vec<Alert>,
 }
 
@@ -981,67 +992,6 @@ impl GridTelemetry {
             slo: self.slo.as_ref().map(|s| s.snapshot()),
             trace: self.tracer.as_ref().map(|t| t.summary()),
         }
-    }
-}
-
-// Snapshot serde: job spans are keyed by `JobId`, so they flatten to
-// id-sorted pairs; everything else serializes field-by-field. The
-// utilisation timelines (`TimeWeighted`) carry their own integrals, so a
-// restored telemetry continues the exact same time averages.
-impl Serialize for GridTelemetry {
-    fn to_value(&self) -> Value {
-        let spans: Vec<Value> = self
-            .spans
-            .iter()
-            .map(|(id, span)| Value::Seq(vec![id.to_value(), span.to_value()]))
-            .collect();
-        let traces: Vec<Value> = self
-            .traces
-            .iter()
-            .map(|(id, trace)| Value::Seq(vec![id.to_value(), trace.to_value()]))
-            .collect();
-        Value::Map(vec![
-            ("bus".to_string(), self.bus.to_value()),
-            ("metrics".to_string(), self.metrics.to_value()),
-            ("spans".to_string(), Value::Seq(spans)),
-            ("names".to_string(), self.names.to_value()),
-            ("sites".to_string(), self.sites.to_value()),
-            ("slots".to_string(), self.slots.to_value()),
-            ("busy".to_string(), self.busy.to_value()),
-            ("util".to_string(), self.util.to_value()),
-            ("site_util".to_string(), self.site_util.to_value()),
-            ("series".to_string(), self.series.to_value()),
-            ("slo".to_string(), self.slo.to_value()),
-            ("tracer".to_string(), self.tracer.to_value()),
-            ("traces".to_string(), Value::Seq(traces)),
-            ("pending_alerts".to_string(), self.pending_alerts.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for GridTelemetry {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for GridTelemetry"))?;
-        let spans: Vec<(JobId, JobSpan)> = serde::field(fields, "spans")?;
-        let traces: Vec<(JobId, JobTrace)> = serde::field_or(fields, "traces", Vec::new)?;
-        Ok(GridTelemetry {
-            bus: serde::field(fields, "bus")?,
-            metrics: serde::field(fields, "metrics")?,
-            spans: spans.into_iter().collect(),
-            names: serde::field(fields, "names")?,
-            sites: serde::field(fields, "sites")?,
-            slots: serde::field(fields, "slots")?,
-            busy: serde::field(fields, "busy")?,
-            util: serde::field(fields, "util")?,
-            site_util: serde::field(fields, "site_util")?,
-            series: serde::field_or(fields, "series", || None)?,
-            slo: serde::field_or(fields, "slo", || None)?,
-            tracer: serde::field_or(fields, "tracer", || None)?,
-            traces: traces.into_iter().collect(),
-            pending_alerts: serde::field_or(fields, "pending_alerts", Vec::new)?,
-        })
     }
 }
 

@@ -138,11 +138,12 @@ pub struct UserId(pub u64);
 /// keyed by username, guests by email; the first registration under a key
 /// wins). The reverse map is derived state rebuilt on restore, so a
 /// snapshot carries only the id-ordered user list.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Serialize)]
 pub struct UserDirectory {
     users: IdMap<User>,
     next: u64,
     /// Derived: intern key → id. Never serialized.
+    #[serde(skip)]
     by_key: HashMap<String, u64>,
 }
 
@@ -189,15 +190,6 @@ impl UserDirectory {
     /// Iterate `(id, identity)` in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (UserId, &User)> {
         self.users.iter().map(|(id, u)| (UserId(id), u))
-    }
-}
-
-impl Serialize for UserDirectory {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("users".to_string(), self.users.to_value()),
-            ("next".to_string(), self.next.to_value()),
-        ])
     }
 }
 

@@ -10,7 +10,7 @@
 
 use crate::reputation::ReputationBook;
 use crate::{ReplicationPolicy, ValidationConfig};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use simkit::SimRng;
 use std::collections::HashMap;
 
@@ -151,10 +151,16 @@ pub struct ValidationSnapshot {
 }
 
 /// The result-validation engine: replication state machine + reputation.
-#[derive(Debug)]
+///
+/// The checkpoint form keeps the engine's RNG, so post-restore spot-check
+/// draws continue the original stream.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct QuorumEngine {
     config: ValidationConfig,
     book: ReputationBook,
+    /// Keyed by `u64`, which JSON maps cannot carry: id-sorted pairs keep
+    /// snapshot → restore → snapshot byte-stable.
+    #[serde(with = "simkit::snapshot::sorted_pairs")]
     wus: HashMap<u64, WuState>,
     rng: SimRng,
     stats: Stats,
@@ -511,46 +517,6 @@ impl QuorumEngine {
             trusted_hosts: self.book.trusted_count() as u64,
             blacklisted_hosts: self.book.blacklisted_count() as u64,
         }
-    }
-}
-
-// Checkpoint serde: the workunit table is keyed by `u64`, which JSON maps
-// cannot carry, so it flattens to `[id, state]` pairs sorted by id — the
-// sorted rendering keeps snapshot → restore → snapshot byte-stable. The
-// engine's RNG rides along so post-restore spot-check draws continue the
-// original stream.
-impl Serialize for QuorumEngine {
-    fn to_value(&self) -> Value {
-        let mut wus: Vec<(&u64, &WuState)> = self.wus.iter().collect();
-        wus.sort_by_key(|(&id, _)| id);
-        let wus = Value::Seq(
-            wus.into_iter()
-                .map(|(id, state)| Value::Seq(vec![id.to_value(), state.to_value()]))
-                .collect(),
-        );
-        Value::Map(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("book".to_string(), self.book.to_value()),
-            ("wus".to_string(), wus),
-            ("rng".to_string(), self.rng.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for QuorumEngine {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for QuorumEngine"))?;
-        let wus: Vec<(u64, WuState)> = serde::field(fields, "wus")?;
-        Ok(QuorumEngine {
-            config: serde::field(fields, "config")?,
-            book: serde::field(fields, "book")?,
-            wus: wus.into_iter().collect(),
-            rng: serde::field(fields, "rng")?,
-            stats: serde::field(fields, "stats")?,
-        })
     }
 }
 

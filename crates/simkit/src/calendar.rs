@@ -32,22 +32,11 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
 /// Token identifying a cancellable scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// A handle is just the entry's sequence number, so it survives a snapshot
+/// as a bare integer and stays valid against the restored calendar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EventHandle(u64);
-
-// A handle is just the entry's sequence number, so it survives a snapshot as
-// a bare integer and stays valid against the restored calendar.
-impl Serialize for EventHandle {
-    fn to_value(&self) -> Value {
-        Value::U64(self.0)
-    }
-}
-
-impl Deserialize for EventHandle {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        u64::from_value(value).map(EventHandle)
-    }
-}
 
 struct Entry<E> {
     time: SimTime,

@@ -9,16 +9,26 @@
 //! * `version` is read **before** anything else is interpreted, so a file
 //!   written by a future schema fails with [`SnapshotError::UnknownVersion`]
 //!   rather than a deserialization panic deep inside the state tree.
-//! * `checksum` is FNV-1a (64-bit) over the canonical JSON rendering of the
-//!   `state` value. The workspace JSON writer is canonical (parse → render is
-//!   the identity on its own output), so the checksum can be re-verified from
-//!   the parsed tree without keeping the original byte offsets around.
+//! * `checksum` is FNV-1a (64-bit) over the `state` bytes exactly as
+//!   written. [`decode`] checks it on those bytes *before* parsing them, so
+//!   a torn or bit-flipped file is refused without the parser ever seeing
+//!   it, and the state is parsed once.
 //! * `state` is whatever the caller serialized.
+//!
+//! Because the checksum covers bytes, the bytes must be a deterministic
+//! function of the state. Each layer's derive keeps fields in declaration
+//! order; maps keyed by ids go through [`sorted_pairs`] so hash-map
+//! iteration order never reaches the file; derived indexes are
+//! `#[serde(skip)]` and rebuilt by their owner's hand-written
+//! `Deserialize`. The few encodings that are genuinely custom (the RNG
+//! stream position, ±∞ tally sentinels, the calendar's sorted entries,
+//! [`crate::IdMap`]'s pairs) are hand-written beside their types.
 //!
 //! [`write_file`] is atomic (write to a sibling `.tmp`, then rename) so a
 //! crash mid-write can never destroy the previous good snapshot, and
 //! [`read_file`] surfaces torn or bit-flipped files as
-//! [`SnapshotError::ChecksumMismatch`] instead of garbage state.
+//! [`SnapshotError::Corrupt`] or [`SnapshotError::ChecksumMismatch`]
+//! instead of garbage state.
 //!
 //! The [`Snapshot`] trait packages the envelope round-trip for any
 //! `Serialize + Deserialize` type; domain crates (`gridsim`, `garli`) opt in
@@ -118,35 +128,77 @@ pub fn encode<T: Serialize + ?Sized>(state: &T) -> String {
 /// Decode an envelope produced by [`encode`], verifying version and checksum
 /// before touching the state body.
 pub fn decode<T: Deserialize>(text: &str) -> Result<T, SnapshotError> {
-    let state = decode_value(text)?;
-    T::from_value(&state).map_err(|e| SnapshotError::Corrupt(e.to_string()))
+    serde_json::from_str(verified_state(text)?).map_err(|e| SnapshotError::Corrupt(e.to_string()))
 }
 
 /// Like [`decode`], but stop at the verified state tree. Useful when the
 /// concrete type is chosen after inspecting the state.
 pub fn decode_value(text: &str) -> Result<Value, SnapshotError> {
-    let root: Value =
-        serde_json::from_str(text).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    let entries = root
-        .as_map()
-        .ok_or_else(|| SnapshotError::Corrupt("envelope is not a JSON object".into()))?;
+    decode(text)
+}
+
+/// The `state` bytes of an envelope, once its version is supported and
+/// its checksum matches them. Nothing is parsed: the envelope is the fixed
+/// frame [`encode`] writes around the body.
+fn verified_state(text: &str) -> Result<&str, SnapshotError> {
+    let corrupt = |what: &str| SnapshotError::Corrupt(format!("bad {what} field"));
+    let rest = text
+        .strip_prefix("{\"version\":")
+        .ok_or_else(|| corrupt("version"))?;
+    let (version, rest) = rest
+        .split_once(",\"checksum\":")
+        .ok_or_else(|| corrupt("version"))?;
     // Version gates everything: an unknown schema must fail here, not as a
     // confusing missing-field error somewhere inside the state.
-    let version: u64 = serde::field(entries, "version")
-        .map_err(|e| SnapshotError::Corrupt(format!("bad version field: {e}")))?;
+    let version: u64 = version.parse().map_err(|_| corrupt("version"))?;
     if !(MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION).contains(&version) {
         return Err(SnapshotError::UnknownVersion { found: version });
     }
-    let expected: u64 = serde::field(entries, "checksum")
-        .map_err(|e| SnapshotError::Corrupt(format!("bad checksum field: {e}")))?;
-    let state: Value = serde::field(entries, "state")
-        .map_err(|e| SnapshotError::Corrupt(format!("bad state field: {e}")))?;
-    let body = serde_json::to_string(&state).expect("serialization is infallible");
+    let (expected, rest) = rest
+        .split_once(",\"state\":")
+        .ok_or_else(|| corrupt("checksum"))?;
+    let expected: u64 = expected.parse().map_err(|_| corrupt("checksum"))?;
+    let body = rest.strip_suffix('}').ok_or_else(|| corrupt("state"))?;
     let actual = checksum(body.as_bytes());
     if actual != expected {
         return Err(SnapshotError::ChecksumMismatch { expected, actual });
     }
-    Ok(state)
+    Ok(body)
+}
+
+/// `#[serde(with = "simkit::snapshot::sorted_pairs")]`: a map keyed by ids
+/// as a sequence of `[key, value]` pairs in ascending key order, so a
+/// `HashMap`'s iteration order never reaches the snapshot bytes.
+pub mod sorted_pairs {
+    use serde::{Deserialize, Error, Serialize, Value};
+
+    /// Encode any map (`HashMap`, `BTreeMap`, …) as key-sorted pairs.
+    pub fn to_value<'a, M, K, V>(map: &'a M) -> Value
+    where
+        &'a M: IntoIterator<Item = (&'a K, &'a V)>,
+        K: Ord + Serialize + 'a,
+        V: Serialize + 'a,
+    {
+        let mut pairs: Vec<(&K, &V)> = map.into_iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        Value::Seq(
+            pairs
+                .into_iter()
+                .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
+                .collect(),
+        )
+    }
+
+    /// Decode pairs written by [`to_value`] into any map.
+    pub fn from_value<M, K, V>(value: &Value) -> Result<M, Error>
+    where
+        M: FromIterator<(K, V)>,
+        K: Deserialize,
+        V: Deserialize,
+    {
+        let pairs: Vec<(K, V)> = Vec::from_value(value)?;
+        Ok(pairs.into_iter().collect())
+    }
 }
 
 /// Atomically write `state` as an envelope to `path`: the bytes land in a
@@ -286,6 +338,50 @@ mod tests {
             decode::<BTreeMap<String, u64>>(truncated),
             Err(SnapshotError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn deeply_nested_state_is_corrupt_not_an_abort() {
+        let deep = "[".repeat(100_000);
+        assert!(matches!(
+            decode_value(&deep),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        // Re-sealed with a valid checksum, the body reaches the parser,
+        // which refuses the nesting instead of overflowing the stack.
+        let sealed = format!(
+            "{{\"version\":{SNAPSHOT_VERSION},\"checksum\":{},\"state\":{deep}}}",
+            checksum(deep.as_bytes())
+        );
+        assert!(matches!(
+            decode_value(&sealed),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn sorted_pairs_hide_hash_map_insertion_order() {
+        use std::collections::HashMap;
+        #[derive(Debug, PartialEq, Serialize, Deserialize)]
+        struct Table {
+            #[serde(with = "super::sorted_pairs")]
+            rows: HashMap<u64, String>,
+        }
+        let ids = [40u64, 3, 17, 99, 0, 64, 8];
+        let forward: HashMap<u64, String> = ids.iter().map(|&i| (i, i.to_string())).collect();
+        let mut backward = HashMap::with_capacity(1);
+        for &i in ids.iter().rev() {
+            backward.insert(i, i.to_string());
+        }
+        let a = serde_json::to_string(&Table { rows: forward }).unwrap();
+        let b = serde_json::to_string(&Table { rows: backward }).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(
+            a,
+            r#"{"rows":[[0,"0"],[3,"3"],[8,"8"],[17,"17"],[40,"40"],[64,"64"],[99,"99"]]}"#
+        );
+        let back: Table = serde_json::from_str(&a).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), a);
     }
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]

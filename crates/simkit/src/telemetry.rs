@@ -26,7 +26,7 @@
 //!   artifacts are comparable across experiments.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -124,24 +124,29 @@ impl fmt::Display for Event {
 /// The ring keeps the most recent `capacity` events for inspection; the
 /// per-kind counters and the emitted/dropped totals are exact over the whole
 /// run regardless of ring evictions.
-#[derive(Debug, Clone)]
+///
+/// The serde form is the full checkpoint state (distinct from
+/// [`EventBus::snapshot`], which is the *observer* view): capacity and the
+/// ring itself are preserved so a restored bus continues evicting exactly
+/// where the original would.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EventBus {
-    recent: VecDeque<Event>,
     capacity: usize,
     next_seq: u64,
     dropped: u64,
     counts: BTreeMap<String, u64>,
+    recent: VecDeque<Event>,
 }
 
 impl EventBus {
     /// A bus retaining at most `capacity` recent events.
     pub fn new(capacity: usize) -> EventBus {
         EventBus {
-            recent: VecDeque::new(),
             capacity,
             next_seq: 0,
             dropped: 0,
             counts: BTreeMap::new(),
+            recent: VecDeque::new(),
         }
     }
 
@@ -202,38 +207,6 @@ impl EventBus {
             counts: self.counts.clone(),
             recent: self.recent.iter().cloned().collect(),
         }
-    }
-}
-
-// Full-state serde for checkpointing (distinct from [`EventBus::snapshot`],
-// which is the *observer* view): capacity and the ring itself are preserved
-// so a restored bus continues evicting exactly where the original would.
-impl Serialize for EventBus {
-    fn to_value(&self) -> Value {
-        let recent: Vec<&Event> = self.recent.iter().collect();
-        Value::Map(vec![
-            ("capacity".to_string(), self.capacity.to_value()),
-            ("next_seq".to_string(), self.next_seq.to_value()),
-            ("dropped".to_string(), self.dropped.to_value()),
-            ("counts".to_string(), self.counts.to_value()),
-            ("recent".to_string(), recent.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EventBus {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = value
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("expected map for EventBus"))?;
-        let recent: Vec<Event> = serde::field(fields, "recent")?;
-        Ok(EventBus {
-            recent: recent.into(),
-            capacity: serde::field(fields, "capacity")?,
-            next_seq: serde::field(fields, "next_seq")?,
-            dropped: serde::field(fields, "dropped")?,
-            counts: serde::field(fields, "counts")?,
-        })
     }
 }
 

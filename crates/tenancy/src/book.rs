@@ -99,7 +99,7 @@ struct OwnerEntry {
 }
 
 /// One tenant's ledger.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Account {
     spec: TenantSpec,
     /// Resolved quota (spec quota or class default; mutable via
@@ -122,9 +122,13 @@ struct Account {
     cpu_seconds: f64,
     /// Credit granted for validated results.
     credit: f64,
-    // ---- derived index handles (never serialized) ----
+    // ---- derived index handles (never serialized; `TenantBook`'s
+    // restore re-indexes every account) ----
+    #[serde(skip)]
     idx_priority: Option<f64>,
+    #[serde(skip)]
     idx_aging: Option<SimTime>,
+    #[serde(skip)]
     idx_urgent: Option<SimTime>,
 }
 
@@ -278,7 +282,12 @@ impl Ord for OrdF64 {
 
 /// The multi-tenant ledger. See the module docs for the three touch points
 /// and the scaling/determinism story.
-#[derive(Debug, Clone)]
+///
+/// Snapshot form: accounts and owners as id-sorted pairs via `IdMap`,
+/// queues as plain sequences. The derived indexes are skipped and the
+/// hand-written `Deserialize` rebuilds them, so snapshot → restore →
+/// snapshot is byte-stable.
+#[derive(Debug, Clone, Serialize)]
 pub struct TenantBook {
     fair_share: FairShareConfig,
     backlog_factor: f64,
@@ -300,11 +309,14 @@ pub struct TenantBook {
     // ---- derived (rebuilt on restore, never serialized) ----
     /// Eligible tenants by (scaled usage / (weight × priority), id) —
     /// smallest first.
+    #[serde(skip)]
     priority: BTreeSet<(OrdF64, u64)>,
     /// Eligible tenants by (oldest queued submission, id) — oldest first.
+    #[serde(skip)]
     aging: BTreeSet<(SimTime, u64)>,
     /// Eligible tenants that carry a campaign deadline, by (deadline, id)
     /// — earliest first. Consulted only inside the urgent window.
+    #[serde(skip)]
     urgent: BTreeSet<(SimTime, u64)>,
 }
 
@@ -785,50 +797,7 @@ impl TenantBook {
     }
 }
 
-// Snapshot form: explicit key list, accounts/owners as id-sorted pairs via
-// `IdMap`, queues as plain sequences. The derived BTreeSet indexes and the
-// per-account index handles are intentionally absent — `from_value` rebuilds
-// them — so snapshot → restore → snapshot is byte-stable.
-impl Serialize for TenantBook {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("fair_share".to_string(), self.fair_share.to_value()),
-            ("backlog_factor".to_string(), self.backlog_factor.to_value()),
-            (
-                "credit_per_cpu_hour".to_string(),
-                self.credit_per_cpu_hour.to_value(),
-            ),
-            ("next_tenant".to_string(), self.next_tenant.to_value()),
-            ("accounts".to_string(), self.accounts.to_value()),
-            ("owners".to_string(), self.owners.to_value()),
-            ("rejections".to_string(), self.rejections.to_value()),
-            (
-                "total_submitted".to_string(),
-                self.total_submitted.to_value(),
-            ),
-            ("total_released".to_string(), self.total_released.to_value()),
-            (
-                "total_completed".to_string(),
-                self.total_completed.to_value(),
-            ),
-            (
-                "total_dead_lettered".to_string(),
-                self.total_dead_lettered.to_value(),
-            ),
-            (
-                "total_in_flight".to_string(),
-                self.total_in_flight.to_value(),
-            ),
-            ("total_queued".to_string(), self.total_queued.to_value()),
-            (
-                "total_cpu_seconds".to_string(),
-                self.total_cpu_seconds.to_value(),
-            ),
-            ("total_credit".to_string(), self.total_credit.to_value()),
-        ])
-    }
-}
-
+// Hand-written so restore can rebuild the skipped fair-share indexes.
 impl Deserialize for TenantBook {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
         let fields = match value {
@@ -857,55 +826,6 @@ impl Deserialize for TenantBook {
         };
         book.rebuild_indexes();
         Ok(book)
-    }
-}
-
-impl Serialize for Account {
-    fn to_value(&self) -> Value {
-        let queue: Vec<QueuedJob> = self.queue.iter().copied().collect();
-        Value::Map(vec![
-            ("spec".to_string(), self.spec.to_value()),
-            ("quota".to_string(), self.quota.to_value()),
-            ("scaled_usage".to_string(), self.scaled_usage.to_value()),
-            ("in_flight".to_string(), self.in_flight.to_value()),
-            ("peak_in_flight".to_string(), self.peak_in_flight.to_value()),
-            ("queue".to_string(), queue.to_value()),
-            ("submitted".to_string(), self.submitted.to_value()),
-            ("rejected".to_string(), self.rejected.to_value()),
-            ("released".to_string(), self.released.to_value()),
-            ("completed".to_string(), self.completed.to_value()),
-            ("dead_lettered".to_string(), self.dead_lettered.to_value()),
-            ("cpu_seconds".to_string(), self.cpu_seconds.to_value()),
-            ("credit".to_string(), self.credit.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Account {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let fields = match value {
-            Value::Map(fields) => fields,
-            _ => return Err(serde::Error::custom("Account: expected map")),
-        };
-        let queue: Vec<QueuedJob> = serde::field(fields, "queue")?;
-        Ok(Account {
-            spec: serde::field(fields, "spec")?,
-            quota: serde::field(fields, "quota")?,
-            scaled_usage: serde::field(fields, "scaled_usage")?,
-            in_flight: serde::field(fields, "in_flight")?,
-            peak_in_flight: serde::field(fields, "peak_in_flight")?,
-            queue: queue.into(),
-            submitted: serde::field(fields, "submitted")?,
-            rejected: serde::field(fields, "rejected")?,
-            released: serde::field(fields, "released")?,
-            completed: serde::field(fields, "completed")?,
-            dead_lettered: serde::field(fields, "dead_lettered")?,
-            cpu_seconds: serde::field(fields, "cpu_seconds")?,
-            credit: serde::field(fields, "credit")?,
-            idx_priority: None,
-            idx_aging: None,
-            idx_urgent: None,
-        })
     }
 }
 

@@ -15,7 +15,7 @@
 
 use gridsim::boinc::BoincConfig;
 use gridsim::data::{DataConfig, ObjectRef};
-use gridsim::fault::random_faults;
+use gridsim::fault::{boinc_corruption, random_faults};
 use gridsim::grid::{Grid, GridConfig};
 use gridsim::job::JobSpec;
 use gridsim::platform::Platform;
@@ -265,6 +265,55 @@ fn reject_diverse_workload(seed: u64) -> Vec<JobSpec> {
         job
     }));
     jobs
+}
+
+#[test]
+fn bare_grid_state_matches_its_pin() {
+    // (mid-run state, report, final state) FNV-64 pins with every opt-in
+    // subsystem off, so the serialized world carries the `null` encodings
+    // of telemetry, data, stability and validation, no tenancy/flow/churn
+    // keys, and `failed_on` sets that no recovery policy clears.
+    let mut grid = Grid::new(GridConfig {
+        max_local_retries: 1,
+        ..mixed_config(29)
+    });
+    let mut script = random_faults(
+        &mut SimRng::new(29 ^ 0xFA17),
+        &[0, 1, 2],
+        SimDuration::from_hours(48),
+        12,
+    );
+    script.merge(boinc_corruption(
+        0.3,
+        SimTime::from_hours(1),
+        SimDuration::from_hours(24),
+    ));
+    grid.inject_faults(script);
+    grid.submit(mixed_workload(29, 40));
+    grid.run_until(SimTime::from_hours(6));
+    let json = serde_json::to_string(&grid).unwrap();
+    assert!(
+        json.contains("\"failed_on\":[["),
+        "no failed_on entry at the mid-run cut: the pin would not cover it"
+    );
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        0xc122_da77_629e_ba4d,
+        "mid-run state drifted"
+    );
+    let report = grid.run_until_done(SimTime::from_days(30));
+    let rep = fnv1a(serde_json::to_string(&report).unwrap().as_bytes());
+    let fin = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
+    assert_eq!(rep, 0x2b6c_56aa_e23d_e5ca, "report drifted");
+    assert_eq!(fin, 0xe5b5_4a79_9ee6_ebc9, "final state drifted");
+    assert_eq!(
+        (
+            report.completed,
+            report.unfinished,
+            report.corrupt_completions
+        ),
+        (35, 5, 1)
+    );
 }
 
 #[test]
