@@ -1,8 +1,8 @@
 //! E17 — dispatch-core throughput at paper scale.
 //!
 //! The paper's volunteer pool was 23,192 hosts. This experiment pushes the
-//! dispatch core (the BOINC feeder's idle-host set + calendar-queue event
-//! scheduler + slab-backed host/job state) along a host-count trajectory —
+//! dispatch core (the BOINC feeder's idle-host set + binary-heap event
+//! calendar + slab-backed host/job state) along a host-count trajectory —
 //! 1k / 10k / 23,192 / 100k volunteers with up to 1M workunits — and
 //! records events/sec, dispatches/sec, and peak RSS per arm.
 //!
@@ -10,7 +10,8 @@
 //! `BENCH_e17_dispatch_throughput.json` so later PRs show their perf delta.
 //! With `E17_GATE=1` the run fails loudly when any trajectory arm's
 //! events/sec regresses more than 20% against that committed baseline
-//! (CI runs the reduced 1k/10k trajectory with the gate on).
+//! (CI runs the 1k/10k/23,192 trajectory, without the 100k arm, with the
+//! gate on).
 //!
 //! Knobs: `E17_MAX_HOSTS` caps the trajectory (default 100_000),
 //! `E17_WU_PER_HOST` scales workunits per arm (default 10, so the 100k arm

@@ -9,20 +9,37 @@
 use lattice::training::{generate_training_jobs, Scale, TrainingJob};
 use std::path::PathBuf;
 
-/// Read a numeric knob from the environment.
+/// Read a numeric knob from the environment, or `default` when it is unset.
+///
+/// # Panics
+/// Panics, naming the variable and its value, when it is set to something
+/// that does not parse: `E17_MAX_HOSTS=10_000` must not quietly run the
+/// default workload.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_knob(name, default)
 }
 
-/// Read a float knob from the environment.
+/// Read a float knob from the environment, or `default` when it is unset.
+///
+/// # Panics
+/// Panics, naming the variable and its value, when it is set to something
+/// that does not parse.
 pub fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
+    env_knob(name, default)
+}
+
+fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    let Some(raw) = std::env::var_os(name) else {
+        return default;
+    };
+    raw.to_str()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .unwrap_or_else(|| {
+            panic!(
+                "{name}={raw:?} is not a valid {}",
+                std::any::type_name::<T>()
+            )
+        })
 }
 
 /// The directory experiment outputs are written to.
@@ -184,6 +201,24 @@ mod tests {
     fn env_knobs_default() {
         assert_eq!(env_usize("LATTICE_NO_SUCH_VAR", 7), 7);
         assert_eq!(env_f64("LATTICE_NO_SUCH_VAR", 2.5), 2.5);
+    }
+
+    #[test]
+    fn env_knobs_refuse_values_they_cannot_parse() {
+        std::env::set_var("LATTICE_TEST_BAD_KNOB", "10_000");
+        let readers: [fn(); 2] = [
+            || {
+                env_usize("LATTICE_TEST_BAD_KNOB", 7);
+            },
+            || {
+                env_f64("LATTICE_TEST_BAD_KNOB", 2.5);
+            },
+        ];
+        for read in readers {
+            let panic = std::panic::catch_unwind(read).expect_err("unparsable knob");
+            let msg = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("LATTICE_TEST_BAD_KNOB=\"10_000\""), "{msg}");
+        }
     }
 
     /// Pins the metrics-artifact schema: the envelope keys, their order,

@@ -1489,15 +1489,7 @@ impl Grid {
     /// primitive for service mode (periodic auto-snapshots) and the
     /// checkpoint harness. Returns the number of events processed.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(t) = self.sim.calendar_mut().peek_time() {
-            if t > until {
-                break;
-            }
-            self.sim.step();
-            n += 1;
-        }
-        n
+        self.sim.run_until(until)
     }
 
     /// True once every submission has settled: delivered and terminal

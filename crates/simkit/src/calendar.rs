@@ -1,30 +1,24 @@
 //! The pending-event queue.
 //!
-//! A *calendar queue* (Brown 1988): pending events are spread over a ring of
-//! time buckets, each bucket covering one `width`-microsecond window per
-//! "year" (= `buckets × width`). Schedule hashes the event straight into its
-//! bucket; pop scans forward from the current window. The ring is resized
-//! (doubled/halved, width re-derived from the live event span) whenever the
-//! population crosses deterministic thresholds, which keeps the average
-//! bucket occupancy — and therefore both operations — O(1) amortized, where
-//! the previous single binary heap paid O(log n) per event against the whole
-//! population.
-//!
-//! Each bucket is itself a small binary heap keyed by `(SimTime, sequence)`,
-//! where `sequence` is a monotonically increasing counter. The counter makes
-//! the pop order of simultaneous events equal to their scheduling order
-//! (FIFO), which is what keeps two runs of the same model bit-identical:
-//! simultaneous events always share a bucket (same time ⇒ same window), so
-//! the per-bucket heap order *is* the global order.
+//! One binary heap keyed by `(SimTime, sequence)`, where `sequence` is a
+//! monotonically increasing counter. The counter makes the pop order of
+//! simultaneous events equal to their scheduling order (FIFO), which is what
+//! keeps two runs of the same model bit-identical. Schedule and pop are
+//! O(log n).
 //!
 //! Cancellation is supported by token: [`Calendar::schedule_cancellable`]
-//! returns an [`EventHandle`]; cancelled entries are dropped lazily at pop
-//! time, so cancel is O(1). Unlike the old heap, the cancelled set no longer
-//! grows without bound: once it crosses `COMPACT_MIN` *and* covers at
-//! least half the stored entries, the buckets are swept and the set cleared
-//! (deterministically — the trigger depends only on queue state, so two
-//! identical runs, or a run and its snapshot-restored twin, compact at the
-//! same instants).
+//! returns an [`EventHandle`]; cancel is O(1) and leaves the entry in the
+//! heap as a tombstone. Tombstones are reaped only at the heap head, by
+//! [`Calendar::pop`] and [`Calendar::peek_time`], so *when* one disappears
+//! depends on the set of stored entries alone, never on how they are laid
+//! out in memory: a calendar restored from a snapshot reaps at the same
+//! instants as the one it was taken from and keeps writing the same bytes.
+//! Tombstones that never reach the head (far-future timeouts cancelled long
+//! before they fire) are swept by compaction: once the cancelled set holds
+//! at least `COMPACT_MIN` tokens *and* covers at least half the stored
+//! entries, every cancelled entry is dropped and the set cleared. The
+//! trigger depends only on queue state, so two identical runs, or a run and
+//! its snapshot-restored twin, compact at the same instants.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize, Value};
@@ -66,26 +60,14 @@ impl<E> PartialOrd for Entry<E> {
     }
 }
 
-/// Smallest number of buckets the ring ever shrinks to.
-const MIN_BUCKETS: usize = 4;
 /// Cancelled-set size below which compaction is never attempted (sweeping a
-/// handful of tombstones is not worth touching every bucket).
+/// handful of tombstones is not worth touching every entry).
 const COMPACT_MIN: usize = 1024;
 
 /// Priority queue of future events, earliest first, FIFO among ties.
 pub struct Calendar<E> {
-    /// The bucket ring. Window *w* (covering `[w·width, (w+1)·width)` µs)
-    /// maps to bucket `w % buckets.len()`; a bucket holds every pending
-    /// entry whose window is congruent to it, across all years.
-    buckets: Vec<BinaryHeap<Entry<E>>>,
-    /// Window width in microseconds (≥ 1).
-    width: u64,
-    /// The window the pop cursor is currently scanning. No live entry sits
-    /// in an earlier window: pop only advances the cursor through windows it
-    /// proved empty, and schedule rewinds it when inserting earlier work.
-    cursor: u64,
-    /// Entries stored across all buckets, including cancelled-in-place ones.
-    stored: usize,
+    /// Every stored entry, including cancelled-in-place tombstones.
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     cancelled: HashSet<u64>,
 }
@@ -100,239 +82,96 @@ impl<E> Calendar<E> {
     /// An empty calendar.
     pub fn new() -> Self {
         Self {
-            buckets: (0..MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            width: 1_000_000, // 1 simulated second until the first resize
-            cursor: 0,
-            stored: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             cancelled: HashSet::new(),
         }
     }
 
-    /// The window index of instant `t` under the current width.
-    fn window_of(&self, t: SimTime) -> u64 {
-        t.as_micros() / self.width
-    }
-
-    fn bucket_of(&self, t: SimTime) -> usize {
-        (self.window_of(t) % self.buckets.len() as u64) as usize
-    }
-
-    fn push_entry(&mut self, entry: Entry<E>) {
-        let w = self.window_of(entry.time);
-        if w < self.cursor {
-            // Earlier work arrived behind the cursor: rewind so pop rescans
-            // from its window (entries are never silently skipped).
-            self.cursor = w;
-        }
-        let b = (w % self.buckets.len() as u64) as usize;
-        self.buckets[b].push(entry);
-        self.stored += 1;
+    fn push(&mut self, time: SimTime, event: E) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
+        seq
     }
 
     /// Schedule `event` at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_entry(Entry {
-            time: at,
-            seq,
-            event,
-        });
-        if self.stored > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
+        self.push(at, event);
     }
 
     /// Schedule `event` at `at` and return a handle that can cancel it later.
     pub fn schedule_cancellable(&mut self, at: SimTime, event: E) -> EventHandle {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_entry(Entry {
-            time: at,
-            seq,
-            event,
-        });
-        if self.stored > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
-        EventHandle(seq)
+        EventHandle(self.push(at, event))
     }
 
     /// Cancel a previously scheduled event. Idempotent; cancelling an already
     /// delivered event has no effect (the handle is simply stale).
     ///
     /// Once the cancelled set crosses `COMPACT_MIN` and covers at least
-    /// half the stored entries, the buckets are swept in place and the set
-    /// cleared, so neither tombstoned entries nor stale handles accumulate
-    /// for the life of a long simulation.
+    /// half the stored entries, every cancelled entry is swept from the heap
+    /// and the set cleared, stale tokens included (sequence numbers are
+    /// never reused, so a token without an entry can never match again).
     pub fn cancel(&mut self, handle: EventHandle) {
         self.cancelled.insert(handle.0);
-        if self.cancelled.len() >= COMPACT_MIN && self.cancelled.len() * 2 >= self.stored {
-            self.compact();
+        if self.cancelled.len() >= COMPACT_MIN && self.cancelled.len() * 2 >= self.heap.len() {
+            let cancelled = &self.cancelled;
+            self.heap.retain(|e| !cancelled.contains(&e.seq));
+            self.cancelled.clear();
         }
     }
 
-    /// Drop every cancelled entry (and every stale cancellation token — a
-    /// sequence number that no longer matches a stored entry can never match
-    /// again, since sequence numbers are never reused).
-    fn compact(&mut self) {
-        let mut stored = 0;
-        for bucket in &mut self.buckets {
-            if bucket.iter().any(|e| self.cancelled.contains(&e.seq)) {
-                let kept: Vec<Entry<E>> = std::mem::take(bucket)
-                    .into_iter()
-                    .filter(|e| !self.cancelled.contains(&e.seq))
-                    .collect();
-                *bucket = kept.into();
-            }
-            stored += bucket.len();
-        }
-        self.stored = stored;
-        self.cancelled.clear();
-        if self.stored < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize((self.buckets.len() / 2).max(MIN_BUCKETS));
-        }
-    }
-
-    /// Rebuild the ring with `n` buckets and a width derived from the live
-    /// span, then point the cursor at the earliest entry. Deterministic: the
-    /// new layout is a pure function of the stored entries and `n`.
-    fn resize(&mut self, n: usize) {
-        let entries: Vec<Entry<E>> = self
-            .buckets
-            .iter_mut()
-            .flat_map(|b| std::mem::take(b).into_vec())
-            .collect();
-        self.buckets = (0..n).map(|_| BinaryHeap::new()).collect();
-        self.stored = 0;
-        if entries.is_empty() {
-            self.cursor = 0;
-            return;
-        }
-        let min_t = entries.iter().map(|e| e.time.as_micros()).min().unwrap();
-        let max_t = entries.iter().map(|e| e.time.as_micros()).max().unwrap();
-        // Aim for ~one live entry per window: width ≈ span / population.
-        // A degenerate span (all ties) gets width 1 — ties share a window by
-        // definition, so the scan still finds them immediately.
-        self.width = ((max_t - min_t) / entries.len() as u64).max(1);
-        self.cursor = min_t / self.width;
-        for e in entries {
-            let b = self.bucket_of(e.time);
-            self.buckets[b].push(e);
-            self.stored += 1;
-        }
-    }
-
-    /// Exclusive upper bound (µs) of window `w`, saturating at the far end
-    /// of simulated time.
-    fn window_end(&self, w: u64) -> u64 {
-        w.saturating_add(1).saturating_mul(self.width)
-    }
-
-    /// Reap cancelled entries off the top of bucket `b`; afterwards its peek
-    /// (if any) is live.
-    fn reap_bucket_head(&mut self, b: usize) {
-        while let Some(head) = self.buckets[b].peek() {
-            if self.cancelled.remove(&head.seq) {
-                self.buckets[b].pop();
-                self.stored -= 1;
-            } else {
+    /// Reap cancelled entries off the heap head; afterwards its peek (if
+    /// any) is live.
+    fn reap_head(&mut self) {
+        while let Some(head) = self.heap.peek() {
+            if !self.cancelled.remove(&head.seq) {
                 break;
             }
+            self.heap.pop();
         }
-    }
-
-    /// Find the bucket holding the earliest live entry, advancing the
-    /// cursor. Returns `None` when no live entries remain.
-    fn find_min_bucket(&mut self) -> Option<usize> {
-        if self.stored == 0 {
-            return None;
-        }
-        let n = self.buckets.len() as u64;
-        // Scan at most one full year of windows from the cursor. Each
-        // window's bucket min tells whether the window holds anything: a
-        // window maps to exactly one bucket, and a bucket min later than the
-        // window end means every entry of that bucket lives in a later year.
-        for _ in 0..n {
-            let b = (self.cursor % n) as usize;
-            self.reap_bucket_head(b);
-            if let Some(head) = self.buckets[b].peek() {
-                if head.time.as_micros() < self.window_end(self.cursor) {
-                    return Some(b);
-                }
-            }
-            if self.stored == 0 {
-                return None;
-            }
-            self.cursor += 1;
-        }
-        // Nothing within a year of the cursor: direct search over bucket
-        // minima (rare — only when the next event is far in the future).
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for b in 0..self.buckets.len() {
-            self.reap_bucket_head(b);
-            if let Some(head) = self.buckets[b].peek() {
-                let key = (head.time, head.seq, b);
-                if best.is_none_or(|cur| (key.0, key.1) < (cur.0, cur.1)) {
-                    best = Some(key);
-                }
-            }
-        }
-        let (t, _, b) = best?;
-        self.cursor = self.window_of(t);
-        Some(b)
     }
 
     /// Remove and return the earliest pending event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let b = self.find_min_bucket()?;
-        let entry = self.buckets[b].pop().expect("min bucket is non-empty");
-        self.stored -= 1;
-        if self.stored < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize((self.buckets.len() / 2).max(MIN_BUCKETS));
-        }
-        Some((entry.time, entry.event))
+        self.reap_head();
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// Time of the earliest pending (non-cancelled) event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let b = self.find_min_bucket()?;
-        self.buckets[b].peek().map(|e| e.time)
+        self.reap_head();
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Approximate number of live entries (cancelled-but-unreaped entries and
     /// stale cancellations can make this an estimate; exactness returns once
     /// the queue head is reaped).
     pub fn len(&self) -> usize {
-        self.stored.saturating_sub(self.cancelled.len())
+        self.heap.len().saturating_sub(self.cancelled.len())
     }
 
     /// True iff no live events remain.
     pub fn is_empty(&self) -> bool {
-        if self.stored > self.cancelled.len() {
-            return false;
-        }
-        self.buckets
-            .iter()
-            .flat_map(|b| b.iter())
-            .all(|e| self.cancelled.contains(&e.seq))
+        self.heap.len() <= self.cancelled.len()
+            && self.heap.iter().all(|e| self.cancelled.contains(&e.seq))
     }
 }
 
 // Snapshot form: entries sorted by `(time, seq)` plus the sequence counter
-// and the sorted cancellation set — the same encoding the binary-heap
-// calendar used, so bucket layout (a performance detail) never leaks into
-// snapshots. Sorting makes the rendering independent of the internal array
-// layout, so snapshot → restore → snapshot is byte-stable; replaying `seq`
-// verbatim keeps outstanding [`EventHandle`]s from before the snapshot valid
-// after restore.
+// and the sorted cancellation set. Sorting makes the rendering independent
+// of the heap's internal array layout, so snapshot → restore → snapshot is
+// byte-stable; replaying `seq` verbatim keeps outstanding [`EventHandle`]s
+// from before the snapshot valid after restore. Tombstones and tokens are
+// kept on both sides, so a restored calendar holds exactly the entries of
+// the live one and reaps them at the same pops.
 impl<E: Serialize> Serialize for Calendar<E> {
     fn to_value(&self) -> Value {
-        let mut live: Vec<&Entry<E>> = self.buckets.iter().flat_map(|b| b.iter()).collect();
-        live.sort_by_key(|e| (e.time, e.seq));
+        let mut stored: Vec<&Entry<E>> = self.heap.iter().collect();
+        stored.sort_by_key(|e| (e.time, e.seq));
         let entries = Value::Seq(
-            live.iter()
+            stored
+                .iter()
                 .map(|e| {
                     Value::Map(vec![
                         ("time".to_string(), e.time.to_value()),
@@ -358,40 +197,33 @@ impl<E: Deserialize> Deserialize for Calendar<E> {
             .as_map()
             .ok_or_else(|| serde::Error::custom("expected map for Calendar"))?;
         let raw_entries: Vec<Value> = serde::field(fields, "entries")?;
-        let mut cal = Calendar::new();
-        for raw in &raw_entries {
-            let entry = raw
-                .as_map()
-                .ok_or_else(|| serde::Error::custom("expected map for calendar entry"))?;
-            cal.push_entry(Entry {
-                time: serde::field(entry, "time")?,
-                seq: serde::field(entry, "seq")?,
-                event: serde::field(entry, "event")?,
-            });
-        }
-        // One deterministic re-bucketing sized to the restored population.
-        // Pop order is layout-independent (always the global `(time, seq)`
-        // min), so a restored calendar replays the exact event stream of the
-        // original even though the original grew its ring incrementally.
-        let mut n = MIN_BUCKETS;
-        while cal.stored > 2 * n {
-            n *= 2;
-        }
-        cal.resize(n);
+        let entries = raw_entries
+            .iter()
+            .map(|raw| {
+                let entry = raw
+                    .as_map()
+                    .ok_or_else(|| serde::Error::custom("expected map for calendar entry"))?;
+                Ok(Entry {
+                    time: serde::field(entry, "time")?,
+                    seq: serde::field(entry, "seq")?,
+                    event: serde::field(entry, "event")?,
+                })
+            })
+            .collect::<Result<Vec<_>, serde::Error>>()?;
         let cancelled: Vec<u64> = serde::field(fields, "cancelled")?;
-        cal.next_seq = serde::field(fields, "next_seq")?;
-        cal.cancelled = cancelled.into_iter().collect();
-        Ok(cal)
+        Ok(Calendar {
+            heap: entries.into(),
+            next_seq: serde::field(fields, "next_seq")?,
+            cancelled: cancelled.into_iter().collect(),
+        })
     }
 }
 
 impl<E> std::fmt::Debug for Calendar<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Calendar")
-            .field("pending", &self.stored)
+            .field("pending", &self.heap.len())
             .field("cancelled", &self.cancelled.len())
-            .field("buckets", &self.buckets.len())
-            .field("width_us", &self.width)
             .finish()
     }
 }
@@ -491,8 +323,8 @@ mod tests {
 
     #[test]
     fn interleaved_schedule_and_pop_stays_sorted() {
-        // Pops interleaved with schedules behind and ahead of the cursor:
-        // the cursor must rewind for earlier work and never skip anything.
+        // Pops interleaved with schedules behind and ahead of the queued
+        // work: earlier work pops first and nothing is ever skipped.
         let mut cal = Calendar::new();
         for i in 0..50u64 {
             cal.schedule(SimTime::from_secs(100 + i), i);
@@ -502,7 +334,7 @@ mod tests {
         // Now schedule *earlier* than everything still queued.
         cal.schedule(SimTime::from_secs(1), 999);
         assert_eq!(cal.pop(), Some((SimTime::from_secs(1), 999)));
-        // And far later than the ring's current year.
+        // And far later than everything else.
         cal.schedule(SimTime::from_days(365), 1000);
         let mut last = SimTime::ZERO;
         let mut seen = 0;
@@ -517,8 +349,8 @@ mod tests {
 
     #[test]
     fn far_future_events_found_after_sparse_gap() {
-        // A single event years past the cursor exercises the direct-search
-        // fallback (the windowed scan gives up after one ring revolution).
+        // A single event decades past the rest is still found, by peek and
+        // by pop.
         let mut cal = Calendar::new();
         cal.schedule(SimTime::from_secs(1), "soon");
         cal.schedule(SimTime::from_days(10_000), "far");
@@ -528,8 +360,30 @@ mod tests {
         assert_eq!(cal.pop(), None);
     }
 
+    /// A tombstone that has not reached the head stays stored until it does,
+    /// on the live calendar and on a twin restored from its snapshot alike,
+    /// so both keep writing the same bytes.
+    #[test]
+    fn restored_calendar_snapshots_like_the_live_one() {
+        let (a, x, b) = (1u32, 2, 3);
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::from_micros(500_000), a);
+        let hx = cal.schedule_cancellable(SimTime::from_micros(5_500_000), x);
+        cal.schedule(SimTime::from_micros(2_500_000), b);
+        cal.cancel(hx);
+        assert_eq!(cal.pop().unwrap().1, a);
+        let json = serde_json::to_string(&cal).unwrap();
+        let mut twin: Calendar<u32> = serde_json::from_str(&json).unwrap();
+        assert_eq!(cal.pop().unwrap().1, b);
+        assert_eq!(twin.pop().unwrap().1, b);
+        assert_eq!(
+            serde_json::to_string(&twin).unwrap(),
+            serde_json::to_string(&cal).unwrap()
+        );
+    }
+
     /// Regression for the unbounded-growth bug: cancelling more than half of
-    /// a large queue must sweep the tombstones out of the buckets instead of
+    /// a large queue must sweep the tombstones out of the heap instead of
     /// carrying them (and their cancellation tokens) forever.
     #[test]
     fn compaction_reclaims_cancelled_entries_and_stale_tokens() {
@@ -554,9 +408,9 @@ mod tests {
             cal.cancelled.len()
         );
         assert!(
-            cal.stored < 2000,
+            cal.heap.len() < 2000,
             "tombstoned entries reclaimed (still storing {})",
-            cal.stored
+            cal.heap.len()
         );
         assert_eq!(cal.len(), 1000);
         // Everything that survives pops in order, nothing cancelled leaks.
@@ -594,6 +448,9 @@ mod tests {
 
     /// Differential test against a reference model: random interleavings of
     /// schedule/cancel/pop must pop the exact sequence a sorted list would.
+    /// Every 1,000 steps a twin is restored from the live calendar's
+    /// snapshot and driven in lockstep with it: the two must pop the same
+    /// events and keep writing the same snapshot bytes.
     #[test]
     fn matches_reference_model_under_random_workload() {
         // Deterministic xorshift so the test needs no external RNG.
@@ -609,13 +466,21 @@ mod tests {
         let mut model: Vec<(SimTime, u64)> = Vec::new();
         let mut model_cancelled: HashSet<u64> = HashSet::new();
         let mut handles: Vec<(EventHandle, u64)> = Vec::new();
+        let snapshot = |c: &Calendar<u64>| serde_json::to_string(c).unwrap();
+        let mut twin: Option<Calendar<u64>> = None;
         let mut clock = SimTime::ZERO;
         for step in 0..20_000u64 {
+            if step > 0 && step % 1000 == 0 {
+                twin = Some(serde_json::from_str(&snapshot(&cal)).unwrap());
+            }
             match rand() % 10 {
                 // 60%: schedule at a random future offset (often tied).
                 0..=5 => {
                     let at = clock + crate::SimDuration::from_micros(rand() % 5_000_000);
                     let h = cal.schedule_cancellable(at, step);
+                    if let Some(twin) = twin.as_mut() {
+                        assert_eq!(twin.schedule_cancellable(at, step), h);
+                    }
                     model.push((at, step));
                     handles.push((h, step));
                 }
@@ -625,6 +490,9 @@ mod tests {
                         let i = (rand() % handles.len() as u64) as usize;
                         let (h, seq) = handles.swap_remove(i);
                         cal.cancel(h);
+                        if let Some(twin) = twin.as_mut() {
+                            twin.cancel(h);
+                        }
                         model_cancelled.insert(seq);
                     }
                 }
@@ -632,6 +500,9 @@ mod tests {
                 _ => {
                     model.retain(|(_, v)| !model_cancelled.contains(v));
                     let got = cal.pop();
+                    if let Some(twin) = twin.as_mut() {
+                        assert_eq!(twin.pop(), got, "twin pop, step {step}");
+                    }
                     if model.is_empty() {
                         assert_eq!(got, None);
                     } else {
@@ -648,14 +519,23 @@ mod tests {
                     }
                 }
             }
+            // Bytes every 100 steps, the last one just before the twin is
+            // replaced: encoding both calendars every step costs minutes.
+            if let Some(twin) = twin.as_ref().filter(|_| step % 100 == 99) {
+                assert_eq!(snapshot(twin), snapshot(&cal), "twin bytes, step {step}");
+            }
         }
-        // Drain both to the end.
+        // Drain all three to the end.
+        let mut twin = twin.expect("a twin was restored");
         model.retain(|(_, v)| !model_cancelled.contains(v));
         model.sort_by_key(|&(t, v)| (t, v));
         for (t, v) in model {
             assert_eq!(cal.pop(), Some((t, v)));
+            assert_eq!(twin.pop(), Some((t, v)));
         }
         assert_eq!(cal.pop(), None);
+        assert_eq!(twin.pop(), None);
         assert!(cal.is_empty());
+        assert_eq!(snapshot(&twin), snapshot(&cal));
     }
 }

@@ -3,23 +3,22 @@
 //! The grid experiments in this workspace replay months of wall-clock time
 //! (volunteer churn, batch queues, workunit deadlines) in milliseconds, so the
 //! kernel is built for *determinism first*: integer simulation time, a stable
-//! FIFO tie-break in the calendar queue, and a forkable counter-based RNG so
+//! FIFO tie-break in the event calendar, and a forkable counter-based RNG so
 //! that adding a new random stream never perturbs existing ones.
 //!
 //! The pieces:
 //!
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution simulation time.
-//! * [`Calendar`] — the pending-event queue (a bucketed calendar queue with a
-//!   monotonic sequence number for stable ordering of simultaneous events and
-//!   O(1) amortized schedule/pop).
+//! * [`Calendar`] — the pending-event queue (one binary heap with a
+//!   monotonic sequence number for stable ordering of simultaneous events,
+//!   O(log n) schedule/pop and O(1) cancellation).
 //! * [`IdMap`] — dense id-keyed storage for hot host/job state (array-indexed
 //!   lookups, ascending iteration, id-sorted-pairs snapshot encoding).
 //! * [`Simulation`] and the [`World`] trait — the driver loop.
 //! * [`SimRng`] — deterministic, forkable randomness.
 //! * [`FaultScript`] — pre-computed fault timelines for deterministic
 //!   chaos/robustness experiments.
-//! * [`stats`] — counters, Welford tallies, time-weighted averages, sample
-//!   collectors with exact quantiles.
+//! * [`stats`] — Welford tallies and time-weighted averages.
 //! * [`telemetry`] — deterministic structured telemetry: a sim-time-stamped
 //!   event bus and a metrics registry (counters, gauges, fixed-bucket
 //!   histograms) whose serialized snapshots are byte-stable under replay.
@@ -156,11 +155,6 @@ impl<W: World> Simulation<W> {
         }
     }
 
-    /// Consume the simulation and return the model.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
     /// Process a single event. Returns `false` if the calendar was empty.
     ///
     /// # Panics
@@ -202,20 +196,6 @@ impl<W: World> Simulation<W> {
         }
         n
     }
-
-    /// Run until `predicate` on the world returns true, the calendar drains,
-    /// or `max_events` are processed. Returns true iff the predicate fired.
-    pub fn run_while(&mut self, max_events: u64, mut predicate: impl FnMut(&W) -> bool) -> bool {
-        for _ in 0..max_events {
-            if predicate(&self.world) {
-                return true;
-            }
-            if !self.step() {
-                return predicate(&self.world);
-            }
-        }
-        predicate(&self.world)
-    }
 }
 
 #[cfg(test)]
@@ -255,22 +235,6 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(sim.now(), SimTime::from_secs(1));
         assert_eq!(sim.calendar_mut().len(), 1);
-    }
-
-    #[test]
-    fn run_while_predicate_budget() {
-        struct Chain;
-        impl World for Chain {
-            type Event = u32;
-            fn handle(&mut self, now: SimTime, ev: u32, cal: &mut Calendar<u32>) {
-                cal.schedule(now + SimDuration::from_secs(1), ev + 1);
-            }
-        }
-        let mut sim = Simulation::new(Chain);
-        sim.calendar_mut().schedule(SimTime::ZERO, 0);
-        let hit = sim.run_while(1000, |_| false);
-        assert!(!hit); // ran out of budget, chain is infinite
-        assert_eq!(sim.processed(), 1000);
     }
 
     #[test]

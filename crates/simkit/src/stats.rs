@@ -1,41 +1,11 @@
 //! Statistics collectors for simulation output.
 //!
-//! * [`Counter`] — monotone event counts.
 //! * [`Tally`] — streaming mean/variance/min/max (Welford), O(1) memory.
 //! * [`TimeWeighted`] — time-average of a piecewise-constant signal (queue
 //!   lengths, busy processors).
-//! * [`Sample`] — stores observations for exact quantiles and summaries.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize, Value};
-
-/// A monotone event counter.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one.
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-}
 
 /// Streaming mean/variance/extremes via Welford's algorithm.
 #[derive(Debug, Default, Clone, Copy)]
@@ -291,89 +261,10 @@ impl TimeWeighted {
     }
 }
 
-/// Stores all observations for exact quantiles.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct Sample {
-    values: Vec<f64>,
-}
-
-impl Sample {
-    /// Empty sample.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an observation.
-    pub fn record(&mut self, x: f64) {
-        self.values.push(x);
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True iff no observations were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// All observations in recording order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<f64>() / self.values.len() as f64
-    }
-
-    /// Exact q-quantile by linear interpolation (`q` clamped to `[0, 1]`).
-    /// Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-        let q = q.clamp(0.0, 1.0);
-        let pos = q * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-
-    /// Median.
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Summarize into a [`Tally`].
-    pub fn tally(&self) -> Tally {
-        let mut t = Tally::new();
-        for &v in &self.values {
-            t.record(v);
-        }
-        t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn tally_mean_var() {
@@ -539,26 +430,5 @@ mod tests {
         let mut tw = TimeWeighted::new(t0, 2.0);
         tw.add(t0 + SimDuration::from_secs(5), 3.0);
         assert_eq!(tw.value(), 5.0);
-    }
-
-    #[test]
-    fn sample_quantiles() {
-        let mut s = Sample::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            s.record(x);
-        }
-        assert_eq!(s.median(), Some(3.0));
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.quantile(1.0), Some(5.0));
-        assert_eq!(s.quantile(0.25), Some(2.0));
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_empty() {
-        let s = Sample::new();
-        assert!(s.is_empty());
-        assert_eq!(s.median(), None);
-        assert_eq!(s.mean(), 0.0);
     }
 }
