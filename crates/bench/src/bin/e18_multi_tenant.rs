@@ -16,9 +16,9 @@
 //!
 //! The summary is committed at the workspace root as
 //! `BENCH_e18_multi_tenant.json`. With `E18_GATE=1` the run also fails
-//! loudly when any scale arm's events/sec regresses more than 50% against
-//! that committed baseline (CI runs the reduced 1k-user arm with the gate
-//! on).
+//! loudly when any scale arm's tenant jobs per wall second regress more
+//! than 50% against that committed baseline (CI runs the reduced 1k-user
+//! arm with the gate on). Like E17's, the gate counts work, not events.
 //!
 //! Knobs: `E18_MAX_USERS` caps the population trajectory (default
 //! 1_000_000), `E18_HOSTS` sizes the volunteer pool (default 2_000),
@@ -374,22 +374,24 @@ fn gate_regressions(baseline: &serde::Value, fresh: &[ScaleArm]) -> Vec<String> 
     let mut failures = Vec::new();
     for old in &base {
         let Some(f) = old.as_map() else { continue };
-        let (Ok(users), Ok(old_eps)): (Result<u64, _>, Result<f64, _>) = (
+        let (Ok(users), Ok(jobs), Ok(wall)): (Result<u64, _>, Result<u64, _>, Result<f64, _>) = (
             serde::field(f, "users"),
-            serde::field(f, "tenant_events_per_sec"),
+            serde::field(f, "jobs"),
+            serde::field(f, "tenant_wall_seconds"),
         ) else {
             continue;
         };
+        let old_jps = jobs as f64 / wall;
         if let Some(new) = fresh.iter().find(|a| a.users == users) {
-            // Wide threshold on purpose: absolute events/sec swings ±25%
+            // Wide threshold on purpose: absolute throughput swings ±25%
             // with machine load even at best-of-N walls, so this gate only
             // catches catastrophic regressions (an accidental quadratic
             // path, not jitter). The stable signal — tenant-vs-plain
             // overhead from paired runs — has its own hard 10% assert.
-            if new.tenant_events_per_sec < 0.5 * old_eps {
+            let new_jps = new.jobs as f64 / new.tenant_wall_seconds;
+            if new_jps < 0.5 * old_jps {
                 failures.push(format!(
-                    "{users}-user arm regressed: {:.0} events/sec vs baseline {:.0} (>50% drop)",
-                    new.tenant_events_per_sec, old_eps
+                    "{users}-user arm regressed: {new_jps:.0} tenant jobs/sec vs baseline {old_jps:.0} (>50% drop)"
                 ));
             }
         }
@@ -472,7 +474,7 @@ fn main() {
     if gate_baseline(name, "E18_GATE", |base| {
         gate_regressions(base, &summary.scale)
     }) {
-        println!("[gate] events/sec within 50% of committed baseline");
+        println!("[gate] tenant jobs/sec within 50% of committed baseline");
     }
     write_baseline(name, &summary);
     write_json(name, &summary);

@@ -110,12 +110,17 @@ pub fn write_baseline(name: &str, summary: &impl serde::Serialize) {
 /// message per regression; any message, or a missing or unreadable
 /// baseline, is printed and exits the process with status 1. Returns true
 /// iff the gate ran and passed.
+///
+/// # Panics
+/// Panics, naming the variable and its value, when `env_var` is set to
+/// anything but `0` or `1`: `E19_GATE=true` must not quietly skip the
+/// gate.
 pub fn gate_baseline(
     name: &str,
     env_var: &str,
     check: impl FnOnce(&serde::Value) -> Vec<String>,
 ) -> bool {
-    if std::env::var(env_var).as_deref() != Ok("1") {
+    if !gate_enabled(env_var) {
         return false;
     }
     let path = baseline_path(name);
@@ -134,6 +139,19 @@ pub fn gate_baseline(
         std::process::exit(1);
     }
     true
+}
+
+/// Whether the gate switch `env_var` is on: unset or `0` is off, `1` is
+/// on, and any other value panics like an unparsable knob.
+fn gate_enabled(env_var: &str) -> bool {
+    let Some(raw) = std::env::var_os(env_var) else {
+        return false;
+    };
+    match raw.to_str() {
+        Some("0") => false,
+        Some("1") => true,
+        _ => panic!("{env_var}={raw:?} is not a valid gate switch (0 or 1)"),
+    }
 }
 
 /// The regressions `check` finds in a baseline's text.
@@ -218,6 +236,32 @@ mod tests {
             let panic = std::panic::catch_unwind(read).expect_err("unparsable knob");
             let msg = panic.downcast_ref::<String>().expect("formatted message");
             assert!(msg.contains("LATTICE_TEST_BAD_KNOB=\"10_000\""), "{msg}");
+        }
+    }
+
+    #[test]
+    fn gate_switches_refuse_values_they_cannot_read() {
+        assert!(!gate_enabled("LATTICE_NO_SUCH_GATE"));
+        std::env::set_var("LATTICE_TEST_GATE_OFF", "0");
+        assert!(!gate_enabled("LATTICE_TEST_GATE_OFF"));
+        assert!(!gate_baseline(
+            "no_such_bench",
+            "LATTICE_TEST_GATE_OFF",
+            |_| { panic!("an off gate must not read its baseline") }
+        ));
+        std::env::set_var("LATTICE_TEST_GATE_ON", "1");
+        assert!(gate_enabled("LATTICE_TEST_GATE_ON"));
+        for bad in ["true", "yes", "on", "2", " 1", ""] {
+            std::env::set_var("LATTICE_TEST_GATE_BAD", bad);
+            let panic = std::panic::catch_unwind(|| {
+                gate_baseline("no_such_bench", "LATTICE_TEST_GATE_BAD", |_| Vec::new())
+            })
+            .expect_err(bad);
+            let msg = panic.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                msg.contains(&format!("LATTICE_TEST_GATE_BAD={bad:?}")),
+                "{msg}"
+            );
         }
     }
 
