@@ -155,6 +155,14 @@ impl<W: World> Simulation<W> {
         }
     }
 
+    /// Take the simulation apart into what [`Simulation::from_parts`]
+    /// reassembles: the world, its pending calendar, the clock and the
+    /// processed-event count. Lets a caller run the same state under a
+    /// wrapping [`World`] and put it back.
+    pub fn into_parts(self) -> (W, Calendar<W::Event>, SimTime, u64) {
+        (self.world, self.calendar, self.now, self.processed)
+    }
+
     /// Process a single event. Returns `false` if the calendar was empty.
     ///
     /// # Panics

@@ -46,15 +46,18 @@ use std::path::Path;
 /// layer (time-series collector, span log, SLO engine state inside grid
 /// telemetry; clamp counters on time-weighted stats); v3 — workflow/churn
 /// layer (optional `flow` campaign book and `churn` availability model
-/// keys, emitted only when the subsystems are configured). v3 is a strict
-/// superset of v2, so this build still reads v2 files; v1 and unknown
-/// future versions decode as [`SnapshotError::UnknownVersion`] rather than
-/// mis-restoring.
-pub const SNAPSHOT_VERSION: u64 = 3;
+/// keys, emitted only when the subsystems are configured); v4 — one
+/// volunteer work-fetch event per herd (a pending `BoincAssign` carries
+/// `clients: [..]` where v2 and v3 queued one `client` per host). v1 and
+/// unknown future versions decode as [`SnapshotError::UnknownVersion`]
+/// rather than mis-restoring.
+pub const SNAPSHOT_VERSION: u64 = 4;
 
-/// Oldest schema version this build still restores. Every version in
-/// `MIN_SNAPSHOT_VERSION..=SNAPSHOT_VERSION` only ever *added* optional
-/// keys, so older files within the range decode with the additions absent.
+/// Oldest schema version this build still restores. v3 only added
+/// optional keys to v2, so a v2 file decodes with them absent. v4 changed
+/// the shape of one calendar event; the grid's restore rewrites each v2 or
+/// v3 per-host `BoincAssign { client }` as a one-member herd, which replays
+/// as the per-host event did.
 pub const MIN_SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a snapshot could not be decoded or persisted.
@@ -278,18 +281,28 @@ mod tests {
         }
     }
 
+    /// `encode(&sample())` stamped with an older schema `version`.
+    fn stamped(version: u64) -> String {
+        let current = format!("\"version\":{SNAPSHOT_VERSION}");
+        encode(&sample()).replacen(&current, &format!("\"version\":{version}"), 1)
+    }
+
     #[test]
     fn v2_files_still_decode() {
-        // v3 only added optional keys, so a v2 envelope (same body layout,
-        // older version stamp) must restore unchanged.
-        let text = encode(&sample()).replacen("\"version\":3", "\"version\":2", 1);
-        let back: BTreeMap<String, u64> = decode(&text).unwrap();
-        assert_eq!(back, sample());
+        // The envelope is the same in every supported version, so a v2 or
+        // v3 envelope (older version stamp) must restore unchanged; each
+        // domain type's restore upgrades what its own state changed.
+        for version in MIN_SNAPSHOT_VERSION..SNAPSHOT_VERSION {
+            let text = stamped(version);
+            assert!(text.starts_with(&format!("{{\"version\":{version},")));
+            let back: BTreeMap<String, u64> = decode(&text).unwrap();
+            assert_eq!(back, sample());
+        }
     }
 
     #[test]
     fn pre_window_version_is_refused() {
-        let text = encode(&sample()).replacen("\"version\":3", "\"version\":1", 1);
+        let text = stamped(1);
         match decode::<BTreeMap<String, u64>>(&text) {
             Err(SnapshotError::UnknownVersion { found: 1 }) => {}
             other => panic!("expected UnknownVersion, got {other:?}"),

@@ -11,7 +11,9 @@
 //! timelines, both restore entry points, and random resource mixes.
 //!
 //! The file also pins the observed decision stream: a telemetry-on run
-//! whose serialized state embeds the scheduler's per-filter reject tally.
+//! whose serialized state embeds the scheduler's per-filter reject tally,
+//! and the restore of a v3 snapshot whose calendar still queues one
+//! volunteer work-fetch event per host.
 
 use gridsim::boinc::BoincConfig;
 use gridsim::data::{DataConfig, ObjectRef};
@@ -272,7 +274,9 @@ fn bare_grid_state_matches_its_pin() {
     // (mid-run state, report, final state) FNV-64 pins with every opt-in
     // subsystem off, so the serialized world carries the `null` encodings
     // of telemetry, data, stability and validation, no tenancy/flow/churn
-    // keys, and `failed_on` sets that no recovery policy clears.
+    // keys, and `failed_on` sets that no recovery policy clears. The state
+    // pins were recaptured when volunteer work fetches became one calendar
+    // event per herd, which renumbers the calendar.
     let mut grid = Grid::new(GridConfig {
         max_local_retries: 1,
         ..mixed_config(29)
@@ -298,14 +302,14 @@ fn bare_grid_state_matches_its_pin() {
     );
     assert_eq!(
         fnv1a(json.as_bytes()),
-        0xc122_da77_629e_ba4d,
+        0x74fd_834f_7e58_e791,
         "mid-run state drifted"
     );
     let report = grid.run_until_done(SimTime::from_days(30));
     let rep = fnv1a(serde_json::to_string(&report).unwrap().as_bytes());
     let fin = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
     assert_eq!(rep, 0x2b6c_56aa_e23d_e5ca, "report drifted");
-    assert_eq!(fin, 0xe5b5_4a79_9ee6_ebc9, "final state drifted");
+    assert_eq!(fin, 0xbf5d_9dc7_2aa3_452f, "final state drifted");
     assert_eq!(
         (
             report.completed,
@@ -320,6 +324,8 @@ fn bare_grid_state_matches_its_pin() {
 fn observed_decision_stream_matches_its_pin() {
     // (mid-run state, report, final state) FNV-64 pins, captured with
     // telemetry on before matchmaking moved onto one decision function.
+    // The two state pins were recaptured when volunteer work fetches
+    // became one calendar event per herd, which renumbers the calendar.
     // The serialized grid embeds the telemetry registry's reject counters
     // and every `scheduler.decision` event's candidate and eligible
     // counts, so a wrong tally moves these hashes even when placement
@@ -340,12 +346,12 @@ fn observed_decision_stream_matches_its_pin() {
     grid.submit(reject_diverse_workload(19));
     grid.run_until(SimTime::from_hours(6));
     let mid = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
-    assert_eq!(mid, 0x633c_a062_0367_1fd3, "mid-run state drifted");
+    assert_eq!(mid, 0x9cc6_a5d4_af02_d592, "mid-run state drifted");
     let report = grid.run_until_done(SimTime::from_days(30));
     let rep = fnv1a(serde_json::to_string(&report).unwrap().as_bytes());
     let fin = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
     assert_eq!(rep, 0x33cb_a2a2_f205_5465, "report drifted");
-    assert_eq!(fin, 0x029f_fdce_bedc_f65e, "final state drifted");
+    assert_eq!(fin, 0xb377_dc9f_b18f_9983, "final state drifted");
     // The unknown-package jobs never place; everything else completes.
     assert_eq!((report.completed, report.unfinished), (40, 5));
     let metrics = grid.world().telemetry().expect("telemetry on").metrics();
@@ -355,4 +361,38 @@ fn observed_decision_stream_matches_its_pin() {
             "no {reason} reject recorded: the pin would not catch a wrong tally"
         );
     }
+}
+
+/// A v3 snapshot, written before volunteer work fetches became one
+/// calendar event per herd: 24 volunteers with validation on, cut at
+/// 7.75 h while two per-host `{"BoincAssign":{"client":i}}` entries were
+/// pending.
+const V3_PER_HOST_ASSIGNS: &str = include_str!("fixtures/v3_per_host_assigns.snap.json");
+
+#[test]
+fn v3_per_host_assigns_resume_to_their_pin() {
+    assert!(V3_PER_HOST_ASSIGNS.starts_with("{\"version\":3,"));
+    assert_eq!(
+        V3_PER_HOST_ASSIGNS
+            .matches("{\"BoincAssign\":{\"client\":")
+            .count(),
+        2
+    );
+    let resume = |text: &str| {
+        let mut grid = Grid::from_snapshot(text).expect("snapshot restores");
+        let report = grid.run_until_done(SimTime::from_days(30));
+        assert_eq!(report.completed, 40);
+        fnv1a(serde_json::to_string(&report).unwrap().as_bytes())
+    };
+    // The report FNV of this resume on the build that wrote the file.
+    const PIN: u64 = 0x9490_a9c5_b909_c2bb;
+    assert_eq!(resume(V3_PER_HOST_ASSIGNS), PIN, "v3 resume drifted");
+    // Re-encoded, each per-host entry is a one-member herd.
+    let v4 = Grid::from_snapshot(V3_PER_HOST_ASSIGNS)
+        .unwrap()
+        .to_snapshot();
+    let stamp = format!("{{\"version\":{},", simkit::SNAPSHOT_VERSION);
+    assert!(v4.starts_with(&stamp));
+    assert_eq!(v4.matches("{\"BoincAssign\":{\"clients\":[").count(), 2);
+    assert_eq!(resume(&v4), PIN, "re-encoded resume drifted");
 }
