@@ -1,16 +1,60 @@
 //! Criterion microbenchmarks of the likelihood kernel — the workload whose
 //! cost structure the paper's nine predictors capture (and the hot path
 //! BEAGLE accelerates on GPUs in §II.A).
+//!
+//! The first three shapes fit in cache. The three `portal_*` shapes are the
+//! largest study of each data type in perfbench's portal-stream workload,
+//! where a 64-taxon Γ4 nucleotide CLV set is 24 MB and the kernel is
+//! memory-bound. Each portal shape is timed twice: `one_shot` through
+//! `LikelihoodEngine::log_likelihood` (a fresh workspace per call) and
+//! `reused` through one `Workspace`, as a search evaluates.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use phylo::likelihood::LikelihoodEngine;
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
+use phylo::likelihood::{LikelihoodEngine, Workspace};
 use phylo::models::aminoacid::AaModel;
 use phylo::models::codon::CodonModel;
 use phylo::models::nucleotide::NucModel;
-use phylo::models::SiteRates;
+use phylo::models::{SiteRates, SubstModel};
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
 use simkit::SimRng;
+
+/// Time one portal-stream shape: `taxa` × `sites` simulated under `model`,
+/// evaluated under Γ4.
+fn portal_shape<M: SubstModel>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    model: &M,
+    taxa: usize,
+    sites: usize,
+    seed: u64,
+) {
+    let mut rng = SimRng::new(seed);
+    let tree = Tree::random_topology(taxa, &mut rng);
+    let aln = Simulator::new(model, SiteRates::gamma(4, 0.5)).simulate(&tree, sites, &mut rng);
+    let engine = LikelihoodEngine::new(&aln, model, SiteRates::gamma(4, 0.5));
+    let cells = engine.evaluate(&tree).work;
+    group.bench_with_input(
+        BenchmarkId::new(format!("{name}/one_shot"), format!("{cells}cells")),
+        &(),
+        |b, _| b.iter(|| std::hint::black_box(engine.log_likelihood(&tree))),
+    );
+    let mut workspace = Workspace::new();
+    group.bench_with_input(
+        BenchmarkId::new(format!("{name}/reused"), format!("{cells}cells")),
+        &(),
+        |b, _| {
+            b.iter(|| {
+                std::hint::black_box(workspace.evaluate(
+                    engine.patterns(),
+                    model,
+                    engine.rates(),
+                    &tree,
+                ))
+            })
+        },
+    );
+}
 
 fn bench_likelihood(c: &mut Criterion) {
     let mut group = c.benchmark_group("likelihood");
@@ -54,6 +98,21 @@ fn bench_likelihood(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(engine.log_likelihood(&tree)))
         });
     }
+
+    // portal-stream's largest study per data type.
+    let gtr = NucModel::gtr([1.0, 2.0, 1.0, 1.0, 2.0, 1.0], [0.3, 0.2, 0.2, 0.3]);
+    let aa = AaModel::empirical();
+    let gy = CodonModel::goldman_yang(2.0, 0.3);
+    portal_shape(
+        &mut group,
+        "portal_nucleotide_g4_64x3000",
+        &gtr,
+        64,
+        3000,
+        4,
+    );
+    portal_shape(&mut group, "portal_aminoacid_g4_12x300", &aa, 12, 300, 5);
+    portal_shape(&mut group, "portal_codon_g4_10x140", &gy, 10, 140, 6);
 
     group.finish();
 }

@@ -14,7 +14,7 @@ use phylo::linalg::Matrix;
 use phylo::models::aminoacid::AaModel;
 use phylo::models::codon::CodonModel;
 use phylo::models::nucleotide::{NucModel, RateMatrix};
-use phylo::models::{SiteRates, SubstModel};
+use phylo::models::{MemoBudget, SiteRates, SubstModel};
 use serde::{Deserialize, Serialize};
 
 /// The free model parameters a search can move.
@@ -63,6 +63,18 @@ pub enum AnyModel {
     Codon(CodonModel),
 }
 
+impl AnyModel {
+    /// Move the model's `P(t)` memo onto a budget shared with other models
+    /// ([`phylo::models::ReversibleModel::share_memo`]).
+    pub fn share_memo(&mut self, budget: &MemoBudget) {
+        match self {
+            AnyModel::Nuc(m) => m.share_memo(budget),
+            AnyModel::Aa(m) => m.share_memo(budget),
+            AnyModel::Codon(m) => m.share_memo(budget),
+        }
+    }
+}
+
 impl SubstModel for AnyModel {
     fn data_type(&self) -> DataType {
         match self {
@@ -83,6 +95,13 @@ impl SubstModel for AnyModel {
             AnyModel::Nuc(m) => m.transition_matrix(t),
             AnyModel::Aa(m) => m.transition_matrix(t),
             AnyModel::Codon(m) => m.transition_matrix(t),
+        }
+    }
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        match self {
+            AnyModel::Nuc(m) => m.transition_matrix_into(t, out),
+            AnyModel::Aa(m) => m.transition_matrix_into(t, out),
+            AnyModel::Codon(m) => m.transition_matrix_into(t, out),
         }
     }
     fn name(&self) -> &str {

@@ -16,8 +16,8 @@ use crate::progress::Progress;
 use crate::validate::{validate, ValidationError, ValidationReport};
 use crate::work::WorkAccount;
 use phylo::alignment::Alignment;
-use phylo::likelihood::evaluate_patterns;
-use phylo::models::SiteRates;
+use phylo::likelihood::{Evaluation, Workspace};
+use phylo::models::{MemoBudget, SiteRates};
 use phylo::patterns::PatternSet;
 use phylo::tree::Tree;
 use serde::{Deserialize, Serialize};
@@ -82,12 +82,82 @@ pub struct Search {
     weights: MutationWeights,
 }
 
-/// Model cache: most evaluations reuse unchanged parameters, so rebuilds
-/// (an eigendecomposition each) happen only on model mutations.
-struct ModelCache {
+/// The models of a search's live parameter sets.
+///
+/// A model is an eigendecomposition plus a `P(t)` memo, so rebuilding one is
+/// the costliest thing an evaluation can trigger. Offspring of differently
+/// parameterised parents switch parameter sets from one evaluation to the
+/// next, so the store keeps one model, with its rate mixture, per parameter
+/// set that some individual still carries, and builds one only for a
+/// parameter set it does not hold. After each truncation it drops every
+/// entry whose parameters no survivor has, so it holds at most the
+/// population plus one generation's offspring. Their memos share one
+/// [`MemoBudget`], so together they hold no more matrices than one model's
+/// memo may alone.
+struct ModelStore {
+    entries: Vec<StoreEntry>,
+    memo: MemoBudget,
+}
+
+struct StoreEntry {
     params: ModelParams,
     model: AnyModel,
     rates: SiteRates,
+}
+
+impl ModelStore {
+    fn new() -> ModelStore {
+        ModelStore {
+            entries: Vec::new(),
+            memo: MemoBudget::default(),
+        }
+    }
+
+    /// The entry for `params`, built on first use.
+    fn get(&mut self, search: &Search, params: &ModelParams) -> &StoreEntry {
+        let i = match self.entries.iter().position(|e| e.params == *params) {
+            Some(i) => i,
+            None => {
+                let mut model = build_model(&search.config, params, &search.alignment);
+                model.share_memo(&self.memo);
+                self.entries.push(StoreEntry {
+                    params: params.clone(),
+                    model,
+                    rates: build_rates(&search.config, params),
+                });
+                self.entries.len() - 1
+            }
+        };
+        &self.entries[i]
+    }
+
+    /// Drop every entry whose parameters no individual in `population` has.
+    fn retain_live(&mut self, population: &[Individual]) {
+        self.entries
+            .retain(|e| population.iter().any(|ind| ind.params == e.params));
+    }
+}
+
+/// What one run of a search evaluates with: its model store and one CLV
+/// workspace, both dropped when the run returns.
+struct Scorer {
+    models: ModelStore,
+    workspace: Workspace,
+}
+
+impl Scorer {
+    fn new() -> Scorer {
+        Scorer {
+            models: ModelStore::new(),
+            workspace: Workspace::new(),
+        }
+    }
+
+    fn evaluate(&mut self, search: &Search, params: &ModelParams, tree: &Tree) -> Evaluation {
+        let entry = self.models.get(search, params);
+        self.workspace
+            .evaluate(&search.patterns, &entry.model, &entry.rates, tree)
+    }
 }
 
 impl Search {
@@ -132,8 +202,9 @@ impl Search {
         on_progress: impl FnMut(&Progress),
         on_checkpoint: impl FnMut(&SearchCheckpoint),
     ) -> SearchResult {
-        let state = self.initialize(rng);
-        self.run_from(state, rng, on_progress, on_checkpoint)
+        let mut scorer = Scorer::new();
+        let state = self.initialize(rng, &mut scorer);
+        self.run_from(state, rng, &mut scorer, on_progress, on_checkpoint)
     }
 
     /// Resume from a checkpoint (e.g. after a volunteer host vanished).
@@ -144,16 +215,16 @@ impl Search {
         on_progress: impl FnMut(&Progress),
         on_checkpoint: impl FnMut(&SearchCheckpoint),
     ) -> SearchResult {
-        self.run_from(checkpoint, rng, on_progress, on_checkpoint)
+        let mut scorer = Scorer::new();
+        self.run_from(checkpoint, rng, &mut scorer, on_progress, on_checkpoint)
     }
 
     /// Build and score the initial population.
-    fn initialize(&self, rng: &mut SimRng) -> SearchCheckpoint {
+    fn initialize(&self, rng: &mut SimRng, scorer: &mut Scorer) -> SearchCheckpoint {
         let params = ModelParams::from_config(&self.config);
-        let mut cache = self.fresh_cache(params.clone());
         let mut work = WorkAccount::new();
 
-        let base_tree = self.starting_tree(rng, &mut cache, &mut work);
+        let base_tree = self.starting_tree(rng, &params, scorer, &mut work);
         let mut population = Vec::with_capacity(self.config.population_size);
         for i in 0..self.config.population_size {
             let mut ind = Individual::new(base_tree.clone(), params.clone());
@@ -161,7 +232,7 @@ impl Search {
             for _ in 0..i.min(3) {
                 mutate(&mut ind, &self.config, &self.weights, rng);
             }
-            self.score(&mut ind, &mut cache, &mut work);
+            self.score(&mut ind, scorer, &mut work);
             population.push(ind);
         }
         sort_best_first(&mut population);
@@ -181,7 +252,8 @@ impl Search {
     fn starting_tree(
         &self,
         rng: &mut SimRng,
-        cache: &mut ModelCache,
+        params: &ModelParams,
+        scorer: &mut Scorer,
         work: &mut WorkAccount,
     ) -> Tree {
         match &self.config.starting_tree {
@@ -197,7 +269,7 @@ impl Search {
                 let mut best: Option<(Tree, f64)> = None;
                 for _ in 0..candidates {
                     let t = Tree::random_topology(self.alignment.num_taxa(), rng);
-                    let ev = evaluate_patterns(&self.patterns, &cache.model, &cache.rates, &t);
+                    let ev = scorer.evaluate(self, params, &t);
                     work.add(ev.work);
                     if best.as_ref().is_none_or(|(_, l)| ev.log_likelihood > *l) {
                         best = Some((t, ev.log_likelihood));
@@ -208,23 +280,9 @@ impl Search {
         }
     }
 
-    fn fresh_cache(&self, params: ModelParams) -> ModelCache {
-        let model = build_model(&self.config, &params, &self.alignment);
-        let rates = build_rates(&self.config, &params);
-        ModelCache {
-            params,
-            model,
-            rates,
-        }
-    }
-
-    /// Score an individual, rebuilding the model only if its parameters
-    /// differ from the cached ones.
-    fn score(&self, ind: &mut Individual, cache: &mut ModelCache, work: &mut WorkAccount) {
-        if ind.params != cache.params {
-            *cache = self.fresh_cache(ind.params.clone());
-        }
-        let ev = evaluate_patterns(&self.patterns, &cache.model, &cache.rates, &ind.tree);
+    /// Score an individual under the model of its parameter set.
+    fn score(&self, ind: &mut Individual, scorer: &mut Scorer, work: &mut WorkAccount) {
+        let ev = scorer.evaluate(self, &ind.params, &ind.tree);
         ind.log_likelihood = ev.log_likelihood;
         work.add(ev.work);
     }
@@ -234,12 +292,11 @@ impl Search {
         &self,
         mut state: SearchCheckpoint,
         rng: &mut SimRng,
+        scorer: &mut Scorer,
         mut on_progress: impl FnMut(&Progress),
         mut on_checkpoint: impl FnMut(&SearchCheckpoint),
     ) -> SearchResult {
         let mut work = WorkAccount::from_cells(state.work_cells);
-        let mut cache = self.fresh_cache(state.population[0].params.clone());
-        let popsize = self.config.population_size;
         let termination;
 
         loop {
@@ -251,52 +308,7 @@ impl Search {
                 termination = Termination::GenerationCap;
                 break;
             }
-            state.generation += 1;
-
-            let prev_best = state.population[0].log_likelihood;
-            // Rank-weighted parent selection: rank r gets weight popsize - r.
-            let rank_weights: Vec<f64> = (0..state.population.len())
-                .map(|r| (popsize - r) as f64)
-                .collect();
-
-            let mut offspring: Vec<(Individual, MutationKind)> = Vec::with_capacity(popsize - 1);
-            for _ in 0..popsize - 1 {
-                let parent = rng.weighted_index(&rank_weights);
-                let mut child = state.population[parent].clone();
-                let kind = mutate(&mut child, &self.config, &self.weights, rng);
-                state.mutation_counts[kind_index(kind)] += 1;
-                self.score(&mut child, &mut cache, &mut work);
-                offspring.push((child, kind));
-            }
-
-            // Did a topological offspring beat the previous best?
-            let mut topo_improved = false;
-            let mut any_improved = false;
-            for (child, kind) in &offspring {
-                if child.log_likelihood > prev_best + SIGNIFICANT_IMPROVEMENT {
-                    any_improved = true;
-                    if kind.is_topological() {
-                        topo_improved = true;
-                    }
-                }
-            }
-            if any_improved {
-                state.accepted_improvements += 1;
-            }
-            if topo_improved {
-                state.stagnant_generations = 0;
-            } else {
-                state.stagnant_generations += 1;
-            }
-
-            // Elitist truncation: best `popsize` of parents ∪ offspring.
-            state
-                .population
-                .extend(offspring.into_iter().map(|(c, _)| c));
-            sort_best_first(&mut state.population);
-            state.population.truncate(popsize);
-
-            state.work_cells = work.cells();
+            self.advance(&mut state, rng, scorer, &mut work);
             on_progress(&Progress {
                 generation: state.generation,
                 max_generations: self.config.max_generations,
@@ -325,6 +337,66 @@ impl Search {
             accepted_improvements: state.accepted_improvements,
             mutation_counts: state.mutation_counts,
         }
+    }
+
+    /// One generation: breed and score offspring, keep the best
+    /// `population_size` of parents and offspring, and drop the models no
+    /// survivor uses.
+    fn advance(
+        &self,
+        state: &mut SearchCheckpoint,
+        rng: &mut SimRng,
+        scorer: &mut Scorer,
+        work: &mut WorkAccount,
+    ) {
+        let popsize = self.config.population_size;
+        state.generation += 1;
+
+        let prev_best = state.population[0].log_likelihood;
+        // Rank-weighted parent selection: rank r gets weight popsize - r.
+        let rank_weights: Vec<f64> = (0..state.population.len())
+            .map(|r| (popsize - r) as f64)
+            .collect();
+
+        let mut offspring: Vec<(Individual, MutationKind)> = Vec::with_capacity(popsize - 1);
+        for _ in 0..popsize - 1 {
+            let parent = rng.weighted_index(&rank_weights);
+            let mut child = state.population[parent].clone();
+            let kind = mutate(&mut child, &self.config, &self.weights, rng);
+            state.mutation_counts[kind_index(kind)] += 1;
+            self.score(&mut child, scorer, work);
+            offspring.push((child, kind));
+        }
+
+        // Did a topological offspring beat the previous best?
+        let mut topo_improved = false;
+        let mut any_improved = false;
+        for (child, kind) in &offspring {
+            if child.log_likelihood > prev_best + SIGNIFICANT_IMPROVEMENT {
+                any_improved = true;
+                if kind.is_topological() {
+                    topo_improved = true;
+                }
+            }
+        }
+        if any_improved {
+            state.accepted_improvements += 1;
+        }
+        if topo_improved {
+            state.stagnant_generations = 0;
+        } else {
+            state.stagnant_generations += 1;
+        }
+
+        // Elitist truncation: best `popsize` of parents ∪ offspring.
+        state
+            .population
+            .extend(offspring.into_iter().map(|(c, _)| c));
+        sort_best_first(&mut state.population);
+        state.population.truncate(popsize);
+        scorer.models.retain_live(&state.population);
+
+        state.work_cells = work.cells();
     }
 }
 
@@ -501,6 +573,50 @@ mod tests {
         let result = Search::new(config, &aln).unwrap().run(&mut rng);
         // Starting at the truth, the search should stay at (or improve on) it.
         assert_eq!(result.best_tree.robinson_foulds(&truth), 0);
+    }
+
+    /// After every truncation the store holds one model per parameter set
+    /// the population carries, and nothing else.
+    #[test]
+    fn model_store_keeps_only_live_parameter_sets() {
+        use crate::config::{RateHetKind, StateFrequencies};
+        use phylo::models::nucleotide::RateMatrix;
+        let (aln, _) = simulated(7, 200, 102);
+        let config = GarliConfig {
+            rate_matrix: RateMatrix::Gtr,
+            state_frequencies: StateFrequencies::Estimate,
+            rate_het: RateHetKind::GammaInv,
+            invariant_sites: true,
+            ..GarliConfig::default()
+        };
+        let mut search = Search::new(config, &aln).unwrap();
+        search.set_mutation_weights(MutationWeights {
+            nni: 0.3,
+            spr: 0.05,
+            branch: 0.25,
+            model: 0.4,
+        });
+        let mut rng = SimRng::new(103);
+        let mut scorer = Scorer::new();
+        let mut state = search.initialize(&mut rng, &mut scorer);
+        let mut work = WorkAccount::new();
+        let mut most_live = 0;
+        for _ in 0..150 {
+            search.advance(&mut state, &mut rng, &mut scorer, &mut work);
+            let held: Vec<&ModelParams> = scorer.models.entries.iter().map(|e| &e.params).collect();
+            for (i, params) in held.iter().enumerate() {
+                assert!(
+                    state.population.iter().any(|ind| &ind.params == *params),
+                    "the store kept a model whose parameters left the population"
+                );
+                assert!(!held[i + 1..].contains(params), "one model per set");
+            }
+            for ind in &state.population {
+                assert!(held.contains(&&ind.params));
+            }
+            most_live = most_live.max(held.len());
+        }
+        assert!(most_live > 1, "several parameter sets were live at once");
     }
 
     #[test]

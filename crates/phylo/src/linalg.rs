@@ -47,6 +47,21 @@ impl Matrix {
         self.n
     }
 
+    /// The entries, row-major.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// The entries, row-major, mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
+    /// Row `i`.
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.n..(i + 1) * self.n]
+    }
+
     /// Matrix product `self * other`.
     ///
     /// # Panics

@@ -13,7 +13,7 @@
 //!   experiments need — 20-state models are ~25× more work per likelihood
 //!   cell than 4-state ones — is preserved exactly.
 
-use super::{ReversibleModel, SubstModel};
+use super::{MemoBudget, ReversibleModel, SubstModel};
 use crate::alphabet::DataType;
 use crate::linalg::Matrix;
 
@@ -61,6 +61,12 @@ impl AaModel {
             name: "Empirical-20",
         }
     }
+
+    /// Move the `P(t)` memo onto a shared budget
+    /// ([`ReversibleModel::share_memo`]).
+    pub fn share_memo(&mut self, budget: &MemoBudget) {
+        self.inner.share_memo(budget);
+    }
 }
 
 impl SubstModel for AaModel {
@@ -72,6 +78,9 @@ impl SubstModel for AaModel {
     }
     fn transition_matrix(&self, t: f64) -> Matrix {
         self.inner.transition_matrix(t)
+    }
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        self.inner.transition_matrix_into(t, out)
     }
     fn name(&self) -> &str {
         self.name

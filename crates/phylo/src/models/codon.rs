@@ -15,7 +15,7 @@
 //! rate category per branch) — the paper's data-type predictor captures
 //! exactly this cost cliff.
 
-use super::{ReversibleModel, SubstModel};
+use super::{MemoBudget, ReversibleModel, SubstModel};
 use crate::alphabet::{codon_amino_acid, codon_triplet, DataType};
 use crate::linalg::Matrix;
 
@@ -87,6 +87,12 @@ impl CodonModel {
     pub fn omega(&self) -> f64 {
         self.omega
     }
+
+    /// Move the `P(t)` memo onto a shared budget
+    /// ([`ReversibleModel::share_memo`]).
+    pub fn share_memo(&mut self, budget: &MemoBudget) {
+        self.inner.share_memo(budget);
+    }
 }
 
 impl SubstModel for CodonModel {
@@ -98,6 +104,9 @@ impl SubstModel for CodonModel {
     }
     fn transition_matrix(&self, t: f64) -> Matrix {
         self.inner.transition_matrix(t)
+    }
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        self.inner.transition_matrix_into(t, out)
     }
     fn name(&self) -> &str {
         &self.name

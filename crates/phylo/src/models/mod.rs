@@ -28,6 +28,7 @@ use crate::linalg::{sym_eigen, Matrix, SymEigen};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A time-reversible substitution process over some alphabet.
 pub trait SubstModel {
@@ -46,8 +47,75 @@ pub trait SubstModel {
     /// (expected substitutions per site).
     fn transition_matrix(&self, t: f64) -> Matrix;
 
+    /// [`SubstModel::transition_matrix`] written row-major into `out`
+    /// (`num_states²` entries): the form the likelihood kernel reads, with
+    /// no allocation when the matrix is memoized.
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        out.copy_from_slice(self.transition_matrix(t).as_slice());
+    }
+
     /// Short human-readable name (e.g. `"GTR"`).
     fn name(&self) -> &str;
+}
+
+/// Matrices the `P(t)` memos sharing one [`MemoBudget`] hold together before
+/// they are all cleared: 4,096 matrices, 122 MB at 61 codon states.
+const MEMO_CAPACITY: usize = 4096;
+
+/// One bounded `P(t)` memo shared by several models.
+///
+/// Entries are keyed by the owning model and the bits of `t`, so a model
+/// only ever reads its own matrices; the capacity bounds all of them
+/// together. Every model starts with a budget of its own;
+/// [`ReversibleModel::share_memo`] moves it onto a shared one, as a search
+/// does for the models of its live parameter sets. Dropping a model removes
+/// its entries.
+#[derive(Debug, Clone, Default)]
+pub struct MemoBudget(Arc<Mutex<MemoPool>>);
+
+#[derive(Debug, Default)]
+struct MemoPool {
+    next_id: u64,
+    entries: HashMap<(u64, u64), Matrix>,
+}
+
+impl MemoBudget {
+    /// A fresh id for a model joining this budget.
+    fn join(&self) -> u64 {
+        let mut pool = self.0.lock();
+        pool.next_id += 1;
+        pool.next_id
+    }
+
+    /// Drop every entry of model `id`.
+    fn leave(&self, id: u64) {
+        self.0.lock().entries.retain(|&(owner, _), _| owner != id);
+    }
+
+    /// Copy model `id`'s memoized `P(t)` into `out`; false if absent.
+    fn copy_out(&self, id: u64, t_bits: u64, out: &mut [f64]) -> bool {
+        match self.0.lock().entries.get(&(id, t_bits)) {
+            Some(p) => {
+                out.copy_from_slice(p.as_slice());
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn insert(&self, id: u64, t_bits: u64, p: Matrix) {
+        let mut pool = self.0.lock();
+        if pool.entries.len() >= MEMO_CAPACITY {
+            pool.entries.clear(); // bounded memory; searches revisit few lengths
+        }
+        pool.entries.insert((id, t_bits), p);
+    }
+
+    /// Matrices currently held across every model on this budget.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.0.lock().entries.len()
+    }
 }
 
 /// Shared engine for reversible models: diagonalize once, exponentiate per
@@ -56,9 +124,13 @@ pub trait SubstModel {
 /// Transition matrices are memoized per branch length: a GA search changes
 /// one branch per mutation, so almost every `P(t)` it asks for was already
 /// computed — the same observation that motivates BEAGLE's caching of
-/// likelihood intermediates (paper §II.A). The cache is bounded and
-/// thread-safe (cloning a cached matrix is far cheaper than re-assembling
-/// it from the eigensystem, especially at 61 codon states).
+/// likelihood intermediates (paper §II.A). The memo belongs to this model
+/// (another model never reads its matrices), but its size bound is a
+/// [`MemoBudget`] that a search shares among the models of all its live
+/// parameter sets, so several models together hold no more than one model
+/// may alone. It is thread-safe; a hit copies the matrix out, which is far
+/// cheaper than re-assembling it from the eigensystem, especially at 61
+/// codon states.
 #[derive(Debug)]
 pub struct ReversibleModel {
     data_type: DataType,
@@ -66,19 +138,29 @@ pub struct ReversibleModel {
     eigen: SymEigen,
     sqrt_pi: Vec<f64>,
     inv_sqrt_pi: Vec<f64>,
-    cache: Mutex<HashMap<u64, Matrix>>,
+    memo: MemoBudget,
+    memo_id: u64,
 }
 
 impl Clone for ReversibleModel {
+    /// A clone starts with an empty memo on a budget of its own.
     fn clone(&self) -> Self {
+        let memo = MemoBudget::default();
         ReversibleModel {
             data_type: self.data_type,
             freqs: self.freqs.clone(),
             eigen: self.eigen.clone(),
             sqrt_pi: self.sqrt_pi.clone(),
             inv_sqrt_pi: self.inv_sqrt_pi.clone(),
-            cache: Mutex::new(HashMap::new()),
+            memo_id: memo.join(),
+            memo,
         }
+    }
+}
+
+impl Drop for ReversibleModel {
+    fn drop(&mut self) {
+        self.memo.leave(self.memo_id);
     }
 }
 
@@ -133,13 +215,15 @@ impl ReversibleModel {
         let b = Matrix::from_fn(n, |i, j| sqrt_pi[i] * (q[(i, j)] / mu) * inv_sqrt_pi[j]);
         let eigen = sym_eigen(&b);
 
+        let memo = MemoBudget::default();
         ReversibleModel {
             data_type,
             freqs,
             eigen,
             sqrt_pi,
             inv_sqrt_pi,
-            cache: Mutex::new(HashMap::new()),
+            memo_id: memo.join(),
+            memo,
         }
     }
 
@@ -153,26 +237,65 @@ impl ReversibleModel {
         &self.freqs
     }
 
+    /// Move this model's memo onto `budget` (emptying it), so its matrices
+    /// count against the bound shared by every model on that budget.
+    pub fn share_memo(&mut self, budget: &MemoBudget) {
+        self.memo.leave(self.memo_id);
+        self.memo = budget.clone();
+        self.memo_id = budget.join();
+    }
+
     /// `P(t) = D^{-1/2} V e^{Λt} Vᵀ D^{1/2}`, entries clamped to `[0, 1]`,
     /// memoized per branch length.
     pub fn transition_matrix(&self, t: f64) -> Matrix {
-        assert!(t.is_finite() && t >= 0.0, "invalid branch length {t}");
-        {
-            let cache = self.cache.lock();
-            if let Some(p) = cache.get(&t.to_bits()) {
-                return p.clone();
-            }
-        }
-        let p = self.compute_transition_matrix(t);
-        let mut cache = self.cache.lock();
-        if cache.len() >= 4096 {
-            cache.clear(); // bounded memory; searches revisit few lengths
-        }
-        cache.insert(t.to_bits(), p.clone());
+        let mut p = Matrix::zeros(self.freqs.len());
+        self.transition_matrix_into(t, p.as_mut_slice());
         p
     }
 
+    /// [`ReversibleModel::transition_matrix`] written row-major into `out`.
+    ///
+    /// # Panics
+    /// Panics if `t` is negative or not finite, or `out` is not `n²` long.
+    pub fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        assert!(t.is_finite() && t >= 0.0, "invalid branch length {t}");
+        if self.memo.copy_out(self.memo_id, t.to_bits(), out) {
+            return;
+        }
+        let p = self.compute_transition_matrix(t);
+        out.copy_from_slice(p.as_slice());
+        self.memo.insert(self.memo_id, t.to_bits(), p);
+    }
+
+    /// Assemble `P(t)` from the eigensystem. Each entry sums
+    /// `(v_ik · e^{λ_k t}) · v_jk` over ascending `k`; the bracketed factor
+    /// `w_ik` does not depend on `j`, so it is formed once per `(i, k)`
+    /// rather than once per entry, leaving every term's bits as they were.
     fn compute_transition_matrix(&self, t: f64) -> Matrix {
+        let n = self.freqs.len();
+        let v = &self.eigen.vectors;
+        let exp_lam: Vec<f64> = self.eigen.values.iter().map(|l| (l * t).exp()).collect();
+        let w = Matrix::from_fn(n, |i, k| v[(i, k)] * exp_lam[k]);
+        let mut p = Matrix::zeros(n);
+        for i in 0..n {
+            let wi = w.row(i);
+            for j in 0..n {
+                let mut acc = 0.0;
+                for (a, b) in wi.iter().zip(v.row(j)) {
+                    acc += a * b;
+                }
+                let val = self.inv_sqrt_pi[i] * acc * self.sqrt_pi[j];
+                // Numerical noise can push entries slightly outside [0,1].
+                p[(i, j)] = val.clamp(0.0, 1.0);
+            }
+        }
+        p
+    }
+
+    /// The assembly loop as first written, one `v_ik · e^{λ_k t} · v_jk`
+    /// per term: the bit-for-bit reference for the hoisted form.
+    #[cfg(test)]
+    fn reference_transition_matrix(&self, t: f64) -> Matrix {
         let n = self.freqs.len();
         let v = &self.eigen.vectors;
         let exp_lam: Vec<f64> = self.eigen.values.iter().map(|l| (l * t).exp()).collect();
@@ -184,7 +307,6 @@ impl ReversibleModel {
                     acc += v[(i, k)] * exp_lam[k] * v[(j, k)];
                 }
                 let val = self.inv_sqrt_pi[i] * acc * self.sqrt_pi[j];
-                // Numerical noise can push entries slightly outside [0,1].
                 p[(i, j)] = val.clamp(0.0, 1.0);
             }
         }
@@ -488,6 +610,84 @@ mod tests {
             .num_categories(),
             5
         );
+    }
+
+    /// A random reversible model over `data_type`.
+    fn random_reversible(data_type: DataType, rng: &mut simkit::SimRng) -> ReversibleModel {
+        let n = data_type.num_states();
+        let mut s = Matrix::zeros(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let r = rng.range_f64(0.05, 4.0);
+                s[(i, j)] = r;
+                s[(j, i)] = r;
+            }
+        }
+        let f: Vec<f64> = (0..n).map(|_| rng.range_f64(0.2, 1.0)).collect();
+        let total: f64 = f.iter().sum();
+        ReversibleModel::new(data_type, &s, f.into_iter().map(|x| x / total).collect())
+    }
+
+    /// Hoisting `v_ik · e^{λ_k t}` out of the `j` loop leaves every entry
+    /// of `P(t)` bit-identical, at 4, 20 and 61 states.
+    #[test]
+    fn hoisted_assembly_matches_reference_bits() {
+        let mut rng = simkit::SimRng::new(61);
+        for dt in DataType::ALL {
+            let m = random_reversible(dt, &mut rng);
+            for step in 0..300 {
+                let t = match step {
+                    0 => 0.0,
+                    _ => rng.range_f64(0.0, 1.0).powi(3) * 8.0,
+                };
+                let got = m.compute_transition_matrix(t);
+                let want = m.reference_transition_matrix(t);
+                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{dt} at t = {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hits_return_the_computed_matrix() {
+        let m = random_reversible(DataType::AminoAcid, &mut simkit::SimRng::new(3));
+        let first = m.transition_matrix(0.37);
+        let mut out = vec![0.0; 400];
+        m.transition_matrix_into(0.37, &mut out);
+        assert_eq!(first.as_slice(), &out[..]);
+        assert_eq!(m.transition_matrix(0.37), m.compute_transition_matrix(0.37));
+    }
+
+    /// Models on one budget hold at most the cap between them, each reads
+    /// only its own matrices, and a dropped model takes its entries along.
+    #[test]
+    fn shared_budget_bounds_all_models_together() {
+        let mut rng = simkit::SimRng::new(4);
+        let budget = MemoBudget::default();
+        let mut a = random_reversible(DataType::Nucleotide, &mut rng);
+        let mut b = random_reversible(DataType::Nucleotide, &mut rng);
+        a.transition_matrix(0.5);
+        a.share_memo(&budget);
+        b.share_memo(&budget);
+        assert_eq!(budget.len(), 0, "joining a budget starts an empty memo");
+        // Same t, different models: two entries, each its own matrix.
+        assert_eq!(a.transition_matrix(0.1), a.compute_transition_matrix(0.1));
+        assert_eq!(b.transition_matrix(0.1), b.compute_transition_matrix(0.1));
+        assert_ne!(a.transition_matrix(0.1), b.transition_matrix(0.1));
+        assert_eq!(budget.len(), 2);
+        for i in 0..3000 {
+            a.transition_matrix(1.0 + i as f64);
+            b.transition_matrix(1.0 + i as f64);
+            assert!(budget.len() <= MEMO_CAPACITY);
+        }
+        let held = budget.len();
+        drop(a);
+        assert!(budget.len() < held && budget.len() <= held / 2 + 1);
+        let before = budget.len();
+        let c = b.clone();
+        c.transition_matrix(0.25);
+        assert_eq!(budget.len(), before, "a clone memoizes on its own budget");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (six exchangeabilities plus frequencies). GARLI's `ratematrix` setting
 //! picks among these — a mid-tier runtime predictor in the paper's Fig. 2.
 
-use super::{ReversibleModel, SubstModel};
+use super::{MemoBudget, ReversibleModel, SubstModel};
 use crate::alphabet::DataType;
 use crate::linalg::Matrix;
 use serde::{Deserialize, Serialize};
@@ -142,6 +142,12 @@ impl NucModel {
     pub fn rate_matrix(&self) -> RateMatrix {
         self.rate_matrix
     }
+
+    /// Move the `P(t)` memo onto a shared budget
+    /// ([`ReversibleModel::share_memo`]).
+    pub fn share_memo(&mut self, budget: &MemoBudget) {
+        self.inner.share_memo(budget);
+    }
 }
 
 impl SubstModel for NucModel {
@@ -153,6 +159,9 @@ impl SubstModel for NucModel {
     }
     fn transition_matrix(&self, t: f64) -> Matrix {
         self.inner.transition_matrix(t)
+    }
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        self.inner.transition_matrix_into(t, out)
     }
     fn name(&self) -> &str {
         &self.name

@@ -11,10 +11,16 @@ use crate::alphabet::State;
 use std::collections::HashMap;
 
 /// Compressed alignment columns: unique patterns plus multiplicities.
+///
+/// States are stored taxon-major — the states of one taxon across all
+/// patterns are contiguous — because that is the order the likelihood
+/// kernel reads a tip in.
 #[derive(Debug, Clone)]
 pub struct PatternSet {
-    /// `patterns[p][taxon]` — the state of `taxon` in pattern `p`.
-    patterns: Vec<Vec<State>>,
+    /// `states[taxon * num_patterns + p]` — the state of `taxon` in
+    /// pattern `p`.
+    states: Vec<State>,
+    num_taxa: usize,
     /// Multiplicity of each pattern (sums to the alignment length).
     weights: Vec<f64>,
     /// For each original site, its pattern index.
@@ -44,19 +50,25 @@ impl PatternSet {
                 }
             }
         }
+        drop(index); // its copy of every column goes before the table is built
         PatternSet {
-            patterns,
-            weights,
             site_to_pattern,
+            ..PatternSet::from_parts(patterns, weights)
         }
     }
 
-    /// Build directly from explicit patterns and weights (used by tests and
-    /// by bootstrap reweighting).
+    /// Build directly from explicit patterns (`patterns[p][taxon]`) and
+    /// weights (used by tests and by bootstrap reweighting).
     pub fn from_parts(patterns: Vec<Vec<State>>, weights: Vec<f64>) -> PatternSet {
         assert_eq!(patterns.len(), weights.len());
+        let num_taxa = patterns.first().map_or(0, Vec::len);
+        let mut states = Vec::with_capacity(num_taxa * patterns.len());
+        for taxon in 0..num_taxa {
+            states.extend(patterns.iter().map(|col| col[taxon]));
+        }
         PatternSet {
-            patterns,
+            states,
+            num_taxa,
             weights,
             site_to_pattern: Vec::new(),
         }
@@ -64,17 +76,23 @@ impl PatternSet {
 
     /// Number of distinct patterns.
     pub fn num_patterns(&self) -> usize {
-        self.patterns.len()
+        self.weights.len()
     }
 
     /// Number of taxa per pattern.
     pub fn num_taxa(&self) -> usize {
-        self.patterns.first().map_or(0, |p| p.len())
+        self.num_taxa
     }
 
     /// The state of `taxon` in pattern `p`.
     pub fn state(&self, p: usize, taxon: usize) -> State {
-        self.patterns[p][taxon]
+        self.taxon_states(taxon)[p]
+    }
+
+    /// The states of `taxon` in every pattern, in pattern order.
+    pub(crate) fn taxon_states(&self, taxon: usize) -> &[State] {
+        let npat = self.num_patterns();
+        &self.states[taxon * npat..(taxon + 1) * npat]
     }
 
     /// Pattern multiplicities.
@@ -95,9 +113,10 @@ impl PatternSet {
     /// A copy with new weights — the bootstrap trick: resampling columns
     /// only changes pattern multiplicities, never the pattern set.
     pub fn reweighted(&self, weights: Vec<f64>) -> PatternSet {
-        assert_eq!(weights.len(), self.patterns.len());
+        assert_eq!(weights.len(), self.num_patterns());
         PatternSet {
-            patterns: self.patterns.clone(),
+            states: self.states.clone(),
+            num_taxa: self.num_taxa,
             weights,
             site_to_pattern: self.site_to_pattern.clone(),
         }
@@ -153,6 +172,23 @@ mod tests {
         assert_eq!(q.num_patterns(), p.num_patterns());
         assert_eq!(q.total_weight(), 4.0);
         assert_eq!(q.weights(), &[1.0, 3.0]);
+    }
+
+    #[test]
+    fn taxon_states_follow_pattern_order() {
+        let a = aln(&[("a", "AAGA"), ("b", "CCTC"), ("c", "GG-G")]);
+        let p = PatternSet::compress(&a);
+        assert_eq!(p.num_patterns(), 2);
+        for taxon in 0..3 {
+            let row = p.taxon_states(taxon);
+            assert_eq!(row.len(), 2);
+            for (pat, &st) in row.iter().enumerate() {
+                assert_eq!(st, p.state(pat, taxon));
+            }
+        }
+        assert_eq!(p.state(1, 2), a.state(2, 2));
+        let parts = PatternSet::from_parts(vec![a.column(0), a.column(2)], vec![3.0, 1.0]);
+        assert_eq!(parts.taxon_states(1), p.taxon_states(1));
     }
 
     #[test]
