@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use garli::config::GarliConfig;
 use garli::search::Search;
-use phylo::models::nucleotide::NucModel;
+use phylo::models::nucleotide;
 use phylo::models::SiteRates;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -16,7 +16,7 @@ fn bench_search(c: &mut Criterion) {
 
     let mut rng = SimRng::new(11);
     let truth = Tree::random_topology(10, &mut rng);
-    let model = NucModel::jc69();
+    let model = nucleotide::jc69();
     let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 300, &mut rng);
 
     let mut config = GarliConfig::quick_nucleotide();

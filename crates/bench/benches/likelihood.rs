@@ -11,10 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use phylo::likelihood::{LikelihoodEngine, Workspace};
-use phylo::models::aminoacid::AaModel;
-use phylo::models::codon::CodonModel;
-use phylo::models::nucleotide::NucModel;
-use phylo::models::{SiteRates, SubstModel};
+use phylo::models::{aminoacid, codon, nucleotide, SiteRates, SubstModel};
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
 use simkit::SimRng;
@@ -64,7 +61,7 @@ fn bench_likelihood(c: &mut Criterion) {
     {
         let mut rng = SimRng::new(1);
         let tree = Tree::random_topology(16, &mut rng);
-        let model = NucModel::gtr([1.0, 2.0, 1.0, 1.0, 2.0, 1.0], [0.3, 0.2, 0.2, 0.3]);
+        let model = nucleotide::gtr([1.0, 2.0, 1.0, 1.0, 2.0, 1.0], [0.3, 0.2, 0.2, 0.3]);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 500, &mut rng);
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::gamma(4, 0.5));
         let cells = engine.evaluate(&tree).work;
@@ -79,7 +76,7 @@ fn bench_likelihood(c: &mut Criterion) {
     {
         let mut rng = SimRng::new(2);
         let tree = Tree::random_topology(12, &mut rng);
-        let model = AaModel::empirical();
+        let model = aminoacid::empirical();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 200, &mut rng);
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
         group.bench_function("aminoacid_empirical", |b| {
@@ -91,7 +88,7 @@ fn bench_likelihood(c: &mut Criterion) {
     {
         let mut rng = SimRng::new(3);
         let tree = Tree::random_topology(8, &mut rng);
-        let model = CodonModel::goldman_yang(2.0, 0.3);
+        let model = codon::goldman_yang(2.0, 0.3);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 60, &mut rng);
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
         group.bench_function("codon_gy94", |b| {
@@ -100,9 +97,9 @@ fn bench_likelihood(c: &mut Criterion) {
     }
 
     // portal-stream's largest study per data type.
-    let gtr = NucModel::gtr([1.0, 2.0, 1.0, 1.0, 2.0, 1.0], [0.3, 0.2, 0.2, 0.3]);
-    let aa = AaModel::empirical();
-    let gy = CodonModel::goldman_yang(2.0, 0.3);
+    let gtr = nucleotide::gtr([1.0, 2.0, 1.0, 1.0, 2.0, 1.0], [0.3, 0.2, 0.2, 0.3]);
+    let aa = aminoacid::empirical();
+    let gy = codon::goldman_yang(2.0, 0.3);
     portal_shape(
         &mut group,
         "portal_nucleotide_g4_64x3000",

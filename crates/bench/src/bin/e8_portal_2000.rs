@@ -15,7 +15,7 @@ use garli::config::GarliConfig;
 use lattice::pipeline::{run_campaign, CampaignOptions};
 use lattice::system::observed_grid;
 use lattice::training::Scale;
-use phylo::models::nucleotide::NucModel;
+use phylo::models::nucleotide;
 use phylo::models::SiteRates;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -41,7 +41,7 @@ fn main() {
     // The user's dataset and form choices.
     let mut rng = SimRng::new(seed ^ 0xE8);
     let truth = Tree::random_topology(12, &mut rng);
-    let model = NucModel::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
+    let model = nucleotide::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
     let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 400, &mut rng);
     let mut config = GarliConfig::default();
     config.rate_het = garli::config::RateHetKind::Gamma;

@@ -33,12 +33,12 @@
 //! use garli::search::Search;
 //! use phylo::Tree;
 //! use phylo::models::SiteRates;
-//! use phylo::models::nucleotide::NucModel;
+//! use phylo::models::nucleotide;
 //! use phylo::simulate::Simulator;
 //!
 //! let mut rng = simkit::SimRng::new(42);
 //! let truth = Tree::random_topology(8, &mut rng);
-//! let model = NucModel::jc69();
+//! let model = nucleotide::jc69();
 //! let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 300, &mut rng);
 //!
 //! let config = GarliConfig::quick_nucleotide();

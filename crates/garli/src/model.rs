@@ -3,18 +3,15 @@
 //!
 //! The GA mutates [`ModelParams`] (κ, ω, α, p-inv, and free frequencies when
 //! `statefrequencies = estimate`); [`build_model`] turns the current values
-//! into a ready-to-evaluate [`AnyModel`]. Rebuilding involves an
+//! into a ready-to-evaluate [`ReversibleModel`]. Rebuilding involves an
 //! eigendecomposition, which is why model mutations are deliberately rare in
 //! the operator mix — exactly GARLI's trade-off.
 
 use crate::config::{GarliConfig, StateFrequencies};
 use phylo::alignment::Alignment;
 use phylo::alphabet::DataType;
-use phylo::linalg::Matrix;
-use phylo::models::aminoacid::AaModel;
-use phylo::models::codon::CodonModel;
-use phylo::models::nucleotide::{NucModel, RateMatrix};
-use phylo::models::{MemoBudget, SiteRates, SubstModel};
+use phylo::models::nucleotide::RateMatrix;
+use phylo::models::{aminoacid, codon, nucleotide, ReversibleModel, SiteRates};
 use serde::{Deserialize, Serialize};
 
 /// The free model parameters a search can move.
@@ -52,67 +49,6 @@ impl ModelParams {
     }
 }
 
-/// A concrete model of any family, usable by the likelihood engine.
-#[derive(Debug, Clone)]
-pub enum AnyModel {
-    /// 4-state nucleotide model.
-    Nuc(NucModel),
-    /// 20-state amino-acid model.
-    Aa(AaModel),
-    /// 61-state codon model.
-    Codon(CodonModel),
-}
-
-impl AnyModel {
-    /// Move the model's `P(t)` memo onto a budget shared with other models
-    /// ([`phylo::models::ReversibleModel::share_memo`]).
-    pub fn share_memo(&mut self, budget: &MemoBudget) {
-        match self {
-            AnyModel::Nuc(m) => m.share_memo(budget),
-            AnyModel::Aa(m) => m.share_memo(budget),
-            AnyModel::Codon(m) => m.share_memo(budget),
-        }
-    }
-}
-
-impl SubstModel for AnyModel {
-    fn data_type(&self) -> DataType {
-        match self {
-            AnyModel::Nuc(m) => m.data_type(),
-            AnyModel::Aa(m) => m.data_type(),
-            AnyModel::Codon(m) => m.data_type(),
-        }
-    }
-    fn frequencies(&self) -> &[f64] {
-        match self {
-            AnyModel::Nuc(m) => m.frequencies(),
-            AnyModel::Aa(m) => m.frequencies(),
-            AnyModel::Codon(m) => m.frequencies(),
-        }
-    }
-    fn transition_matrix(&self, t: f64) -> Matrix {
-        match self {
-            AnyModel::Nuc(m) => m.transition_matrix(t),
-            AnyModel::Aa(m) => m.transition_matrix(t),
-            AnyModel::Codon(m) => m.transition_matrix(t),
-        }
-    }
-    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
-        match self {
-            AnyModel::Nuc(m) => m.transition_matrix_into(t, out),
-            AnyModel::Aa(m) => m.transition_matrix_into(t, out),
-            AnyModel::Codon(m) => m.transition_matrix_into(t, out),
-        }
-    }
-    fn name(&self) -> &str {
-        match self {
-            AnyModel::Nuc(m) => m.name(),
-            AnyModel::Aa(m) => m.name(),
-            AnyModel::Codon(m) => m.name(),
-        }
-    }
-}
-
 /// Observed state frequencies with a +1 pseudocount per state (so zero
 /// counts never zero out the likelihood).
 pub fn empirical_frequencies(alignment: &Alignment) -> Vec<f64> {
@@ -132,41 +68,41 @@ pub fn empirical_frequencies(alignment: &Alignment) -> Vec<f64> {
 /// Assemble the concrete model for the current parameter values.
 ///
 /// # Panics
-/// Panics if `params.free_frequencies` is non-empty but the wrong length.
-pub fn build_model(config: &GarliConfig, params: &ModelParams, alignment: &Alignment) -> AnyModel {
-    let ns = config.data_type.num_states();
-    let freqs: Vec<f64> = if !params.free_frequencies.is_empty() {
-        assert_eq!(params.free_frequencies.len(), ns, "frequency vector length");
-        params.free_frequencies.clone()
-    } else {
-        match config.state_frequencies {
-            StateFrequencies::Equal => vec![1.0 / ns as f64; ns],
-            StateFrequencies::Empirical | StateFrequencies::Estimate => {
-                empirical_frequencies(alignment)
-            }
-        }
-    };
+/// Panics if `params.free_frequencies` is non-empty but not four long on
+/// nucleotide data.
+pub fn build_model(
+    config: &GarliConfig,
+    params: &ModelParams,
+    alignment: &Alignment,
+) -> ReversibleModel {
     match config.data_type {
         DataType::Nucleotide => {
-            let freqs4 = [freqs[0], freqs[1], freqs[2], freqs[3]];
-            let m = match config.rate_matrix {
-                RateMatrix::Jc => NucModel::jc69(),
-                RateMatrix::K80 => NucModel::k80(params.kappa),
-                RateMatrix::Hky85 => NucModel::hky85(params.kappa, freqs4),
-                RateMatrix::Gtr => NucModel::gtr(params.gtr_rates, freqs4),
+            let freqs = if !params.free_frequencies.is_empty() {
+                assert_eq!(params.free_frequencies.len(), 4, "frequency vector length");
+                params.free_frequencies.clone()
+            } else {
+                match config.state_frequencies {
+                    StateFrequencies::Equal => vec![0.25; 4],
+                    StateFrequencies::Empirical | StateFrequencies::Estimate => {
+                        empirical_frequencies(alignment)
+                    }
+                }
             };
-            AnyModel::Nuc(m)
+            let freqs = [freqs[0], freqs[1], freqs[2], freqs[3]];
+            match config.rate_matrix {
+                RateMatrix::Jc => nucleotide::jc69(),
+                RateMatrix::K80 => nucleotide::k80(params.kappa),
+                RateMatrix::Hky85 => nucleotide::hky85(params.kappa, freqs),
+                RateMatrix::Gtr => nucleotide::gtr(params.gtr_rates, freqs),
+            }
         }
-        DataType::AminoAcid => {
-            // Frequencies are baked into the fixed empirical matrix (as in
-            // GARLI's empirical AA models); `Equal` selects Poisson.
-            let m = match config.state_frequencies {
-                StateFrequencies::Equal => AaModel::poisson(),
-                _ => AaModel::empirical(),
-            };
-            AnyModel::Aa(m)
-        }
-        DataType::Codon => AnyModel::Codon(CodonModel::goldman_yang(params.kappa, params.omega)),
+        // Frequencies are baked into the fixed empirical matrix (as in
+        // GARLI's empirical AA models); `Equal` selects Poisson.
+        DataType::AminoAcid => match config.state_frequencies {
+            StateFrequencies::Equal => aminoacid::poisson(),
+            _ => aminoacid::empirical(),
+        },
+        DataType::Codon => codon::goldman_yang(params.kappa, params.omega),
     }
 }
 
@@ -187,6 +123,7 @@ pub fn build_rates(config: &GarliConfig, params: &ModelParams) -> SiteRates {
 mod tests {
     use super::*;
     use crate::config::RateHetKind;
+    use phylo::models::SubstModel;
     use phylo::sequence::Sequence;
 
     fn nuc_aln() -> Alignment {
@@ -220,21 +157,24 @@ mod tests {
         let aln = nuc_aln();
         let mut c = GarliConfig::quick_nucleotide();
         let p = ModelParams::from_config(&c);
-        assert!(matches!(build_model(&c, &p, &aln), AnyModel::Nuc(_)));
+        assert_eq!(build_model(&c, &p, &aln).data_type(), DataType::Nucleotide);
         c.data_type = DataType::AminoAcid;
         let aa_aln = Alignment::new(vec![
             Sequence::from_text("a", DataType::AminoAcid, "ARND").unwrap(),
             Sequence::from_text("b", DataType::AminoAcid, "ARNE").unwrap(),
         ])
         .unwrap();
-        assert!(matches!(build_model(&c, &p, &aa_aln), AnyModel::Aa(_)));
+        assert_eq!(
+            build_model(&c, &p, &aa_aln).data_type(),
+            DataType::AminoAcid
+        );
         c.data_type = DataType::Codon;
         let cod_aln = Alignment::new(vec![
             Sequence::from_text("a", DataType::Codon, "ATGGCT").unwrap(),
             Sequence::from_text("b", DataType::Codon, "ATGGCG").unwrap(),
         ])
         .unwrap();
-        assert!(matches!(build_model(&c, &p, &cod_aln), AnyModel::Codon(_)));
+        assert_eq!(build_model(&c, &p, &cod_aln).data_type(), DataType::Codon);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 
 use crate::config::GarliConfig;
 use crate::individual::{sort_best_first, Individual};
-use crate::model::{build_model, build_rates, AnyModel, ModelParams};
+use crate::model::{build_model, build_rates, ModelParams};
 use crate::mutation::{mutate, MutationWeights};
 use crate::validate::{validate, ValidationError};
 use crate::work::WorkAccount;
 use phylo::alignment::Alignment;
-use phylo::likelihood::evaluate_patterns;
-use phylo::models::SiteRates;
+use phylo::likelihood::Workspace;
+use phylo::models::{ReversibleModel, SiteRates};
 use phylo::patterns::PatternSet;
 use phylo::tree::Tree;
 use simkit::SimRng;
@@ -71,7 +71,7 @@ impl std::error::Error for PartitionError {}
 #[derive(Debug)]
 struct Block {
     patterns: PatternSet,
-    model: AnyModel,
+    model: ReversibleModel,
     rates: SiteRates,
 }
 
@@ -124,12 +124,20 @@ impl PartitionedEngine {
         self.num_taxa
     }
 
-    /// Joint log-likelihood of `tree` (sum over blocks) plus total work.
+    /// Joint log-likelihood of `tree` (sum over blocks) plus total work, in
+    /// fresh workspaces.
     pub fn evaluate(&self, tree: &Tree) -> (f64, u64) {
+        self.evaluate_in(&mut Vec::new(), tree)
+    }
+
+    /// [`PartitionedEngine::evaluate`] in `workspaces`, one per block
+    /// (missing ones are added).
+    fn evaluate_in(&self, workspaces: &mut Vec<Workspace>, tree: &Tree) -> (f64, u64) {
+        workspaces.resize_with(self.blocks.len(), Workspace::new);
         let mut lnl = 0.0;
         let mut work = 0;
-        for b in &self.blocks {
-            let ev = evaluate_patterns(&b.patterns, &b.model, &b.rates, tree);
+        for (b, ws) in self.blocks.iter().zip(workspaces.iter_mut()) {
+            let ev = ws.evaluate(&b.patterns, &b.model, &b.rates, tree);
             lnl += ev.log_likelihood;
             work += ev.work;
         }
@@ -151,6 +159,9 @@ impl PartitionedEngine {
             ..MutationWeights::default()
         };
         let params = ModelParams::from_config(driver);
+        // One workspace per block for the whole run: after the first
+        // evaluation the kernel allocates no CLVs.
+        let mut workspaces = Vec::new();
         let mut work = WorkAccount::new();
         let mut population: Vec<Individual> = Vec::new();
         for i in 0..driver.population_size {
@@ -158,7 +169,7 @@ impl PartitionedEngine {
             for _ in 0..i.min(3) {
                 mutate(&mut ind, driver, &weights, rng);
             }
-            let (lnl, w) = self.evaluate(&ind.tree);
+            let (lnl, w) = self.evaluate_in(&mut workspaces, &ind.tree);
             ind.log_likelihood = lnl;
             work.add(w);
             population.push(ind);
@@ -179,7 +190,7 @@ impl PartitionedEngine {
                 let parent = rng.weighted_index(&rank_weights);
                 let mut child = population[parent].clone();
                 let kind = mutate(&mut child, driver, &weights, rng);
-                let (lnl, w) = self.evaluate(&child.tree);
+                let (lnl, w) = self.evaluate_in(&mut workspaces, &child.tree);
                 child.log_likelihood = lnl;
                 work.add(w);
                 if kind.is_topological() && lnl > prev_best + 0.01 {
@@ -223,8 +234,8 @@ pub struct PartitionedResult {
 mod tests {
     use super::*;
     use phylo::alphabet::DataType;
-    use phylo::models::aminoacid::AaModel;
-    use phylo::models::nucleotide::NucModel;
+    use phylo::likelihood::evaluate_patterns;
+    use phylo::models::{aminoacid, nucleotide};
     use phylo::simulate::Simulator;
 
     /// Two blocks simulated on the SAME tree: a nucleotide block and an
@@ -232,8 +243,8 @@ mod tests {
     fn two_block_data(seed: u64) -> (Vec<Partition>, Tree) {
         let mut rng = SimRng::new(seed);
         let truth = Tree::random_topology(6, &mut rng);
-        let nuc = NucModel::jc69();
-        let aa = AaModel::poisson();
+        let nuc = nucleotide::jc69();
+        let aa = aminoacid::poisson();
         let aln_nuc = Simulator::new(&nuc, SiteRates::uniform()).simulate(&truth, 400, &mut rng);
         let aln_aa = Simulator::new(&aa, SiteRates::uniform()).simulate(&truth, 150, &mut rng);
         let mut c_nuc = GarliConfig::quick_nucleotide();
@@ -291,13 +302,31 @@ mod tests {
         assert!(result.work.cells() > 0);
     }
 
+    /// Best log-likelihood bits, generations and work cells of the
+    /// `two_block_data(502)` search, captured while the search still scored
+    /// every block in a fresh workspace.
+    #[test]
+    fn partitioned_search_matches_its_pin() {
+        let (parts, _) = two_block_data(502);
+        let engine = PartitionedEngine::new(&parts).unwrap();
+        let mut rng = SimRng::new(503);
+        let start = phylo::distance::nj_tree(&parts[0].alignment);
+        let result = engine.search(&parts[0].config, start, &mut rng);
+        let got = (
+            result.best_log_likelihood.to_bits(),
+            result.generations,
+            result.work.cells(),
+        );
+        assert_eq!(got, (13881712772472798632, 6, 3084576));
+    }
+
     #[test]
     fn mismatched_taxa_rejected() {
         let (mut parts, _) = two_block_data(504);
         // Break block 1's taxon set by regenerating with a different size.
         let mut rng = SimRng::new(505);
         let other = Tree::random_topology(7, &mut rng);
-        let aa = AaModel::poisson();
+        let aa = aminoacid::poisson();
         parts[1].alignment =
             Simulator::new(&aa, SiteRates::uniform()).simulate(&other, 50, &mut rng);
         let err = PartitionedEngine::new(&parts).unwrap_err();

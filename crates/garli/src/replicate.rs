@@ -90,7 +90,7 @@ pub fn summarize(results: &[SearchResult]) -> ReplicateSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::models::nucleotide::NucModel;
+    use phylo::models::nucleotide;
     use phylo::models::SiteRates;
     use phylo::simulate::Simulator;
     use phylo::tree::Tree;
@@ -98,7 +98,7 @@ mod tests {
     fn aln(seed: u64) -> Alignment {
         let mut rng = SimRng::new(seed);
         let truth = Tree::random_topology(6, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 300, &mut rng)
     }
 

@@ -10,14 +10,14 @@
 use crate::checkpoint::SearchCheckpoint;
 use crate::config::{GarliConfig, StartingTree};
 use crate::individual::{sort_best_first, Individual};
-use crate::model::{build_model, build_rates, AnyModel, ModelParams};
+use crate::model::{build_model, build_rates, ModelParams};
 use crate::mutation::{mutate, MutationKind, MutationWeights};
 use crate::progress::Progress;
 use crate::validate::{validate, ValidationError, ValidationReport};
 use crate::work::WorkAccount;
 use phylo::alignment::Alignment;
 use phylo::likelihood::{Evaluation, Workspace};
-use phylo::models::{MemoBudget, SiteRates};
+use phylo::models::{MemoBudget, ReversibleModel, SiteRates};
 use phylo::patterns::PatternSet;
 use phylo::tree::Tree;
 use serde::{Deserialize, Serialize};
@@ -101,7 +101,7 @@ struct ModelStore {
 
 struct StoreEntry {
     params: ModelParams,
-    model: AnyModel,
+    model: ReversibleModel,
     rates: SiteRates,
 }
 
@@ -403,13 +403,13 @@ impl Search {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::models::nucleotide::NucModel;
+    use phylo::models::nucleotide;
     use phylo::simulate::Simulator;
 
     fn simulated(n: usize, sites: usize, seed: u64) -> (Alignment, Tree) {
         let mut rng = SimRng::new(seed);
         let truth = Tree::random_topology(n, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, sites, &mut rng);
         (aln, truth)
     }
@@ -438,7 +438,7 @@ mod tests {
         // Score a random tree for comparison.
         let mut r2 = SimRng::new(85);
         let random_tree = Tree::random_topology(8, &mut r2);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let engine = phylo::likelihood::LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
         let random_lnl = engine.log_likelihood(&random_tree);
         let result = search.run(&mut rng);

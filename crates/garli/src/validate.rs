@@ -260,7 +260,7 @@ mod tests {
     fn aln(n: usize, len: usize) -> Alignment {
         let mut rng = simkit::SimRng::new(71);
         let tree = phylo::tree::Tree::random_topology(n, &mut rng);
-        let model = phylo::models::nucleotide::NucModel::jc69();
+        let model = phylo::models::nucleotide::jc69();
         phylo::simulate::Simulator::new(&model, phylo::models::SiteRates::uniform())
             .simulate(&tree, len, &mut rng)
     }

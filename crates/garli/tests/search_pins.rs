@@ -11,10 +11,8 @@ use garli::replicate::run_replicate;
 use garli::search::{Search, SearchResult};
 use phylo::alignment::Alignment;
 use phylo::alphabet::{DataType, State};
-use phylo::models::aminoacid::AaModel;
-use phylo::models::codon::CodonModel;
-use phylo::models::nucleotide::{NucModel, RateMatrix};
-use phylo::models::{SiteRates, SubstModel};
+use phylo::models::nucleotide::RateMatrix;
+use phylo::models::{aminoacid, codon, nucleotide, SiteRates, SubstModel};
 use phylo::sequence::Sequence;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -45,7 +43,7 @@ fn simulate<M: SubstModel>(
 /// Nucleotide data with gaps plus IUPAC R (A|G) and Y (C|T) codes sprinkled
 /// over the taxa, so the search scores ambiguous tips on every edge.
 fn nucleotide_with_ambiguity(seed: u64) -> Alignment {
-    let model = NucModel::gtr([1.1, 3.2, 0.8, 1.3, 2.9, 1.0], [0.32, 0.18, 0.21, 0.29]);
+    let model = nucleotide::gtr([1.1, 3.2, 0.8, 1.3, 2.9, 1.0], [0.32, 0.18, 0.21, 0.29]);
     let aln = simulate(&model, 9, 240, 0.04, seed);
     let seqs = aln
         .sequences()
@@ -94,7 +92,7 @@ fn nucleotide_gtr_gamma_inv_estimated_frequencies_matches_its_pin() {
 
 #[test]
 fn amino_acid_gamma_matches_its_pin() {
-    let aln = simulate(&AaModel::empirical(), 7, 90, 0.02, 511);
+    let aln = simulate(&aminoacid::empirical(), 7, 90, 0.02, 511);
     let config = GarliConfig {
         data_type: DataType::AminoAcid,
         state_frequencies: StateFrequencies::Empirical,
@@ -109,7 +107,7 @@ fn amino_acid_gamma_matches_its_pin() {
 
 #[test]
 fn codon_gamma_with_kappa_omega_moves_matches_its_pin() {
-    let aln = simulate(&CodonModel::goldman_yang(2.5, 0.4), 6, 36, 0.0, 521);
+    let aln = simulate(&codon::goldman_yang(2.5, 0.4), 6, 36, 0.0, 521);
     let config = GarliConfig {
         data_type: DataType::Codon,
         state_frequencies: StateFrequencies::Equal,
@@ -125,7 +123,7 @@ fn codon_gamma_with_kappa_omega_moves_matches_its_pin() {
 
 #[test]
 fn random_starting_tree_matches_its_pin() {
-    let model = NucModel::hky85(3.0, [0.3, 0.2, 0.2, 0.3]);
+    let model = nucleotide::hky85(3.0, [0.3, 0.2, 0.2, 0.3]);
     let aln = simulate(&model, 10, 200, 0.0, 531);
     let config = GarliConfig {
         rate_matrix: RateMatrix::Hky85,
@@ -143,7 +141,7 @@ fn random_starting_tree_matches_its_pin() {
 
 #[test]
 fn bootstrap_replicate_matches_its_pin() {
-    let model = NucModel::k80(2.0);
+    let model = nucleotide::k80(2.0);
     let aln = simulate(&model, 8, 180, 0.0, 541);
     let config = GarliConfig {
         rate_matrix: RateMatrix::K80,

@@ -303,7 +303,7 @@ mod tests {
     use crate::training::{generate_training_jobs, Scale};
     use garli::config::GarliConfig;
     use gridsim::resource::{ResourceKind, ResourceSpec};
-    use phylo::models::nucleotide::NucModel;
+    use phylo::models::nucleotide;
     use phylo::models::SiteRates;
     use phylo::simulate::Simulator;
     use phylo::tree::Tree;
@@ -312,7 +312,7 @@ mod tests {
     fn submission(reps: usize, bootstrap: bool) -> Submission {
         let mut rng = SimRng::new(211);
         let tree = Tree::random_topology(6, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 200, &mut rng);
         let mut config = GarliConfig::quick_nucleotide();
         config.genthresh_for_topo_term = 5;

@@ -193,7 +193,7 @@ mod tests {
     fn extraction_from_config_and_report() {
         let mut rng = simkit::SimRng::new(171);
         let tree = phylo::tree::Tree::random_topology(7, &mut rng);
-        let model = phylo::models::nucleotide::NucModel::jc69();
+        let model = phylo::models::nucleotide::jc69();
         let aln = phylo::simulate::Simulator::new(&model, phylo::models::SiteRates::uniform())
             .simulate(&tree, 250, &mut rng);
         let config = GarliConfig::quick_nucleotide();

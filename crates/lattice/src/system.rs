@@ -177,7 +177,7 @@ impl LatticeSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::models::nucleotide::NucModel;
+    use phylo::models::nucleotide;
     use phylo::models::SiteRates;
     use phylo::simulate::Simulator;
     use phylo::tree::Tree;
@@ -200,7 +200,7 @@ mod tests {
     fn quick_submission_parts() -> (GarliConfig, Alignment) {
         let mut rng = SimRng::new(223);
         let tree = Tree::random_topology(6, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 150, &mut rng);
         let mut config = GarliConfig::quick_nucleotide();
         config.genthresh_for_topo_term = 4;

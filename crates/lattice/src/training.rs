@@ -30,10 +30,8 @@ use garli::config::{GarliConfig, RateHetKind, StartingTree, StateFrequencies};
 use garli::search::Search;
 use phylo::alignment::Alignment;
 use phylo::alphabet::DataType;
-use phylo::models::aminoacid::AaModel;
-use phylo::models::codon::CodonModel;
-use phylo::models::nucleotide::{NucModel, RateMatrix};
-use phylo::models::SiteRates;
+use phylo::models::nucleotide::RateMatrix;
+use phylo::models::{aminoacid, codon, nucleotide, SiteRates};
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
 use rayon::prelude::*;
@@ -76,15 +74,15 @@ pub fn dataset_library(scale: Scale) -> &'static [(DataType, Alignment)] {
                 let truth = Tree::random_topology(taxa, &mut rng);
                 let aln = match dt {
                     DataType::Nucleotide => {
-                        let m = NucModel::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
+                        let m = nucleotide::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
                         Simulator::new(&m, SiteRates::uniform()).simulate(&truth, sites, &mut rng)
                     }
                     DataType::AminoAcid => {
-                        let m = AaModel::empirical();
+                        let m = aminoacid::empirical();
                         Simulator::new(&m, SiteRates::uniform()).simulate(&truth, sites, &mut rng)
                     }
                     DataType::Codon => {
-                        let m = CodonModel::goldman_yang(2.0, 0.3);
+                        let m = codon::goldman_yang(2.0, 0.3);
                         Simulator::new(&m, SiteRates::uniform()).simulate(&truth, sites, &mut rng)
                     }
                 };
@@ -272,7 +270,7 @@ mod tests {
         // Same data/seed, different ncat: more categories = more work.
         let mut rng = SimRng::new(183);
         let truth = Tree::random_topology(7, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 150, &mut rng);
         let run = |rate_het: RateHetKind, ncat: usize| {
             let mut config = GarliConfig::quick_nucleotide();

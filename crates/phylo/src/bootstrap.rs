@@ -64,14 +64,14 @@ pub fn support_on_tree(reference: &Tree, replicates: &[Tree]) -> Vec<(Split, f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::nucleotide::NucModel;
+    use crate::models::nucleotide;
     use crate::models::SiteRates;
     use crate::simulate::Simulator;
 
     #[test]
     fn bootstrap_alignment_preserves_shape() {
         let mut rng = SimRng::new(51);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let tree = Tree::random_topology(6, &mut rng);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 80, &mut rng);
         let b = bootstrap_alignment(&aln, &mut rng);
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn bootstrap_patterns_preserves_total_weight() {
         let mut rng = SimRng::new(52);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let tree = Tree::random_topology(6, &mut rng);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 200, &mut rng);
         let p = PatternSet::compress(&aln);
@@ -121,7 +121,7 @@ mod tests {
         // Simulate lots of data on a tree: its splits should get near-full
         // support from NJ trees on bootstrap replicates.
         let mut rng = SimRng::new(55);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let truth = Tree::random_topology(6, &mut rng);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 2000, &mut rng);
         let reps: Vec<Tree> = (0..20)

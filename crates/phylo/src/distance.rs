@@ -152,7 +152,7 @@ pub fn nj_tree(alignment: &Alignment) -> Tree {
 mod tests {
     use super::*;
     use crate::alphabet::DataType;
-    use crate::models::nucleotide::NucModel;
+    use crate::models::nucleotide;
     use crate::models::SiteRates;
     use crate::sequence::Sequence;
     use crate::simulate::Simulator;
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn nj_recovers_simulated_topology() {
         let mut rng = SimRng::new(31);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let truth = Tree::random_topology(8, &mut rng);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 3000, &mut rng);
         let nj = nj_tree(&aln);

@@ -18,14 +18,14 @@
 //! ```
 //! use phylo::simulate::Simulator;
 //! use phylo::tree::Tree;
-//! use phylo::models::nucleotide::NucModel;
+//! use phylo::models::nucleotide;
 //! use phylo::models::SiteRates;
 //! use phylo::likelihood::LikelihoodEngine;
 //!
 //! // Simulate a 6-taxon nucleotide alignment and score the true tree.
 //! let mut rng = simkit::SimRng::new(7);
 //! let tree = Tree::random_topology(6, &mut rng);
-//! let model = NucModel::jc69();
+//! let model = nucleotide::jc69();
 //! let aln = Simulator::new(&model, SiteRates::uniform())
 //!     .simulate(&tree, 200, &mut rng);
 //! let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());

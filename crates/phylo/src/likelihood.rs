@@ -676,9 +676,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::alphabet::DataType;
-    use crate::models::aminoacid::AaModel;
-    use crate::models::codon::CodonModel;
-    use crate::models::nucleotide::NucModel;
+    use crate::models::{aminoacid, codon, nucleotide};
     use crate::sequence::Sequence;
 
     fn two_taxon_tree(t1: f64, t2: f64) -> Tree {
@@ -705,7 +703,7 @@ mod tests {
         let t = 0.35;
         let tree = two_taxon_tree(t, 0.0);
         let aln = nuc_aln(&[("a", "AAC"), ("b", "AGC")]); // 2 matches, 1 mismatch
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
         let lnl = engine.log_likelihood(&tree);
         let e = (-4.0 * t / 3.0f64).exp();
@@ -720,7 +718,7 @@ mod tests {
     #[test]
     fn two_taxon_path_length_invariance() {
         let aln = nuc_aln(&[("a", "ACGTAC"), ("b", "ACGTAA")]);
-        let model = NucModel::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
+        let model = nucleotide::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
         let e1 = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
         let l1 = e1.log_likelihood(&two_taxon_tree(0.3, 0.0));
         let l2 = e1.log_likelihood(&two_taxon_tree(0.1, 0.2));
@@ -729,7 +727,7 @@ mod tests {
 
     #[test]
     fn all_missing_column_contributes_zero() {
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let with_gap = nuc_aln(&[("a", "AC-"), ("b", "AG-")]);
         let without = nuc_aln(&[("a", "AC"), ("b", "AG")]);
         let tree = two_taxon_tree(0.2, 0.0);
@@ -744,7 +742,7 @@ mod tests {
     fn gamma_one_category_equals_uniform() {
         let mut rng = simkit::SimRng::new(12);
         let tree = Tree::random_topology(6, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = crate::simulate::Simulator::new(&model, SiteRates::uniform())
             .simulate(&tree, 100, &mut rng);
         let lu = LikelihoodEngine::new(&aln, &model, SiteRates::uniform()).log_likelihood(&tree);
@@ -756,7 +754,7 @@ mod tests {
     #[test]
     fn rate_heterogeneity_changes_likelihood() {
         let aln = nuc_aln(&[("a", "ACGTACGTAC"), ("b", "ACGAACGAAC")]);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let tree = two_taxon_tree(0.3, 0.0);
         let lu = LikelihoodEngine::new(&aln, &model, SiteRates::uniform()).log_likelihood(&tree);
         let lg =
@@ -771,7 +769,7 @@ mod tests {
     fn work_scales_with_rate_categories() {
         let mut rng = simkit::SimRng::new(13);
         let tree = Tree::random_topology(8, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = crate::simulate::Simulator::new(&model, SiteRates::uniform())
             .simulate(&tree, 300, &mut rng);
         let e1 = LikelihoodEngine::new(&aln, &model, SiteRates::uniform()).evaluate(&tree);
@@ -790,8 +788,8 @@ mod tests {
         // linear in states, so the overall ratio sits between 5 and 25).
         let mut rng = simkit::SimRng::new(14);
         let tree = Tree::random_topology(10, &mut rng);
-        let nuc = NucModel::jc69();
-        let aa = AaModel::poisson();
+        let nuc = nucleotide::jc69();
+        let aa = aminoacid::poisson();
         let aln_n = crate::simulate::Simulator::new(&nuc, SiteRates::uniform())
             .simulate(&tree, 100, &mut rng);
         let aln_a = crate::simulate::Simulator::new(&aa, SiteRates::uniform())
@@ -822,7 +820,7 @@ mod tests {
         let t = 0.4;
         let tree = two_taxon_tree(t, 0.0);
         let aln = nuc_aln(&[("a", "AG"), ("b", "AC")]); // one match, one mismatch
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::invariant(pinv));
         let lnl = engine.log_likelihood(&tree);
         let e = (-4.0 * (t / (1.0 - pinv)) / 3.0f64).exp();
@@ -836,7 +834,7 @@ mod tests {
     fn work_counter_is_deterministic_across_calls() {
         let mut rng = simkit::SimRng::new(16);
         let tree = Tree::random_topology(9, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = crate::simulate::Simulator::new(&model, SiteRates::uniform())
             .simulate(&tree, 120, &mut rng);
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::gamma(4, 0.7));
@@ -853,7 +851,7 @@ mod tests {
             Sequence::from_text("b", DataType::Codon, "ATGGCGAAAGCT").unwrap(),
         ])
         .unwrap();
-        let model = CodonModel::goldman_yang(2.0, 0.5);
+        let model = codon::goldman_yang(2.0, 0.5);
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
         let lnl = engine.log_likelihood(&two_taxon_tree(0.1, 0.0));
         assert!(lnl.is_finite() && lnl < 0.0);
@@ -865,7 +863,7 @@ mod tests {
         // underflow f64 without scaling.
         let mut rng = simkit::SimRng::new(15);
         let tree = Tree::caterpillar(60, 0.4);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = crate::simulate::Simulator::new(&model, SiteRates::uniform())
             .simulate(&tree, 50, &mut rng);
         let lnl = LikelihoodEngine::new(&aln, &model, SiteRates::uniform()).log_likelihood(&tree);
@@ -976,21 +974,21 @@ mod tests {
                     r.iter_mut().for_each(|x| *x = rng.range_f64(0.2, 5.0));
                     let f: Vec<f64> = (0..4).map(|_| rng.range_f64(0.1, 1.0)).collect();
                     let total: f64 = f.iter().sum();
-                    let model = NucModel::gtr(r, [f[0] / total, f[1] / total, f[2] / total, f[3] / total]);
+                    let model = nucleotide::gtr(r, [f[0] / total, f[1] / total, f[2] / total, f[3] / total]);
                     let aln = crate::simulate::Simulator::new(&model, SiteRates::gamma(4, 0.5))
                         .simulate(&tree, 120, &mut rng);
                     let patterns = PatternSet::compress(&with_ambiguity(&aln, &mut rng));
                     assert_matches_reference(&patterns, &model, &rates, &tree, &other);
                 }
                 1 => {
-                    let model = AaModel::empirical();
+                    let model = aminoacid::empirical();
                     let aln = crate::simulate::Simulator::new(&model, SiteRates::gamma(4, 0.5))
                         .simulate(&tree, 50, &mut rng);
                     let patterns = PatternSet::compress(&with_ambiguity(&aln, &mut rng));
                     assert_matches_reference(&patterns, &model, &rates, &tree, &other);
                 }
                 _ => {
-                    let model = CodonModel::goldman_yang(rng.range_f64(1.0, 5.0), rng.range_f64(0.1, 2.0));
+                    let model = codon::goldman_yang(rng.range_f64(1.0, 5.0), rng.range_f64(0.1, 2.0));
                     let aln = crate::simulate::Simulator::new(&model, SiteRates::gamma(4, 0.5))
                         .simulate(&tree, 20, &mut rng);
                     let patterns = PatternSet::compress(&with_ambiguity(&aln, &mut rng));
@@ -1007,7 +1005,7 @@ mod tests {
     fn rescaling_caterpillar_matches_reference() {
         let mut rng = simkit::SimRng::new(17);
         let tree = Tree::caterpillar(60, 0.4);
-        let model = NucModel::hky85(3.0, [0.3, 0.2, 0.2, 0.3]);
+        let model = nucleotide::hky85(3.0, [0.3, 0.2, 0.2, 0.3]);
         let aln = crate::simulate::Simulator::new(&model, SiteRates::gamma(4, 0.5))
             .simulate(&tree, 80, &mut rng);
         let patterns = PatternSet::compress(&with_ambiguity(&aln, &mut rng));
@@ -1028,7 +1026,7 @@ mod tests {
     fn impossible_site_exits_early_with_partial_work() {
         let aln = nuc_aln(&[("a", "ACG"), ("b", "AAG"), ("c", "AAG")]);
         let patterns = PatternSet::compress(&aln);
-        let model = NucModel::k80(2.0);
+        let model = nucleotide::k80(2.0);
         let rates = SiteRates::uniform();
         let tree = Tree::caterpillar(3, 0.0);
         let want = reference::evaluate_patterns(&patterns, &model, &rates, &tree);
@@ -1049,7 +1047,7 @@ mod tests {
     #[should_panic(expected = "taxon count mismatch")]
     fn mismatched_tree_rejected() {
         let aln = nuc_aln(&[("a", "AC"), ("b", "AC")]);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
         let tree = Tree::caterpillar(3, 0.1);
         let _ = engine.log_likelihood(&tree);

@@ -3,9 +3,10 @@
 //! All models here are time-reversible: a symmetric exchangeability matrix
 //! `S` plus stationary frequencies `π` define the rate matrix
 //! `Q_ij = S_ij π_j` (i ≠ j), normalized so the expected substitution rate at
-//! stationarity is one per unit branch length. [`ReversibleModel`] does the
-//! shared numerical work (symmetrization, eigendecomposition, `P(t) = e^{Qt}`
-//! assembly); the concrete model families live in the submodules:
+//! stationarity is one per unit branch length. Every model is a
+//! [`ReversibleModel`], which does the numerical work (symmetrization,
+//! eigendecomposition, `P(t) = e^{Qt}` assembly); the submodules hold what
+//! differs between the families and construct their models:
 //!
 //! * [`nucleotide`] — JC69, K80, HKY85, GTR (4 states)
 //! * [`aminoacid`] — Poisson and a fixed empirical-style matrix (20 states)
@@ -31,6 +32,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A time-reversible substitution process over some alphabet.
+///
+/// [`ReversibleModel`] is its one implementor; the likelihood kernel and the
+/// simulator are generic over it.
 pub trait SubstModel {
     /// Alphabet of the process.
     fn data_type(&self) -> DataType;
@@ -50,12 +54,7 @@ pub trait SubstModel {
     /// [`SubstModel::transition_matrix`] written row-major into `out`
     /// (`num_states²` entries): the form the likelihood kernel reads, with
     /// no allocation when the matrix is memoized.
-    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
-        out.copy_from_slice(self.transition_matrix(t).as_slice());
-    }
-
-    /// Short human-readable name (e.g. `"GTR"`).
-    fn name(&self) -> &str;
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]);
 }
 
 /// Matrices the `P(t)` memos sharing one [`MemoBudget`] hold together before
@@ -118,8 +117,9 @@ impl MemoBudget {
     }
 }
 
-/// Shared engine for reversible models: diagonalize once, exponentiate per
-/// branch.
+/// A reversible substitution model of any family: diagonalize once,
+/// exponentiate per branch. The [`nucleotide`], [`aminoacid`] and [`codon`]
+/// constructors build one per family.
 ///
 /// Transition matrices are memoized per branch length: a GA search changes
 /// one branch per mutation, so almost every `P(t)` it asks for was already
@@ -227,44 +227,12 @@ impl ReversibleModel {
         }
     }
 
-    /// Alphabet.
-    pub fn data_type(&self) -> DataType {
-        self.data_type
-    }
-
-    /// Stationary frequencies.
-    pub fn frequencies(&self) -> &[f64] {
-        &self.freqs
-    }
-
     /// Move this model's memo onto `budget` (emptying it), so its matrices
     /// count against the bound shared by every model on that budget.
     pub fn share_memo(&mut self, budget: &MemoBudget) {
         self.memo.leave(self.memo_id);
         self.memo = budget.clone();
         self.memo_id = budget.join();
-    }
-
-    /// `P(t) = D^{-1/2} V e^{Λt} Vᵀ D^{1/2}`, entries clamped to `[0, 1]`,
-    /// memoized per branch length.
-    pub fn transition_matrix(&self, t: f64) -> Matrix {
-        let mut p = Matrix::zeros(self.freqs.len());
-        self.transition_matrix_into(t, p.as_mut_slice());
-        p
-    }
-
-    /// [`ReversibleModel::transition_matrix`] written row-major into `out`.
-    ///
-    /// # Panics
-    /// Panics if `t` is negative or not finite, or `out` is not `n²` long.
-    pub fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
-        assert!(t.is_finite() && t >= 0.0, "invalid branch length {t}");
-        if self.memo.copy_out(self.memo_id, t.to_bits(), out) {
-            return;
-        }
-        let p = self.compute_transition_matrix(t);
-        out.copy_from_slice(p.as_slice());
-        self.memo.insert(self.memo_id, t.to_bits(), p);
     }
 
     /// Assemble `P(t)` from the eigensystem. Each entry sums
@@ -311,6 +279,38 @@ impl ReversibleModel {
             }
         }
         p
+    }
+}
+
+impl SubstModel for ReversibleModel {
+    fn data_type(&self) -> DataType {
+        self.data_type
+    }
+
+    fn frequencies(&self) -> &[f64] {
+        &self.freqs
+    }
+
+    /// `P(t) = D^{-1/2} V e^{Λt} Vᵀ D^{1/2}`, entries clamped to `[0, 1]`,
+    /// memoized per branch length.
+    fn transition_matrix(&self, t: f64) -> Matrix {
+        let mut p = Matrix::zeros(self.freqs.len());
+        self.transition_matrix_into(t, p.as_mut_slice());
+        p
+    }
+
+    /// Copies the memoized matrix out, or assembles and memoizes it.
+    ///
+    /// # Panics
+    /// Panics if `t` is negative or not finite, or `out` is not `n²` long.
+    fn transition_matrix_into(&self, t: f64, out: &mut [f64]) {
+        assert!(t.is_finite() && t >= 0.0, "invalid branch length {t}");
+        if self.memo.copy_out(self.memo_id, t.to_bits(), out) {
+            return;
+        }
+        let p = self.compute_transition_matrix(t);
+        out.copy_from_slice(p.as_slice());
+        self.memo.insert(self.memo_id, t.to_bits(), p);
     }
 }
 
@@ -478,11 +478,10 @@ impl SiteRates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::nucleotide::NucModel;
 
     #[test]
     fn transition_matrix_rows_sum_to_one() {
-        let m = NucModel::jc69();
+        let m = nucleotide::jc69();
         for &t in &[0.0, 0.01, 0.1, 1.0, 10.0] {
             let p = m.transition_matrix(t);
             for i in 0..4 {
@@ -494,7 +493,7 @@ mod tests {
 
     #[test]
     fn p_zero_is_identity() {
-        let m = NucModel::hky85(3.0, [0.3, 0.2, 0.2, 0.3]);
+        let m = nucleotide::hky85(3.0, [0.3, 0.2, 0.2, 0.3]);
         let p = m.transition_matrix(0.0);
         for i in 0..4 {
             for j in 0..4 {
@@ -507,7 +506,7 @@ mod tests {
     #[test]
     fn p_infinity_approaches_frequencies() {
         let freqs = [0.4, 0.3, 0.2, 0.1];
-        let m = NucModel::hky85(2.0, freqs);
+        let m = nucleotide::hky85(2.0, freqs);
         let p = m.transition_matrix(500.0);
         for i in 0..4 {
             for j in 0..4 {
@@ -519,7 +518,7 @@ mod tests {
     #[test]
     fn detailed_balance_holds() {
         let freqs = [0.35, 0.15, 0.25, 0.25];
-        let m = NucModel::gtr([1.2, 2.5, 0.7, 1.1, 3.0, 1.0], freqs);
+        let m = nucleotide::gtr([1.2, 2.5, 0.7, 1.1, 3.0, 1.0], freqs);
         let p = m.transition_matrix(0.3);
         for i in 0..4 {
             for j in 0..4 {
@@ -537,7 +536,7 @@ mod tests {
     fn branch_length_calibration() {
         // With rate normalized to 1, expected substitutions over t=0.1 is 0.1:
         // Σ_i π_i (1 - P_ii(t)) ≈ t for small t.
-        let m = NucModel::jc69();
+        let m = nucleotide::jc69();
         let t = 0.01;
         let p = m.transition_matrix(t);
         let sub: f64 = (0..4).map(|i| 0.25 * (1.0 - p[(i, i)])).sum();

@@ -134,13 +134,13 @@ impl<'a, M: SubstModel> Simulator<'a, M> {
 mod tests {
     use super::*;
     use crate::likelihood::LikelihoodEngine;
-    use crate::models::nucleotide::NucModel;
+    use crate::models::nucleotide;
 
     #[test]
     fn shape_and_names() {
         let mut rng = SimRng::new(21);
         let tree = Tree::random_topology(7, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 123, &mut rng);
         assert_eq!(aln.num_taxa(), 7);
         assert_eq!(aln.num_sites(), 123);
@@ -151,7 +151,7 @@ mod tests {
     fn base_composition_tracks_stationary_frequencies() {
         let mut rng = SimRng::new(22);
         let freqs = [0.5, 0.2, 0.2, 0.1];
-        let model = NucModel::hky85(2.0, freqs);
+        let model = nucleotide::hky85(2.0, freqs);
         let tree = Tree::random_topology(4, &mut rng);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 20_000, &mut rng);
         let mut counts = [0usize; 4];
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn short_branches_give_similar_sequences() {
         let mut rng = SimRng::new(23);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let tree = Tree::caterpillar(4, 0.001);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 500, &mut rng);
         // With nearly zero branch lengths all sequences should be ~identical.
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn true_tree_scores_better_than_random_tree() {
         let mut rng = SimRng::new(24);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let truth = Tree::random_topology(8, &mut rng);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 800, &mut rng);
         let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn missing_knockout_fraction() {
         let mut rng = SimRng::new(25);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let tree = Tree::random_topology(5, &mut rng);
         let aln = Simulator::new(&model, SiteRates::uniform())
             .simulate_with_missing(&tree, 2000, 0.3, &mut rng);
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_same_seed() {
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let mk = || {
             let mut rng = SimRng::new(77);
             let tree = Tree::random_topology(5, &mut rng);

@@ -122,7 +122,7 @@ mod tests {
     use super::*;
     use garli::config::GarliConfig;
     use garli::replicate::run_replicates;
-    use phylo::models::nucleotide::NucModel;
+    use phylo::models::nucleotide;
     use phylo::models::SiteRates;
     use phylo::simulate::Simulator;
     use phylo::tree::Tree;
@@ -131,7 +131,7 @@ mod tests {
     fn results(bootstrap: bool) -> (Vec<SearchResult>, Vec<String>) {
         let mut rng = SimRng::new(161);
         let tree = Tree::random_topology(5, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 200, &mut rng);
         let mut config = GarliConfig::quick_nucleotide();
         config.genthresh_for_topo_term = 5;

@@ -188,7 +188,7 @@ impl Submission {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::models::nucleotide::NucModel;
+    use phylo::models::nucleotide;
     use phylo::models::SiteRates;
     use phylo::simulate::Simulator;
     use phylo::tree::Tree;
@@ -196,7 +196,7 @@ mod tests {
     fn submission(reps: usize) -> Submission {
         let mut rng = simkit::SimRng::new(151);
         let tree = Tree::random_topology(6, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 150, &mut rng);
         let mut config = GarliConfig::quick_nucleotide();
         config.search_replicates = reps;

@@ -11,7 +11,7 @@ use lattice::bundling::BundlingPolicy;
 use lattice::pipeline::{run_campaign, CampaignOptions};
 use lattice::system::standard_grid;
 use lattice::training::Scale;
-use phylo::models::nucleotide::NucModel;
+use phylo::models::nucleotide;
 use phylo::models::SiteRates;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -26,7 +26,7 @@ fn main() {
     // The study dataset: 14 taxa, 500 sites, Γ-distributed rates.
     let mut rng = SimRng::new(2011);
     let truth = Tree::random_topology(14, &mut rng);
-    let model = NucModel::gtr([1.2, 2.8, 0.9, 1.1, 3.2, 1.0], [0.3, 0.2, 0.2, 0.3]);
+    let model = nucleotide::gtr([1.2, 2.8, 0.9, 1.1, 3.2, 1.0], [0.3, 0.2, 0.2, 0.3]);
     let alignment =
         Simulator::new(&model, SiteRates::gamma(4, 0.5)).simulate(&truth, 500, &mut rng);
 

@@ -12,7 +12,7 @@ use gridsim::grid::GridConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
 use lattice::pipeline::{run_campaign, CampaignOptions};
 use lattice::training::Scale;
-use phylo::models::nucleotide::NucModel;
+use phylo::models::nucleotide;
 use phylo::models::SiteRates;
 use phylo::newick::to_newick;
 use phylo::simulate::Simulator;
@@ -29,7 +29,7 @@ fn main() {
     // --- 1. The researcher's data: a 10-taxon alignment with known truth.
     let mut rng = SimRng::new(42);
     let truth = Tree::random_topology(10, &mut rng);
-    let model = NucModel::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
+    let model = nucleotide::hky85(2.0, [0.3, 0.2, 0.2, 0.3]);
     let alignment = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 600, &mut rng);
     println!(
         "dataset: {} taxa × {} sites",

@@ -7,7 +7,7 @@ use gridsim::job::JobSpec;
 use gridsim::resource::{ResourceKind, ResourceSpec};
 use lattice::pipeline::{run_campaign, CampaignOptions};
 use lattice::training::{generate_training_jobs, Scale};
-use phylo::models::nucleotide::NucModel;
+use phylo::models::nucleotide;
 use phylo::models::SiteRates;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -60,7 +60,7 @@ fn full_campaign_is_reproducible() {
     let campaign = || {
         let mut rng = SimRng::new(88);
         let truth = Tree::random_topology(6, &mut rng);
-        let model = NucModel::jc69();
+        let model = nucleotide::jc69();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 200, &mut rng);
         let mut config = GarliConfig::quick_nucleotide();
         config.genthresh_for_topo_term = 4;

@@ -6,7 +6,7 @@ use gridsim::grid::GridConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
 use lattice::pipeline::{run_campaign, CampaignOptions};
 use lattice::training::{generate_training_jobs, Scale};
-use phylo::models::nucleotide::NucModel;
+use phylo::models::nucleotide;
 use phylo::models::SiteRates;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -34,7 +34,7 @@ fn form_values() -> FormValues {
 fn dataset(seed: u64) -> (phylo::alignment::Alignment, Tree) {
     let mut rng = SimRng::new(seed);
     let truth = Tree::random_topology(7, &mut rng);
-    let model = NucModel::jc69();
+    let model = nucleotide::jc69();
     let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 800, &mut rng);
     (aln, truth)
 }

@@ -151,7 +151,7 @@ fn observability_pack_is_deterministic_inert_and_renderable() {
 fn campaign_pipeline_surfaces_the_snapshot() {
     use garli::config::GarliConfig;
     use lattice::pipeline::{run_campaign, CampaignOptions};
-    use phylo::models::nucleotide::NucModel;
+    use phylo::models::nucleotide;
     use phylo::models::SiteRates;
     use phylo::simulate::Simulator;
     use phylo::tree::Tree;
@@ -161,7 +161,7 @@ fn campaign_pipeline_surfaces_the_snapshot() {
 
     let mut rng = SimRng::new(301);
     let truth = Tree::random_topology(8, &mut rng);
-    let model = NucModel::jc69();
+    let model = nucleotide::jc69();
     let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 200, &mut rng);
     let mut config = GarliConfig::quick_nucleotide();
     config.genthresh_for_topo_term = 4;

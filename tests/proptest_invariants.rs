@@ -96,7 +96,7 @@ proptest! {
         r in prop::array::uniform6(0.1f64..5.0),
         t in 0.0f64..5.0,
     ) {
-        let m = phylo::models::nucleotide::NucModel::gtr(r, [0.25; 4]);
+        let m = phylo::models::nucleotide::gtr(r, [0.25; 4]);
         use phylo::models::SubstModel;
         let p = m.transition_matrix(t);
         for i in 0..4 {

@@ -9,7 +9,7 @@ use gridsim::grid::{Grid, GridConfig};
 use gridsim::job::JobSpec;
 use gridsim::{ReplicationPolicy, TelemetryConfig, TrustPolicy, ValidationConfig};
 use lattice::pipeline::{run_campaign, CampaignOptions};
-use phylo::models::nucleotide::NucModel;
+use phylo::models::nucleotide;
 use phylo::models::SiteRates;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -105,7 +105,7 @@ fn campaign_archive(
 ) {
     let mut rng = SimRng::new(88);
     let truth = Tree::random_topology(6, &mut rng);
-    let model = NucModel::jc69();
+    let model = nucleotide::jc69();
     let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&truth, 200, &mut rng);
     let mut config = GarliConfig::quick_nucleotide();
     config.genthresh_for_topo_term = 4;
