@@ -6,50 +6,44 @@
 //! largest study of each data type in perfbench's portal-stream workload,
 //! where a 64-taxon Γ4 nucleotide CLV set is 24 MB and the kernel is
 //! memory-bound. Each portal shape is timed twice: `one_shot` through
-//! `LikelihoodEngine::log_likelihood` (a fresh workspace per call) and
-//! `reused` through one `Workspace`, as a search evaluates.
+//! `evaluate_patterns` (a fresh workspace per call) and `reused` through
+//! one `Workspace`, as a search evaluates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
-use phylo::likelihood::{LikelihoodEngine, Workspace};
-use phylo::models::{aminoacid, codon, nucleotide, SiteRates, SubstModel};
+use phylo::likelihood::{evaluate_patterns, Workspace};
+use phylo::models::{aminoacid, codon, nucleotide, ReversibleModel, SiteRates};
+use phylo::patterns::PatternSet;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
 use simkit::SimRng;
 
 /// Time one portal-stream shape: `taxa` × `sites` simulated under `model`,
 /// evaluated under Γ4.
-fn portal_shape<M: SubstModel>(
+fn portal_shape(
     group: &mut BenchmarkGroup<'_>,
     name: &str,
-    model: &M,
+    model: &ReversibleModel,
     taxa: usize,
     sites: usize,
     seed: u64,
 ) {
     let mut rng = SimRng::new(seed);
     let tree = Tree::random_topology(taxa, &mut rng);
-    let aln = Simulator::new(model, SiteRates::gamma(4, 0.5)).simulate(&tree, sites, &mut rng);
-    let engine = LikelihoodEngine::new(&aln, model, SiteRates::gamma(4, 0.5));
-    let cells = engine.evaluate(&tree).work;
+    let rates = SiteRates::gamma(4, 0.5);
+    let aln = Simulator::new(model, rates.clone()).simulate(&tree, sites, &mut rng);
+    let patterns = PatternSet::compress(&aln);
+    let one_shot = || evaluate_patterns(&patterns, model, &rates, &tree);
+    let cells = one_shot().work;
     group.bench_with_input(
         BenchmarkId::new(format!("{name}/one_shot"), format!("{cells}cells")),
         &(),
-        |b, _| b.iter(|| std::hint::black_box(engine.log_likelihood(&tree))),
+        |b, _| b.iter(|| std::hint::black_box(one_shot().log_likelihood)),
     );
     let mut workspace = Workspace::new();
     group.bench_with_input(
         BenchmarkId::new(format!("{name}/reused"), format!("{cells}cells")),
         &(),
-        |b, _| {
-            b.iter(|| {
-                std::hint::black_box(workspace.evaluate(
-                    engine.patterns(),
-                    model,
-                    engine.rates(),
-                    &tree,
-                ))
-            })
-        },
+        |b, _| b.iter(|| std::hint::black_box(workspace.evaluate(&patterns, model, &rates, &tree))),
     );
 }
 
@@ -63,12 +57,14 @@ fn bench_likelihood(c: &mut Criterion) {
         let tree = Tree::random_topology(16, &mut rng);
         let model = nucleotide::gtr([1.0, 2.0, 1.0, 1.0, 2.0, 1.0], [0.3, 0.2, 0.2, 0.3]);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 500, &mut rng);
-        let engine = LikelihoodEngine::new(&aln, &model, SiteRates::gamma(4, 0.5));
-        let cells = engine.evaluate(&tree).work;
+        let patterns = PatternSet::compress(&aln);
+        let rates = SiteRates::gamma(4, 0.5);
+        let lnl = || evaluate_patterns(&patterns, &model, &rates, &tree);
+        let cells = lnl().work;
         group.bench_with_input(
             BenchmarkId::new("nucleotide_gtr_g4", format!("{cells}cells")),
             &(),
-            |b, _| b.iter(|| std::hint::black_box(engine.log_likelihood(&tree))),
+            |b, _| b.iter(|| std::hint::black_box(lnl().log_likelihood)),
         );
     }
 
@@ -78,9 +74,11 @@ fn bench_likelihood(c: &mut Criterion) {
         let tree = Tree::random_topology(12, &mut rng);
         let model = aminoacid::empirical();
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 200, &mut rng);
-        let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
+        let patterns = PatternSet::compress(&aln);
+        let rates = SiteRates::uniform();
+        let lnl = || evaluate_patterns(&patterns, &model, &rates, &tree).log_likelihood;
         group.bench_function("aminoacid_empirical", |b| {
-            b.iter(|| std::hint::black_box(engine.log_likelihood(&tree)))
+            b.iter(|| std::hint::black_box(lnl()))
         });
     }
 
@@ -90,10 +88,10 @@ fn bench_likelihood(c: &mut Criterion) {
         let tree = Tree::random_topology(8, &mut rng);
         let model = codon::goldman_yang(2.0, 0.3);
         let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 60, &mut rng);
-        let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
-        group.bench_function("codon_gy94", |b| {
-            b.iter(|| std::hint::black_box(engine.log_likelihood(&tree)))
-        });
+        let patterns = PatternSet::compress(&aln);
+        let rates = SiteRates::uniform();
+        let lnl = || evaluate_patterns(&patterns, &model, &rates, &tree).log_likelihood;
+        group.bench_function("codon_gy94", |b| b.iter(|| std::hint::black_box(lnl())));
     }
 
     // portal-stream's largest study per data type.

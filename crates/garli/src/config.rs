@@ -166,24 +166,13 @@ impl GarliConfig {
         }
     }
 
-    /// Effective number of rate categories the likelihood mixes over.
+    /// Effective number of rate categories the likelihood mixes over: the
+    /// size of the mixture [`build_rates`](crate::model::build_rates) builds.
     pub fn effective_rate_categories(&self) -> usize {
         match self.rate_het {
             RateHetKind::None => 1,
             RateHetKind::Gamma => self.num_rate_cats,
             RateHetKind::GammaInv => self.num_rate_cats + 1,
-        }
-    }
-
-    /// The [`phylo::models::SiteRates`] mixture this configuration implies.
-    pub fn site_rates(&self) -> phylo::models::SiteRates {
-        use phylo::models::SiteRates;
-        match self.rate_het {
-            RateHetKind::None => SiteRates::uniform(),
-            RateHetKind::Gamma => SiteRates::gamma(self.num_rate_cats, self.alpha),
-            RateHetKind::GammaInv => {
-                SiteRates::gamma_inv(self.num_rate_cats, self.alpha, self.pinv)
-            }
         }
     }
 
@@ -226,18 +215,6 @@ mod tests {
         c.rate_het = RateHetKind::GammaInv;
         c.num_rate_cats = 6;
         assert_eq!(c.effective_rate_categories(), 7);
-    }
-
-    #[test]
-    fn site_rates_match_kind() {
-        let c = GarliConfig {
-            rate_het: RateHetKind::GammaInv,
-            pinv: 0.2,
-            ..GarliConfig::default()
-        };
-        let sr = c.site_rates();
-        assert_eq!(sr.num_categories(), 5);
-        assert!((sr.mean_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -107,7 +107,9 @@ pub fn build_model(
 }
 
 /// The [`SiteRates`] mixture for the current parameter values (the GA moves
-/// α and p-inv, so this is rebuilt alongside the model).
+/// α and p-inv, so this is rebuilt alongside the model). This is the one
+/// mapping from a rate-heterogeneity setting to a mixture; invgamma always
+/// mixes `num_rate_cats + 1` categories, even at p-inv 0.
 pub fn build_rates(config: &GarliConfig, params: &ModelParams) -> SiteRates {
     use crate::config::RateHetKind;
     match config.rate_het {
@@ -205,5 +207,37 @@ mod tests {
         let r2 = build_rates(&c, &p);
         let spread = |x: &SiteRates| x.categories()[3].0 / x.categories()[0].0.max(1e-12);
         assert!(spread(&r) > spread(&r2));
+    }
+
+    /// A search scores the mixture validation reports: as many categories
+    /// as `effective_rate_categories`, mean rate 1, for every family.
+    #[test]
+    fn build_rates_mixes_the_validated_category_count() {
+        for rate_het in RateHetKind::ALL {
+            for num_rate_cats in [2, 4, 16] {
+                for pinv in [0.0, 0.2] {
+                    let c = GarliConfig {
+                        rate_het,
+                        num_rate_cats,
+                        invariant_sites: pinv > 0.0,
+                        pinv,
+                        ..GarliConfig::default()
+                    };
+                    let r = build_rates(&c, &ModelParams::from_config(&c));
+                    let case = format!("{} × {num_rate_cats} at p-inv {pinv}", rate_het.name());
+                    assert_eq!(r.num_categories(), c.effective_rate_categories(), "{case}");
+                    assert!((r.mean_rate() - 1.0).abs() < 1e-9, "{case}");
+                }
+            }
+        }
+        let c = GarliConfig {
+            rate_het: RateHetKind::GammaInv,
+            invariant_sites: true,
+            pinv: 0.2,
+            ..GarliConfig::default()
+        };
+        let r = build_rates(&c, &ModelParams::from_config(&c));
+        assert_eq!(r.num_categories(), 5);
+        assert_eq!(r.categories()[0], (0.0, 0.2), "the invariant class");
     }
 }

@@ -11,13 +11,13 @@
 //! model.
 
 use crate::config::GarliConfig;
-use crate::individual::{sort_best_first, Individual};
 use crate::model::{build_model, build_rates, ModelParams};
-use crate::mutation::{mutate, MutationWeights};
+use crate::mutation::MutationWeights;
+use crate::search::{run_from, seed, Scorer, SearchResult};
 use crate::validate::{validate, ValidationError};
 use crate::work::WorkAccount;
 use phylo::alignment::Alignment;
-use phylo::likelihood::Workspace;
+use phylo::likelihood::{Evaluation, Workspace};
 use phylo::models::{ReversibleModel, SiteRates};
 use phylo::patterns::PatternSet;
 use phylo::tree::Tree;
@@ -127,112 +127,78 @@ impl PartitionedEngine {
     /// Joint log-likelihood of `tree` (sum over blocks) plus total work, in
     /// fresh workspaces.
     pub fn evaluate(&self, tree: &Tree) -> (f64, u64) {
-        self.evaluate_in(&mut Vec::new(), tree)
+        let ev = self.scorer().joint(tree);
+        (ev.log_likelihood, ev.work)
     }
 
-    /// [`PartitionedEngine::evaluate`] in `workspaces`, one per block
-    /// (missing ones are added).
-    fn evaluate_in(&self, workspaces: &mut Vec<Workspace>, tree: &Tree) -> (f64, u64) {
-        workspaces.resize_with(self.blocks.len(), Workspace::new);
-        let mut lnl = 0.0;
-        let mut work = 0;
-        for (b, ws) in self.blocks.iter().zip(workspaces.iter_mut()) {
-            let ev = ws.evaluate(&b.patterns, &b.model, &b.rates, tree);
-            lnl += ev.log_likelihood;
-            work += ev.work;
-        }
-        (lnl, work)
-    }
-
-    /// A compact GA search over the shared topology (branch lengths shared
-    /// across blocks; per-block models fixed at their configured values, as
-    /// in a GARLI partitioned run with linked branch lengths).
+    /// A GA search over the shared topology by [`Search`]'s generation loop
+    /// (branch lengths shared across blocks; per-block models fixed at their
+    /// configured values, as in a GARLI partitioned run with linked branch
+    /// lengths, so model moves are off). `driver` sets the population size
+    /// and the termination rule; the result's `final_params` are its
+    /// starting values, which no block reads.
+    ///
+    /// [`Search`]: crate::search::Search
     pub fn search(
         &self,
         driver: &GarliConfig,
         starting_tree: Tree,
         rng: &mut SimRng,
-    ) -> PartitionedResult {
+    ) -> SearchResult {
         assert_eq!(starting_tree.num_taxa(), self.num_taxa, "taxon mismatch");
         let weights = MutationWeights {
             model: 0.0,
             ..MutationWeights::default()
         };
-        let params = ModelParams::from_config(driver);
-        // One workspace per block for the whole run: after the first
-        // evaluation the kernel allocates no CLVs.
-        let mut workspaces = Vec::new();
+        let mut scorer = self.scorer();
         let mut work = WorkAccount::new();
-        let mut population: Vec<Individual> = Vec::new();
-        for i in 0..driver.population_size {
-            let mut ind = Individual::new(starting_tree.clone(), params.clone());
-            for _ in 0..i.min(3) {
-                mutate(&mut ind, driver, &weights, rng);
-            }
-            let (lnl, w) = self.evaluate_in(&mut workspaces, &ind.tree);
-            ind.log_likelihood = lnl;
-            work.add(w);
-            population.push(ind);
-        }
-        sort_best_first(&mut population);
+        let state = seed(driver, &weights, starting_tree, rng, &mut scorer, &mut work);
+        run_from(driver, &weights, state, rng, &mut scorer, |_| {}, |_| {})
+    }
 
-        let mut stagnant = 0u64;
-        let mut generation = 0u64;
-        while stagnant < driver.genthresh_for_topo_term && generation < driver.max_generations {
-            generation += 1;
-            let prev_best = population[0].log_likelihood;
-            let rank_weights: Vec<f64> = (0..population.len())
-                .map(|r| (driver.population_size - r) as f64)
-                .collect();
-            let mut improved_topologically = false;
-            let mut offspring = Vec::with_capacity(driver.population_size - 1);
-            for _ in 0..driver.population_size - 1 {
-                let parent = rng.weighted_index(&rank_weights);
-                let mut child = population[parent].clone();
-                let kind = mutate(&mut child, driver, &weights, rng);
-                let (lnl, w) = self.evaluate_in(&mut workspaces, &child.tree);
-                child.log_likelihood = lnl;
-                work.add(w);
-                if kind.is_topological() && lnl > prev_best + 0.01 {
-                    improved_topologically = true;
-                }
-                offspring.push(child);
-            }
-            population.extend(offspring);
-            sort_best_first(&mut population);
-            population.truncate(driver.population_size);
-            if improved_topologically {
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-        }
-        let best = population.into_iter().next().expect("non-empty population");
-        PartitionedResult {
-            best_tree: best.tree,
-            best_log_likelihood: best.log_likelihood,
-            generations: generation,
-            work,
+    /// A scorer with one fresh workspace per block.
+    fn scorer(&self) -> BlockScorer<'_> {
+        BlockScorer {
+            blocks: &self.blocks,
+            workspaces: self.blocks.iter().map(|_| Workspace::new()).collect(),
         }
     }
 }
 
-/// Outcome of a partitioned search.
-#[derive(Debug, Clone)]
-pub struct PartitionedResult {
-    /// Best shared topology.
-    pub best_tree: Tree,
-    /// Joint log-likelihood.
-    pub best_log_likelihood: f64,
-    /// Generations executed.
-    pub generations: u64,
-    /// Total likelihood work across blocks.
-    pub work: WorkAccount,
+/// Scores the shared tree on every block, each in a workspace of its own
+/// that a search keeps for its whole run.
+struct BlockScorer<'a> {
+    blocks: &'a [Block],
+    workspaces: Vec<Workspace>,
+}
+
+impl BlockScorer<'_> {
+    /// The sum of the blocks' evaluations of `tree`.
+    fn joint(&mut self, tree: &Tree) -> Evaluation {
+        let mut joint = Evaluation {
+            log_likelihood: 0.0,
+            work: 0,
+        };
+        for (b, ws) in self.blocks.iter().zip(&mut self.workspaces) {
+            let ev = ws.evaluate(&b.patterns, &b.model, &b.rates, tree);
+            joint.log_likelihood += ev.log_likelihood;
+            joint.work += ev.work;
+        }
+        joint
+    }
+}
+
+impl Scorer for BlockScorer<'_> {
+    /// Every individual carries the driver's parameters; no block reads them.
+    fn evaluate(&mut self, _params: &ModelParams, tree: &Tree) -> Evaluation {
+        self.joint(tree)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::Termination;
     use phylo::alphabet::DataType;
     use phylo::likelihood::evaluate_patterns;
     use phylo::models::{aminoacid, nucleotide};
@@ -318,6 +284,23 @@ mod tests {
             result.work.cells(),
         );
         assert_eq!(got, (13881712772472798632, 6, 3084576));
+    }
+
+    /// The shared loop's bookkeeping on a partitioned run: no model moves
+    /// (block models are fixed, so the search turns that operator off), one
+    /// mutation per offspring, and a stop by topology convergence.
+    #[test]
+    fn partitioned_search_counts_its_mutations() {
+        let (parts, _) = two_block_data(502);
+        let engine = PartitionedEngine::new(&parts).unwrap();
+        let mut rng = SimRng::new(503);
+        let start = phylo::distance::nj_tree(&parts[0].alignment);
+        let driver = &parts[0].config;
+        let result = engine.search(driver, start, &mut rng);
+        assert_eq!(result.mutation_counts[3], 0, "no model moves");
+        let offspring = result.generations * (driver.population_size as u64 - 1);
+        assert_eq!(result.mutation_counts.iter().sum::<u64>(), offspring);
+        assert_eq!(result.termination, Termination::TopologyConvergence);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! *topological* improvement has been accepted for
 //! `genthreshfortopoterm` generations (GARLI's rule), or at the hard
 //! generation cap.
+//!
+//! The loop is written once, over a scorer: a [`Search`] scores its one
+//! alignment under a model per live parameter set, and a
+//! [`PartitionedEngine`](crate::partition::PartitionedEngine) sums its data
+//! blocks under their fixed models.
 
 use crate::checkpoint::SearchCheckpoint;
 use crate::config::{GarliConfig, StartingTree};
@@ -73,6 +78,16 @@ fn kind_index(kind: MutationKind) -> usize {
     }
 }
 
+/// What the GA loop scores individuals with.
+pub(crate) trait Scorer {
+    /// Log-likelihood and work of `tree` under the parameter set `params`.
+    fn evaluate(&mut self, params: &ModelParams, tree: &Tree) -> Evaluation;
+
+    /// Drop what no individual of `population` needs; called after every
+    /// truncation.
+    fn retain_live(&mut self, _population: &[Individual]) {}
+}
+
 /// A validated, ready-to-run search.
 pub struct Search {
     config: GarliConfig,
@@ -82,81 +97,69 @@ pub struct Search {
     weights: MutationWeights,
 }
 
-/// The models of a search's live parameter sets.
+/// What one run of a search scores with: one CLV workspace and the models
+/// of its live parameter sets, all dropped when the run returns.
 ///
 /// A model is an eigendecomposition plus a `P(t)` memo, so rebuilding one is
 /// the costliest thing an evaluation can trigger. Offspring of differently
 /// parameterised parents switch parameter sets from one evaluation to the
-/// next, so the store keeps one model, with its rate mixture, per parameter
+/// next, so the scorer keeps one model, with its rate mixture, per parameter
 /// set that some individual still carries, and builds one only for a
 /// parameter set it does not hold. After each truncation it drops every
-/// entry whose parameters no survivor has, so it holds at most the
+/// model whose parameters no survivor has, so it holds at most the
 /// population plus one generation's offspring. Their memos share one
 /// [`MemoBudget`], so together they hold no more matrices than one model's
 /// memo may alone.
-struct ModelStore {
-    entries: Vec<StoreEntry>,
+struct SearchScorer<'a> {
+    search: &'a Search,
+    models: Vec<LiveModel>,
     memo: MemoBudget,
+    workspace: Workspace,
 }
 
-struct StoreEntry {
+struct LiveModel {
     params: ModelParams,
     model: ReversibleModel,
     rates: SiteRates,
 }
 
-impl ModelStore {
-    fn new() -> ModelStore {
-        ModelStore {
-            entries: Vec::new(),
+impl SearchScorer<'_> {
+    fn new(search: &Search) -> SearchScorer<'_> {
+        SearchScorer {
+            search,
+            models: Vec::new(),
             memo: MemoBudget::default(),
+            workspace: Workspace::new(),
         }
     }
+}
 
-    /// The entry for `params`, built on first use.
-    fn get(&mut self, search: &Search, params: &ModelParams) -> &StoreEntry {
-        let i = match self.entries.iter().position(|e| e.params == *params) {
+impl Scorer for SearchScorer<'_> {
+    /// Scores under the model of `params`, built on first use.
+    fn evaluate(&mut self, params: &ModelParams, tree: &Tree) -> Evaluation {
+        let search = self.search;
+        let i = match self.models.iter().position(|m| m.params == *params) {
             Some(i) => i,
             None => {
                 let mut model = build_model(&search.config, params, &search.alignment);
                 model.share_memo(&self.memo);
-                self.entries.push(StoreEntry {
+                self.models.push(LiveModel {
                     params: params.clone(),
                     model,
                     rates: build_rates(&search.config, params),
                 });
-                self.entries.len() - 1
+                self.models.len() - 1
             }
         };
-        &self.entries[i]
-    }
-
-    /// Drop every entry whose parameters no individual in `population` has.
-    fn retain_live(&mut self, population: &[Individual]) {
-        self.entries
-            .retain(|e| population.iter().any(|ind| ind.params == e.params));
-    }
-}
-
-/// What one run of a search evaluates with: its model store and one CLV
-/// workspace, both dropped when the run returns.
-struct Scorer {
-    models: ModelStore,
-    workspace: Workspace,
-}
-
-impl Scorer {
-    fn new() -> Scorer {
-        Scorer {
-            models: ModelStore::new(),
-            workspace: Workspace::new(),
-        }
-    }
-
-    fn evaluate(&mut self, search: &Search, params: &ModelParams, tree: &Tree) -> Evaluation {
-        let entry = self.models.get(search, params);
+        let live = &self.models[i];
         self.workspace
-            .evaluate(&search.patterns, &entry.model, &entry.rates, tree)
+            .evaluate(&search.patterns, &live.model, &live.rates, tree)
+    }
+
+    /// Drops every model whose parameters no individual in `population` has.
+    fn retain_live(&mut self, population: &[Individual]) {
+        self.models
+            .retain(|m| population.iter().any(|ind| ind.params == m.params));
     }
 }
 
@@ -202,9 +205,17 @@ impl Search {
         on_progress: impl FnMut(&Progress),
         on_checkpoint: impl FnMut(&SearchCheckpoint),
     ) -> SearchResult {
-        let mut scorer = Scorer::new();
+        let mut scorer = SearchScorer::new(self);
         let state = self.initialize(rng, &mut scorer);
-        self.run_from(state, rng, &mut scorer, on_progress, on_checkpoint)
+        run_from(
+            &self.config,
+            &self.weights,
+            state,
+            rng,
+            &mut scorer,
+            on_progress,
+            on_checkpoint,
+        )
     }
 
     /// Resume from a checkpoint (e.g. after a volunteer host vanished).
@@ -215,35 +226,23 @@ impl Search {
         on_progress: impl FnMut(&Progress),
         on_checkpoint: impl FnMut(&SearchCheckpoint),
     ) -> SearchResult {
-        let mut scorer = Scorer::new();
-        self.run_from(checkpoint, rng, &mut scorer, on_progress, on_checkpoint)
+        let mut scorer = SearchScorer::new(self);
+        run_from(
+            &self.config,
+            &self.weights,
+            checkpoint,
+            rng,
+            &mut scorer,
+            on_progress,
+            on_checkpoint,
+        )
     }
 
-    /// Build and score the initial population.
-    fn initialize(&self, rng: &mut SimRng, scorer: &mut Scorer) -> SearchCheckpoint {
-        let params = ModelParams::from_config(&self.config);
+    /// Build the starting tree and seed the population from it.
+    fn initialize(&self, rng: &mut SimRng, scorer: &mut SearchScorer) -> SearchCheckpoint {
         let mut work = WorkAccount::new();
-
-        let base_tree = self.starting_tree(rng, &params, scorer, &mut work);
-        let mut population = Vec::with_capacity(self.config.population_size);
-        for i in 0..self.config.population_size {
-            let mut ind = Individual::new(base_tree.clone(), params.clone());
-            // Diversify all but the first individual.
-            for _ in 0..i.min(3) {
-                mutate(&mut ind, &self.config, &self.weights, rng);
-            }
-            self.score(&mut ind, scorer, &mut work);
-            population.push(ind);
-        }
-        sort_best_first(&mut population);
-        SearchCheckpoint {
-            generation: 0,
-            population,
-            stagnant_generations: 0,
-            work_cells: work.cells(),
-            accepted_improvements: 0,
-            mutation_counts: [0; 4],
-        }
+        let tree = self.starting_tree(rng, scorer, &mut work);
+        seed(&self.config, &self.weights, tree, rng, scorer, &mut work)
     }
 
     /// Build the starting topology. `attachmentspertaxon` governs how many
@@ -252,8 +251,7 @@ impl Search {
     fn starting_tree(
         &self,
         rng: &mut SimRng,
-        params: &ModelParams,
-        scorer: &mut Scorer,
+        scorer: &mut SearchScorer,
         work: &mut WorkAccount,
     ) -> Tree {
         match &self.config.starting_tree {
@@ -266,10 +264,11 @@ impl Search {
                 // Score a pool of random candidates proportional to the
                 // attachments knob and keep the best.
                 let candidates = (self.config.attachments_per_taxon / 10).clamp(1, 20);
+                let params = ModelParams::from_config(&self.config);
                 let mut best: Option<(Tree, f64)> = None;
                 for _ in 0..candidates {
                     let t = Tree::random_topology(self.alignment.num_taxa(), rng);
-                    let ev = scorer.evaluate(self, params, &t);
+                    let ev = scorer.evaluate(&params, &t);
                     work.add(ev.work);
                     if best.as_ref().is_none_or(|(_, l)| ev.log_likelihood > *l) {
                         best = Some((t, ev.log_likelihood));
@@ -279,130 +278,159 @@ impl Search {
             }
         }
     }
+}
 
-    /// Score an individual under the model of its parameter set.
-    fn score(&self, ind: &mut Individual, scorer: &mut Scorer, work: &mut WorkAccount) {
-        let ev = scorer.evaluate(self, &ind.params, &ind.tree);
-        ind.log_likelihood = ev.log_likelihood;
-        work.add(ev.work);
+/// Score an individual under its parameter set.
+fn score(ind: &mut Individual, scorer: &mut impl Scorer, work: &mut WorkAccount) {
+    let ev = scorer.evaluate(&ind.params, &ind.tree);
+    ind.log_likelihood = ev.log_likelihood;
+    work.add(ev.work);
+}
+
+/// Seed and score a population of `config.population_size` individuals with
+/// `config`'s starting parameters on `base_tree`: the first as is, each
+/// other one diversified by up to three mutations.
+pub(crate) fn seed(
+    config: &GarliConfig,
+    weights: &MutationWeights,
+    base_tree: Tree,
+    rng: &mut SimRng,
+    scorer: &mut impl Scorer,
+    work: &mut WorkAccount,
+) -> SearchCheckpoint {
+    let params = ModelParams::from_config(config);
+    let mut population = Vec::with_capacity(config.population_size);
+    for i in 0..config.population_size {
+        let mut ind = Individual::new(base_tree.clone(), params.clone());
+        for _ in 0..i.min(3) {
+            mutate(&mut ind, config, weights, rng);
+        }
+        score(&mut ind, scorer, work);
+        population.push(ind);
+    }
+    sort_best_first(&mut population);
+    SearchCheckpoint {
+        generation: 0,
+        population,
+        stagnant_generations: 0,
+        work_cells: work.cells(),
+        accepted_improvements: 0,
+        mutation_counts: [0; 4],
+    }
+}
+
+/// The GA loop from a given state to termination.
+pub(crate) fn run_from(
+    config: &GarliConfig,
+    weights: &MutationWeights,
+    mut state: SearchCheckpoint,
+    rng: &mut SimRng,
+    scorer: &mut impl Scorer,
+    mut on_progress: impl FnMut(&Progress),
+    mut on_checkpoint: impl FnMut(&SearchCheckpoint),
+) -> SearchResult {
+    let mut work = WorkAccount::from_cells(state.work_cells);
+    let termination = loop {
+        if state.stagnant_generations >= config.genthresh_for_topo_term {
+            break Termination::TopologyConvergence;
+        }
+        if state.generation >= config.max_generations {
+            break Termination::GenerationCap;
+        }
+        advance(config, weights, &mut state, rng, scorer, &mut work);
+        on_progress(&Progress {
+            generation: state.generation,
+            max_generations: config.max_generations,
+            stagnant_generations: state.stagnant_generations,
+            genthresh: config.genthresh_for_topo_term,
+            best_log_likelihood: state.population[0].log_likelihood,
+            work_cells: work.cells(),
+        });
+        if config.checkpoint_interval > 0
+            && state.generation.is_multiple_of(config.checkpoint_interval)
+        {
+            on_checkpoint(&state);
+        }
+    };
+
+    let best = state.population[0].clone();
+    SearchResult {
+        best_tree: best.tree,
+        best_log_likelihood: best.log_likelihood,
+        final_params: best.params,
+        generations: state.generation,
+        work,
+        termination,
+        accepted_improvements: state.accepted_improvements,
+        mutation_counts: state.mutation_counts,
+    }
+}
+
+/// One generation: breed and score offspring, keep the best
+/// `population_size` of parents and offspring, and let the scorer drop what
+/// no survivor needs.
+fn advance(
+    config: &GarliConfig,
+    weights: &MutationWeights,
+    state: &mut SearchCheckpoint,
+    rng: &mut SimRng,
+    scorer: &mut impl Scorer,
+    work: &mut WorkAccount,
+) {
+    let popsize = config.population_size;
+    state.generation += 1;
+
+    let prev_best = state.population[0].log_likelihood;
+    // Rank-weighted parent selection: rank r gets weight popsize - r.
+    let rank_weights: Vec<f64> = (0..state.population.len())
+        .map(|r| (popsize - r) as f64)
+        .collect();
+
+    let mut offspring: Vec<(Individual, MutationKind)> = Vec::with_capacity(popsize - 1);
+    for _ in 0..popsize - 1 {
+        let parent = rng.weighted_index(&rank_weights);
+        let mut child = state.population[parent].clone();
+        let kind = mutate(&mut child, config, weights, rng);
+        state.mutation_counts[kind_index(kind)] += 1;
+        score(&mut child, scorer, work);
+        offspring.push((child, kind));
     }
 
-    /// The GA loop from a given state.
-    fn run_from(
-        &self,
-        mut state: SearchCheckpoint,
-        rng: &mut SimRng,
-        scorer: &mut Scorer,
-        mut on_progress: impl FnMut(&Progress),
-        mut on_checkpoint: impl FnMut(&SearchCheckpoint),
-    ) -> SearchResult {
-        let mut work = WorkAccount::from_cells(state.work_cells);
-        let termination;
-
-        loop {
-            if state.stagnant_generations >= self.config.genthresh_for_topo_term {
-                termination = Termination::TopologyConvergence;
-                break;
+    // Did a topological offspring beat the previous best?
+    let mut topo_improved = false;
+    let mut any_improved = false;
+    for (child, kind) in &offspring {
+        if child.log_likelihood > prev_best + SIGNIFICANT_IMPROVEMENT {
+            any_improved = true;
+            if kind.is_topological() {
+                topo_improved = true;
             }
-            if state.generation >= self.config.max_generations {
-                termination = Termination::GenerationCap;
-                break;
-            }
-            self.advance(&mut state, rng, scorer, &mut work);
-            on_progress(&Progress {
-                generation: state.generation,
-                max_generations: self.config.max_generations,
-                stagnant_generations: state.stagnant_generations,
-                genthresh: self.config.genthresh_for_topo_term,
-                best_log_likelihood: state.population[0].log_likelihood,
-                work_cells: work.cells(),
-            });
-            if self.config.checkpoint_interval > 0
-                && state
-                    .generation
-                    .is_multiple_of(self.config.checkpoint_interval)
-            {
-                on_checkpoint(&state);
-            }
-        }
-
-        let best = state.population[0].clone();
-        SearchResult {
-            best_tree: best.tree,
-            best_log_likelihood: best.log_likelihood,
-            final_params: best.params,
-            generations: state.generation,
-            work,
-            termination,
-            accepted_improvements: state.accepted_improvements,
-            mutation_counts: state.mutation_counts,
         }
     }
-
-    /// One generation: breed and score offspring, keep the best
-    /// `population_size` of parents and offspring, and drop the models no
-    /// survivor uses.
-    fn advance(
-        &self,
-        state: &mut SearchCheckpoint,
-        rng: &mut SimRng,
-        scorer: &mut Scorer,
-        work: &mut WorkAccount,
-    ) {
-        let popsize = self.config.population_size;
-        state.generation += 1;
-
-        let prev_best = state.population[0].log_likelihood;
-        // Rank-weighted parent selection: rank r gets weight popsize - r.
-        let rank_weights: Vec<f64> = (0..state.population.len())
-            .map(|r| (popsize - r) as f64)
-            .collect();
-
-        let mut offspring: Vec<(Individual, MutationKind)> = Vec::with_capacity(popsize - 1);
-        for _ in 0..popsize - 1 {
-            let parent = rng.weighted_index(&rank_weights);
-            let mut child = state.population[parent].clone();
-            let kind = mutate(&mut child, &self.config, &self.weights, rng);
-            state.mutation_counts[kind_index(kind)] += 1;
-            self.score(&mut child, scorer, work);
-            offspring.push((child, kind));
-        }
-
-        // Did a topological offspring beat the previous best?
-        let mut topo_improved = false;
-        let mut any_improved = false;
-        for (child, kind) in &offspring {
-            if child.log_likelihood > prev_best + SIGNIFICANT_IMPROVEMENT {
-                any_improved = true;
-                if kind.is_topological() {
-                    topo_improved = true;
-                }
-            }
-        }
-        if any_improved {
-            state.accepted_improvements += 1;
-        }
-        if topo_improved {
-            state.stagnant_generations = 0;
-        } else {
-            state.stagnant_generations += 1;
-        }
-
-        // Elitist truncation: best `popsize` of parents ∪ offspring.
-        state
-            .population
-            .extend(offspring.into_iter().map(|(c, _)| c));
-        sort_best_first(&mut state.population);
-        state.population.truncate(popsize);
-        scorer.models.retain_live(&state.population);
-
-        state.work_cells = work.cells();
+    if any_improved {
+        state.accepted_improvements += 1;
     }
+    if topo_improved {
+        state.stagnant_generations = 0;
+    } else {
+        state.stagnant_generations += 1;
+    }
+
+    // Elitist truncation: best `popsize` of parents ∪ offspring.
+    state
+        .population
+        .extend(offspring.into_iter().map(|(c, _)| c));
+    sort_best_first(&mut state.population);
+    state.population.truncate(popsize);
+    scorer.retain_live(&state.population);
+
+    state.work_cells = work.cells();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phylo::likelihood::evaluate_patterns;
     use phylo::models::nucleotide;
     use phylo::simulate::Simulator;
 
@@ -439,8 +467,8 @@ mod tests {
         let mut r2 = SimRng::new(85);
         let random_tree = Tree::random_topology(8, &mut r2);
         let model = nucleotide::jc69();
-        let engine = phylo::likelihood::LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
-        let random_lnl = engine.log_likelihood(&random_tree);
+        let (patterns, rates) = (PatternSet::compress(&aln), SiteRates::uniform());
+        let random_lnl = evaluate_patterns(&patterns, &model, &rates, &random_tree).log_likelihood;
         let result = search.run(&mut rng);
         assert!(
             result.best_log_likelihood >= random_lnl,
@@ -597,13 +625,20 @@ mod tests {
             model: 0.4,
         });
         let mut rng = SimRng::new(103);
-        let mut scorer = Scorer::new();
+        let mut scorer = SearchScorer::new(&search);
         let mut state = search.initialize(&mut rng, &mut scorer);
         let mut work = WorkAccount::new();
         let mut most_live = 0;
         for _ in 0..150 {
-            search.advance(&mut state, &mut rng, &mut scorer, &mut work);
-            let held: Vec<&ModelParams> = scorer.models.entries.iter().map(|e| &e.params).collect();
+            advance(
+                &search.config,
+                &search.weights,
+                &mut state,
+                &mut rng,
+                &mut scorer,
+                &mut work,
+            );
+            let held: Vec<&ModelParams> = scorer.models.iter().map(|m| &m.params).collect();
             for (i, params) in held.iter().enumerate() {
                 assert!(
                     state.population.iter().any(|ind| &ind.params == *params),

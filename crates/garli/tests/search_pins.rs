@@ -12,7 +12,7 @@ use garli::search::{Search, SearchResult};
 use phylo::alignment::Alignment;
 use phylo::alphabet::{DataType, State};
 use phylo::models::nucleotide::RateMatrix;
-use phylo::models::{aminoacid, codon, nucleotide, SiteRates, SubstModel};
+use phylo::models::{aminoacid, codon, nucleotide, ReversibleModel, SiteRates};
 use phylo::sequence::Sequence;
 use phylo::simulate::Simulator;
 use phylo::tree::Tree;
@@ -27,8 +27,8 @@ fn fingerprint(result: &SearchResult) -> u64 {
     )
 }
 
-fn simulate<M: SubstModel>(
-    model: &M,
+fn simulate(
+    model: &ReversibleModel,
     taxa: usize,
     sites: usize,
     missing: f64,

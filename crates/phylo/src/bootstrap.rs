@@ -3,12 +3,11 @@
 //!
 //! Bootstrap searches dominate the job mix on The Lattice Project: each
 //! submission typically carries hundreds to thousands of pseudo-replicate
-//! searches, each on a column-resampled alignment. Two forms are provided:
-//! resampling the alignment itself, and the cheaper pattern-weight
-//! resampling used inside search loops.
+//! searches, each on a column-resampled alignment from
+//! [`bootstrap_alignment`]. The replicate trees then give each split its
+//! support ([`split_support`], [`support_on_tree`]).
 
 use crate::alignment::Alignment;
-use crate::patterns::PatternSet;
 use crate::tree::{Split, Tree};
 use simkit::SimRng;
 use std::collections::HashMap;
@@ -18,20 +17,6 @@ pub fn bootstrap_alignment(alignment: &Alignment, rng: &mut SimRng) -> Alignment
     let n = alignment.num_sites();
     let sites: Vec<usize> = (0..n).map(|_| rng.index(n)).collect();
     alignment.select_sites(&sites)
-}
-
-/// Resample at the pattern level: draw `total` sites multinomially over the
-/// existing patterns and return the reweighted pattern set. Equivalent in
-/// distribution to [`bootstrap_alignment`] followed by recompression, but
-/// without rebuilding columns.
-pub fn bootstrap_patterns(patterns: &PatternSet, rng: &mut SimRng) -> PatternSet {
-    let total = patterns.total_weight().round() as u64;
-    let weights = patterns.weights();
-    let mut new_weights = vec![0.0f64; weights.len()];
-    for _ in 0..total {
-        new_weights[rng.weighted_index(weights)] += 1.0;
-    }
-    patterns.reweighted(new_weights)
 }
 
 /// Fraction of `trees` containing each non-trivial split — bootstrap support
@@ -78,19 +63,6 @@ mod tests {
         assert_eq!(b.num_taxa(), aln.num_taxa());
         assert_eq!(b.num_sites(), aln.num_sites());
         assert_eq!(b.taxon_names(), aln.taxon_names());
-    }
-
-    #[test]
-    fn bootstrap_patterns_preserves_total_weight() {
-        let mut rng = SimRng::new(52);
-        let model = nucleotide::jc69();
-        let tree = Tree::random_topology(6, &mut rng);
-        let aln = Simulator::new(&model, SiteRates::uniform()).simulate(&tree, 200, &mut rng);
-        let p = PatternSet::compress(&aln);
-        let b = bootstrap_patterns(&p, &mut rng);
-        assert_eq!(b.num_patterns(), p.num_patterns());
-        assert!((b.total_weight() - p.total_weight()).abs() < 1e-9);
-        assert_ne!(b.weights(), p.weights(), "resampling should change weights");
     }
 
     #[test]

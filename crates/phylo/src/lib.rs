@@ -18,18 +18,18 @@
 //! ```
 //! use phylo::simulate::Simulator;
 //! use phylo::tree::Tree;
-//! use phylo::models::nucleotide;
-//! use phylo::models::SiteRates;
-//! use phylo::likelihood::LikelihoodEngine;
+//! use phylo::models::{nucleotide, SiteRates};
+//! use phylo::likelihood::evaluate_patterns;
+//! use phylo::patterns::PatternSet;
 //!
 //! // Simulate a 6-taxon nucleotide alignment and score the true tree.
 //! let mut rng = simkit::SimRng::new(7);
 //! let tree = Tree::random_topology(6, &mut rng);
 //! let model = nucleotide::jc69();
-//! let aln = Simulator::new(&model, SiteRates::uniform())
-//!     .simulate(&tree, 200, &mut rng);
-//! let engine = LikelihoodEngine::new(&aln, &model, SiteRates::uniform());
-//! let lnl = engine.log_likelihood(&tree);
+//! let rates = SiteRates::uniform();
+//! let aln = Simulator::new(&model, rates.clone()).simulate(&tree, 200, &mut rng);
+//! let patterns = PatternSet::compress(&aln);
+//! let lnl = evaluate_patterns(&patterns, &model, &rates, &tree).log_likelihood;
 //! assert!(lnl < 0.0 && lnl.is_finite());
 //! ```
 

@@ -33,8 +33,8 @@ use std::sync::Arc;
 
 /// A time-reversible substitution process over some alphabet.
 ///
-/// [`ReversibleModel`] is its one implementor; the likelihood kernel and the
-/// simulator are generic over it.
+/// [`ReversibleModel`] is its one implementor, and the likelihood kernel and
+/// the simulator take that type; the trait names the methods they read.
 pub trait SubstModel {
     /// Alphabet of the process.
     fn data_type(&self) -> DataType;
@@ -318,50 +318,6 @@ impl SubstModel for ReversibleModel {
 // Rate heterogeneity
 // ---------------------------------------------------------------------------
 
-/// Which rate-heterogeneity family a job uses — the paper's top runtime
-/// predictor. Mirrors the GARLI `ratehetmodel` configuration values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum RateHetModel {
-    /// Single rate for all sites.
-    None,
-    /// Discrete Γ with the given number of categories and shape α.
-    Gamma {
-        /// Number of discrete categories (GARLI `numratecats`).
-        ncat: usize,
-        /// Γ shape parameter.
-        alpha: f64,
-    },
-    /// Discrete Γ plus a proportion of invariant sites.
-    GammaInv {
-        /// Number of discrete categories.
-        ncat: usize,
-        /// Γ shape parameter.
-        alpha: f64,
-        /// Proportion of invariant sites in `[0, 1)`.
-        pinv: f64,
-    },
-}
-
-impl RateHetModel {
-    /// Configuration-file style name (`none` / `gamma` / `invgamma`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RateHetModel::None => "none",
-            RateHetModel::Gamma { .. } => "gamma",
-            RateHetModel::GammaInv { .. } => "invgamma",
-        }
-    }
-
-    /// Number of discrete rate categories the likelihood must mix over.
-    pub fn num_categories(&self) -> usize {
-        match *self {
-            RateHetModel::None => 1,
-            RateHetModel::Gamma { ncat, .. } => ncat,
-            RateHetModel::GammaInv { ncat, .. } => ncat + 1,
-        }
-    }
-}
-
 /// A discrete distribution of per-site rate multipliers with mean 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SiteRates {
@@ -448,15 +404,6 @@ impl SiteRates {
             categories.push((r / (1.0 - pinv), p * (1.0 - pinv)));
         }
         SiteRates { categories }
-    }
-
-    /// Build from a [`RateHetModel`] description.
-    pub fn from_model(model: RateHetModel) -> SiteRates {
-        match model {
-            RateHetModel::None => SiteRates::uniform(),
-            RateHetModel::Gamma { ncat, alpha } => SiteRates::gamma(ncat, alpha),
-            RateHetModel::GammaInv { ncat, alpha, pinv } => SiteRates::gamma_inv(ncat, alpha, pinv),
-        }
     }
 
     /// The `(rate, probability)` categories.
@@ -587,28 +534,6 @@ mod tests {
         assert!((sr.mean_rate() - 1.0).abs() < 1e-9);
         let total_p: f64 = sr.categories().iter().map(|c| c.1).sum();
         assert!((total_p - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rate_het_model_names_and_cats() {
-        assert_eq!(RateHetModel::None.name(), "none");
-        assert_eq!(
-            RateHetModel::Gamma {
-                ncat: 4,
-                alpha: 0.5
-            }
-            .num_categories(),
-            4
-        );
-        assert_eq!(
-            RateHetModel::GammaInv {
-                ncat: 4,
-                alpha: 0.5,
-                pinv: 0.1
-            }
-            .num_categories(),
-            5
-        );
     }
 
     /// A random reversible model over `data_type`.

@@ -7,7 +7,7 @@
 //! columns into weighted patterns.
 
 use crate::alignment::Alignment;
-use crate::alphabet::State;
+use crate::alphabet::{DataType, State};
 use std::collections::HashMap;
 
 /// Compressed alignment columns: unique patterns plus multiplicities.
@@ -21,10 +21,10 @@ pub struct PatternSet {
     /// pattern `p`.
     states: Vec<State>,
     num_taxa: usize,
+    /// Alphabet of the states (the kernel refuses a model of another).
+    data_type: DataType,
     /// Multiplicity of each pattern (sums to the alignment length).
     weights: Vec<f64>,
-    /// For each original site, its pattern index.
-    site_to_pattern: Vec<usize>,
 }
 
 impl PatternSet {
@@ -33,33 +33,28 @@ impl PatternSet {
         let mut index: HashMap<Vec<State>, usize> = HashMap::new();
         let mut patterns = Vec::new();
         let mut weights: Vec<f64> = Vec::new();
-        let mut site_to_pattern = Vec::with_capacity(alignment.num_sites());
         for site in 0..alignment.num_sites() {
             let col = alignment.column(site);
             match index.get(&col) {
-                Some(&p) => {
-                    weights[p] += 1.0;
-                    site_to_pattern.push(p);
-                }
+                Some(&p) => weights[p] += 1.0,
                 None => {
-                    let p = patterns.len();
-                    index.insert(col.clone(), p);
+                    index.insert(col.clone(), patterns.len());
                     patterns.push(col);
                     weights.push(1.0);
-                    site_to_pattern.push(p);
                 }
             }
         }
         drop(index); // its copy of every column goes before the table is built
-        PatternSet {
-            site_to_pattern,
-            ..PatternSet::from_parts(patterns, weights)
-        }
+        PatternSet::from_parts(alignment.data_type(), patterns, weights)
     }
 
-    /// Build directly from explicit patterns (`patterns[p][taxon]`) and
-    /// weights (used by tests and by bootstrap reweighting).
-    pub fn from_parts(patterns: Vec<Vec<State>>, weights: Vec<f64>) -> PatternSet {
+    /// Build directly from explicit patterns (`patterns[p][taxon]`) over
+    /// `data_type` and their weights (used by tests).
+    pub fn from_parts(
+        data_type: DataType,
+        patterns: Vec<Vec<State>>,
+        weights: Vec<f64>,
+    ) -> PatternSet {
         assert_eq!(patterns.len(), weights.len());
         let num_taxa = patterns.first().map_or(0, Vec::len);
         let mut states = Vec::with_capacity(num_taxa * patterns.len());
@@ -69,8 +64,8 @@ impl PatternSet {
         PatternSet {
             states,
             num_taxa,
+            data_type,
             weights,
-            site_to_pattern: Vec::new(),
         }
     }
 
@@ -82,6 +77,11 @@ impl PatternSet {
     /// Number of taxa per pattern.
     pub fn num_taxa(&self) -> usize {
         self.num_taxa
+    }
+
+    /// Alphabet of the states.
+    pub(crate) fn data_type(&self) -> DataType {
+        self.data_type
     }
 
     /// The state of `taxon` in pattern `p`.
@@ -100,26 +100,9 @@ impl PatternSet {
         &self.weights
     }
 
-    /// Sum of weights (= original alignment length, unless reweighted).
+    /// Sum of weights (the alignment length, for a compressed alignment).
     pub fn total_weight(&self) -> f64 {
         self.weights.iter().sum()
-    }
-
-    /// Pattern index of each original site (empty if built from parts).
-    pub fn site_to_pattern(&self) -> &[usize] {
-        &self.site_to_pattern
-    }
-
-    /// A copy with new weights — the bootstrap trick: resampling columns
-    /// only changes pattern multiplicities, never the pattern set.
-    pub fn reweighted(&self, weights: Vec<f64>) -> PatternSet {
-        assert_eq!(weights.len(), self.num_patterns());
-        PatternSet {
-            states: self.states.clone(),
-            num_taxa: self.num_taxa,
-            weights,
-            site_to_pattern: self.site_to_pattern.clone(),
-        }
     }
 }
 
@@ -146,7 +129,6 @@ mod tests {
         assert_eq!(p.num_patterns(), 2);
         assert_eq!(p.total_weight(), 4.0);
         assert_eq!(p.weights(), &[3.0, 1.0]);
-        assert_eq!(p.site_to_pattern(), &[0, 0, 1, 0]);
     }
 
     #[test]
@@ -165,16 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn reweighting_preserves_patterns() {
-        let a = aln(&[("a", "AAGA"), ("b", "CCTC"), ("c", "GGAG")]);
-        let p = PatternSet::compress(&a);
-        let q = p.reweighted(vec![1.0, 3.0]);
-        assert_eq!(q.num_patterns(), p.num_patterns());
-        assert_eq!(q.total_weight(), 4.0);
-        assert_eq!(q.weights(), &[1.0, 3.0]);
-    }
-
-    #[test]
     fn taxon_states_follow_pattern_order() {
         let a = aln(&[("a", "AAGA"), ("b", "CCTC"), ("c", "GG-G")]);
         let p = PatternSet::compress(&a);
@@ -187,8 +159,13 @@ mod tests {
             }
         }
         assert_eq!(p.state(1, 2), a.state(2, 2));
-        let parts = PatternSet::from_parts(vec![a.column(0), a.column(2)], vec![3.0, 1.0]);
+        let parts = PatternSet::from_parts(
+            DataType::Nucleotide,
+            vec![a.column(0), a.column(2)],
+            vec![3.0, 1.0],
+        );
         assert_eq!(parts.taxon_states(1), p.taxon_states(1));
+        assert_eq!(p.data_type(), DataType::Nucleotide);
     }
 
     #[test]
