@@ -9,58 +9,22 @@
 //! blacklisting, bounded retries with a dead-letter outcome, checkpoint
 //! carry-over) switched ON and OFF.
 //!
-//! Every configuration is executed twice and asserted bit-identical — the
+//! Every configuration is executed twice and its whole report, per-job
+//! records included, asserted bit-identical (`bench::report_fnv`) — the
 //! chaos campaign is replayable. Across scenarios, recovery ON must
 //! dominate OFF: at least as many validly-completed jobs in every scenario
 //! (strictly more in aggregate) and strictly less wasted CPU.
 
-use bench::{env_usize, fmt_secs, header, write_json, write_metrics};
+use bench::{
+    checkpointable_campaign, env_usize, fault_grid, fmt_secs, header, report_fnv,
+    write_grid_metrics, write_json, FLAKY_CONDOR, SITE_A,
+};
 use gridsim::boinc::BoincConfig;
 use gridsim::fault::{self, FaultAction};
 use gridsim::grid::{Grid, GridConfig, GridReport};
-use gridsim::job::JobSpec;
 use gridsim::recovery::RecoveryPolicy;
-use gridsim::resource::{ResourceKind, ResourceSpec};
 use gridsim::telemetry::TelemetryConfig;
 use simkit::{FaultScript, SimDuration, SimRng, SimTime};
-
-// Resource indices in the base grid (the fault scripts target these).
-const SITE_A_PBS: usize = 1;
-const SITE_A_SGE: usize = 2;
-const FLAKY_CONDOR: usize = 3;
-
-fn base_config(seed: u64, recovery: bool, quorum: usize, with_boinc: bool) -> GridConfig {
-    GridConfig {
-        resources: vec![
-            ResourceSpec::cluster("steady", ResourceKind::PbsCluster, 8, 1.0),
-            ResourceSpec::cluster("site-a-1", ResourceKind::PbsCluster, 16, 1.2),
-            ResourceSpec::cluster("site-a-2", ResourceKind::SgeCluster, 16, 1.0),
-            ResourceSpec::condor_pool("flaky-condor", 48, 1.5, 6.0),
-        ],
-        boinc: with_boinc.then(|| BoincConfig {
-            quorum,
-            ..Default::default()
-        }),
-        max_local_retries: 1,
-        recovery: recovery.then(RecoveryPolicy::default),
-        seed,
-        ..Default::default()
-    }
-}
-
-/// The fixed campaign: checkpointable jobs of 2–6 reference-hours with
-/// mildly noisy runtime estimates (RF quality).
-fn workload(n: usize, rng: &mut SimRng) -> Vec<JobSpec> {
-    (0..n as u64)
-        .map(|id| {
-            let true_secs = rng.range_f64(2.0, 6.0) * 3600.0;
-            let mut job =
-                JobSpec::simple(id, true_secs).with_estimate(true_secs * rng.lognormal(0.0, 0.2));
-            job.checkpointable = true;
-            job
-        })
-        .collect()
-}
 
 struct Scenario {
     name: &'static str,
@@ -72,12 +36,8 @@ struct Scenario {
 fn scenarios() -> Vec<Scenario> {
     let h = SimDuration::from_hours;
     // Two correlated site-wide outages: both site-a clusters drop together.
-    let mut site = fault::site_outage(&[SITE_A_PBS, SITE_A_SGE], SimTime::from_hours(4), h(8));
-    site.merge(fault::site_outage(
-        &[SITE_A_PBS, SITE_A_SGE],
-        SimTime::from_hours(20),
-        h(6),
-    ));
+    let mut site = fault::site_outage(&SITE_A, SimTime::from_hours(4), h(8));
+    site.merge(fault::site_outage(&SITE_A, SimTime::from_hours(20), h(6)));
     vec![
         Scenario {
             name: "site outage",
@@ -86,7 +46,7 @@ fn scenarios() -> Vec<Scenario> {
         },
         Scenario {
             name: "silent partition",
-            script: fault::silent_partition(SITE_A_PBS, SimTime::from_hours(3), h(12)),
+            script: fault::silent_partition(SITE_A[0], SimTime::from_hours(3), h(12)),
             with_boinc: false,
         },
         Scenario {
@@ -141,36 +101,35 @@ impl Row {
     }
 }
 
-/// Fingerprint for the determinism assertion (exact, bit-level).
-type Fingerprint = (usize, usize, usize, u32, u64, u64, Option<u64>);
-
-fn fingerprint(r: &GridReport) -> Fingerprint {
-    (
-        r.completed,
-        r.dead_lettered,
-        r.corrupt_completions,
-        r.total_reissues,
-        r.wasted_cpu_seconds.to_bits(),
-        r.useful_cpu_seconds.to_bits(),
-        r.makespan_seconds.map(f64::to_bits),
-    )
-}
-
-fn run_once(sc: &Scenario, recovery: bool, n_jobs: usize, seed: u64) -> GridReport {
-    let quorum = if recovery { 2 } else { 1 };
-    let mut grid = Grid::new(base_config(seed, recovery, quorum, sc.with_boinc));
+/// One arm on the fault grid; the corruption arm runs quorum 2 with
+/// recovery on and quorum 1 without. An observed run has telemetry and the
+/// profiler on.
+fn run_once(sc: &Scenario, recovery: bool, n_jobs: usize, seed: u64, observed: bool) -> Grid {
+    let mut grid = Grid::new(GridConfig {
+        boinc: sc.with_boinc.then(|| BoincConfig {
+            quorum: if recovery { 2 } else { 1 },
+            ..Default::default()
+        }),
+        recovery: recovery.then(RecoveryPolicy::default),
+        telemetry: observed.then(TelemetryConfig::default),
+        ..fault_grid(seed)
+    });
+    if observed {
+        grid.enable_profiling();
+    }
     grid.inject_faults(sc.script.clone());
     let mut wrng = SimRng::new(seed ^ 0xE12);
-    grid.submit(workload(n_jobs, &mut wrng));
-    grid.run_until_done(SimTime::from_days(30))
+    grid.submit(checkpointable_campaign(&mut wrng, n_jobs));
+    grid.run_until_done(SimTime::from_days(30));
+    grid
 }
 
 fn run(sc: &Scenario, recovery: bool, n_jobs: usize, seed: u64) -> Row {
-    let report = run_once(sc, recovery, n_jobs, seed);
-    let replay = run_once(sc, recovery, n_jobs, seed);
+    let report = run_once(sc, recovery, n_jobs, seed, false).report();
+    let replay = run_once(sc, recovery, n_jobs, seed, false).report();
     assert_eq!(
-        fingerprint(&report),
-        fingerprint(&replay),
+        report_fnv(&report),
+        report_fnv(&replay),
         "chaos run must replay bit-identically ({}, recovery={recovery})",
         sc.name
     );
@@ -178,31 +137,6 @@ fn run(sc: &Scenario, recovery: bool, n_jobs: usize, seed: u64) -> Row {
         scenario: sc.name.to_string(),
         recovery,
         report,
-    }
-}
-
-/// Re-run one arm with telemetry enabled: assert the observed run matches
-/// the unobserved fingerprint (telemetry must not perturb the simulation),
-/// and write the snapshot as the experiment's metrics artifact.
-fn observed_run(sc: &Scenario, baseline: &GridReport, n_jobs: usize, seed: u64) {
-    let mut config = base_config(seed, true, 2, sc.with_boinc);
-    config.telemetry = Some(TelemetryConfig::default());
-    let mut grid = Grid::new(config);
-    grid.enable_profiling();
-    grid.inject_faults(sc.script.clone());
-    let mut wrng = SimRng::new(seed ^ 0xE12);
-    grid.submit(workload(n_jobs, &mut wrng));
-    let report = grid.run_until_done(SimTime::from_days(30));
-    assert_eq!(
-        fingerprint(&report),
-        fingerprint(baseline),
-        "telemetry must not change outcomes ({})",
-        sc.name
-    );
-    let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
-    write_metrics("e12_fault_tolerance", &snapshot);
-    if let Some(p) = grid.profile_report() {
-        eprintln!("[profile] {}", p.one_line());
     }
 }
 
@@ -300,8 +234,15 @@ fn main() {
     // Observability arm: replay the first scenario's recovery-ON run with
     // telemetry enabled. Outcomes must be untouched; the snapshot becomes
     // the experiment's metrics artifact.
-    let all = scenarios();
-    observed_run(&all[0], &rows[1].report, n_jobs, seed);
+    let first = &scenarios()[0];
+    let observed = run_once(first, true, n_jobs, seed, true);
+    assert_eq!(
+        report_fnv(&observed.report()),
+        report_fnv(&rows[1].report),
+        "telemetry must not change outcomes ({})",
+        first.name
+    );
+    write_grid_metrics("e12_fault_tolerance", &observed);
     println!("telemetry replay: outcomes identical with telemetry enabled");
 
     write_json("e12_fault_tolerance", &rows);

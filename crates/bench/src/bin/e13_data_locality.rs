@@ -13,12 +13,13 @@
 //!   stability cutoff, steering replicates toward sites whose caches already
 //!   hold their alignment.
 //!
-//! Every configuration runs twice and must replay bit-identically. The
+//! Every configuration runs twice and its whole report must replay
+//! bit-identically (`bench::report_fnv`). The
 //! data-aware policy must beat the blind one on bytes moved or makespan in
 //! the cache-constrained configurations, and an inertness arm asserts that
 //! enabling the data plane for jobs that carry no inputs changes nothing.
 
-use bench::{env_usize, fmt_secs, header, write_json, write_metrics};
+use bench::{env_usize, fmt_secs, header, report_fnv, write_grid_metrics, write_json};
 use gridsim::data::{LinkSpec, ObjectRef};
 use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::JobSpec;
@@ -98,24 +99,6 @@ impl Row {
     }
 }
 
-/// Bit-level fingerprint for the replay assertion, including the data plane.
-type Fingerprint = (usize, usize, u32, Option<u64>, u64, u64, u64, u64, u64);
-
-fn fingerprint(r: &GridReport) -> Fingerprint {
-    let d = r.data;
-    (
-        r.completed,
-        r.dead_lettered,
-        r.total_reissues,
-        r.makespan_seconds.map(f64::to_bits),
-        r.useful_cpu_seconds.to_bits(),
-        d.map_or(0, |d| d.bytes_moved),
-        d.map_or(0, |d| d.cache_hits),
-        d.map_or(0, |d| d.cache_misses),
-        d.map_or(0, |d| d.total_stage_in_seconds.to_bits()),
-    )
-}
-
 fn run_once(jobs: &[JobSpec], data: Option<DataConfig>, telemetry: bool, seed: u64) -> Grid {
     let config = GridConfig {
         resources: resources(),
@@ -137,8 +120,8 @@ fn run(jobs: &[JobSpec], data: DataConfig, seed: u64) -> GridReport {
     let report = run_once(jobs, Some(data.clone()), false, seed).report();
     let replay = run_once(jobs, Some(data), false, seed).report();
     assert_eq!(
-        fingerprint(&report),
-        fingerprint(&replay),
+        report_fnv(&report),
+        report_fnv(&replay),
         "data-plane runs must replay bit-identically"
     );
     report
@@ -274,8 +257,8 @@ fn main() {
     );
 
     // Inertness arm: the same grid with the data plane enabled but a
-    // workload that carries no inputs must match a data-less run on every
-    // outcome (only the report's data section differs).
+    // workload that carries no inputs must report exactly what a data-less
+    // run does, apart from the report's data section.
     let bare: Vec<JobSpec> = jobs
         .iter()
         .map(|j| {
@@ -285,24 +268,19 @@ fn main() {
         })
         .collect();
     let without = run_once(&bare, None, false, seed).report();
-    let with = run_once(
-        &bare,
-        Some(data_config(DataPolicy::Aware, caches[0].1, links[0].1)),
-        false,
-        seed,
-    )
-    .report();
-    let outcome = |r: &GridReport| {
-        (
-            r.completed,
-            r.makespan_seconds.map(f64::to_bits),
-            r.useful_cpu_seconds.to_bits(),
-            r.wasted_cpu_seconds.to_bits(),
+    let with = GridReport {
+        data: None,
+        ..run_once(
+            &bare,
+            Some(data_config(DataPolicy::Aware, caches[0].1, links[0].1)),
+            false,
+            seed,
         )
+        .report()
     };
     assert_eq!(
-        outcome(&without),
-        outcome(&with),
+        report_fnv(&without),
+        report_fnv(&with),
         "data plane must be inert for jobs without inputs"
     );
     println!("inertness: input-free campaign identical with and without the data plane");
@@ -321,20 +299,16 @@ fn main() {
     );
     let obs_report = observed.report();
     assert_eq!(
-        fingerprint(&obs_report),
-        fingerprint(&rows[1].report),
+        report_fnv(&obs_report),
+        report_fnv(&rows[1].report),
         "telemetry must not change data-plane outcomes"
     );
-    let snapshot = observed.telemetry_snapshot().expect("telemetry enabled");
+    let snapshot = write_grid_metrics("e13_data_locality", &observed);
     assert_eq!(
         snapshot.metrics.counter("data.stage_ins"),
         obs_report.data.expect("data enabled").stage_ins
     );
     assert!(snapshot.data.is_some(), "snapshot carries the data plane");
-    write_metrics("e13_data_locality", &snapshot);
-    if let Some(p) = observed.profile_report() {
-        eprintln!("[profile] {}", p.one_line());
-    }
     println!("telemetry replay: outcomes identical with telemetry enabled");
 
     write_json("e13_data_locality", &rows);

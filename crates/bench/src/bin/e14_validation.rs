@@ -17,9 +17,10 @@
 //! per validated workunit), bad-result acceptance, and completion latency.
 //! The headline: adaptive must cut duplicate compute by >= 40% at
 //! equal-or-lower bad-result acceptance. Every arm is executed twice and
-//! its validation telemetry asserted byte-identical — seeded replay.
+//! its whole report, validation snapshot and per-job records included,
+//! asserted byte-identical (`bench::report_fnv`) — seeded replay.
 
-use bench::{env_f64, env_usize, fmt_secs, header, write_json, write_metrics};
+use bench::{env_f64, env_usize, fmt_secs, header, report_fnv, write_grid_metrics, write_json};
 use gridsim::boinc::BoincConfig;
 use gridsim::fault;
 use gridsim::grid::{Grid, GridConfig, GridReport};
@@ -104,19 +105,8 @@ impl Row {
     }
 }
 
-/// Fingerprint for the determinism assertion (exact, bit-level); the
-/// validation snapshot is compared via its serialized bytes.
-fn fingerprint(r: &GridReport) -> (usize, usize, u32, u64, u64, String) {
-    (
-        r.completed,
-        r.dead_lettered,
-        r.total_reissues,
-        r.useful_cpu_seconds.to_bits(),
-        r.wasted_cpu_seconds.to_bits(),
-        serde_json::to_string(&r.validation).expect("snapshot serializes"),
-    )
-}
-
+/// One arm's grid, run to the end; an observed run has telemetry and the
+/// profiler on.
 fn run_once(
     adaptive: bool,
     spot: f64,
@@ -124,13 +114,15 @@ fn run_once(
     n_jobs: usize,
     clients: usize,
     seed: u64,
-    telemetry: bool,
-) -> GridReport {
-    let mut config = base_config(seed, clients, policy_config(adaptive, spot));
-    if telemetry {
-        config.telemetry = Some(TelemetryConfig::default());
+    observed: bool,
+) -> Grid {
+    let mut grid = Grid::new(GridConfig {
+        telemetry: observed.then(TelemetryConfig::default),
+        ..base_config(seed, clients, policy_config(adaptive, spot))
+    });
+    if observed {
+        grid.enable_profiling();
     }
-    let mut grid = Grid::new(config);
     if bad_fraction > 0.0 {
         grid.inject_faults(fault::malicious_hosts(bad_fraction, SimTime::ZERO));
     }
@@ -138,7 +130,7 @@ fn run_once(
     grid.submit(workload(n_jobs, &mut wrng));
     let report = grid.run_until_done(SimTime::from_days(90));
     assert_eq!(report.unfinished, 0, "campaign must terminate: {report:?}");
-    report
+    grid
 }
 
 fn run(
@@ -149,12 +141,12 @@ fn run(
     clients: usize,
     seed: u64,
 ) -> Row {
-    let report = run_once(adaptive, spot, bad_fraction, n_jobs, clients, seed, false);
-    let replay = run_once(adaptive, spot, bad_fraction, n_jobs, clients, seed, false);
+    let report = run_once(adaptive, spot, bad_fraction, n_jobs, clients, seed, false).report();
+    let replay = run_once(adaptive, spot, bad_fraction, n_jobs, clients, seed, false).report();
     assert_eq!(
-        fingerprint(&report),
-        fingerprint(&replay),
-        "seeded replay must reproduce validation telemetry byte-identically \
+        report_fnv(&report),
+        report_fnv(&replay),
+        "seeded replay must reproduce the whole report byte-identically \
          (adaptive={adaptive}, bad={bad_fraction})"
     );
     Row {
@@ -256,25 +248,22 @@ fn main() {
     // counters, quorum-latency histogram, per-workunit validation events)
     // becomes the experiment's metrics artifact.
     let hardest = rows.last().expect("rows populated");
-    let mut config = base_config(seed, clients, policy_config(true, spot));
-    config.telemetry = Some(TelemetryConfig::default());
-    let mut grid = Grid::new(config);
-    grid.enable_profiling();
-    grid.inject_faults(fault::malicious_hosts(0.25, SimTime::ZERO));
-    let mut wrng = SimRng::new(seed ^ 0xE14);
-    grid.submit(workload(n_jobs, &mut wrng));
-    let report = grid.run_until_done(SimTime::from_days(90));
+    let grid = run_once(
+        true,
+        spot,
+        hardest.bad_fraction,
+        n_jobs,
+        clients,
+        seed,
+        true,
+    );
     assert_eq!(
-        fingerprint(&report),
-        fingerprint(&hardest.report),
+        report_fnv(&grid.report()),
+        report_fnv(&hardest.report),
         "telemetry must not change outcomes"
     );
-    let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
+    let snapshot = write_grid_metrics("e14_validation", &grid);
     assert!(snapshot.metrics.counter("validation.completed") > 0);
-    write_metrics("e14_validation", &snapshot);
-    if let Some(p) = grid.profile_report() {
-        eprintln!("[profile] {}", p.one_line());
-    }
     println!("telemetry replay: outcomes identical with telemetry enabled");
 
     write_json("e14_validation", &rows);

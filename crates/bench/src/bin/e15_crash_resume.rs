@@ -27,13 +27,15 @@
 //! `bench_results/e15_crash_resume.json`; a telemetry snapshot of the
 //! observed arm in `bench_results/e15_crash_resume_metrics.json`.
 
-use bench::{env_usize, header, results_dir, write_baseline, write_json, write_metrics};
+use bench::{
+    checkpointable_campaign, env_usize, fault_grid, header, report_fnv, results_dir,
+    write_baseline, write_grid_metrics, write_json, FLAKY_CONDOR, SITE_A,
+};
 use gridsim::boinc::BoincConfig;
 use gridsim::data::ObjectRef;
 use gridsim::fault::{self, FaultAction};
 use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::{JobOutcome, JobSpec};
-use gridsim::recovery::RecoveryPolicy;
 use gridsim::resource::{ResourceKind, ResourceSpec};
 use gridsim::telemetry::TelemetryConfig;
 use gridsim::{DataConfig, ValidationConfig};
@@ -56,24 +58,14 @@ struct Config {
 /// E12-style: fault storm + recovery policy (backoff, blacklist,
 /// checkpoint carry). A site-wide outage covers hours 4–12.
 fn faults_config(n_jobs: usize, seed: u64, telemetry: bool) -> Grid {
-    let config = GridConfig {
-        resources: vec![
-            ResourceSpec::cluster("steady", ResourceKind::PbsCluster, 8, 1.0),
-            ResourceSpec::cluster("site-a-1", ResourceKind::PbsCluster, 16, 1.2),
-            ResourceSpec::cluster("site-a-2", ResourceKind::SgeCluster, 16, 1.0),
-            ResourceSpec::condor_pool("flaky-condor", 48, 1.5, 6.0),
-        ],
-        max_local_retries: 1,
-        recovery: Some(RecoveryPolicy::default()),
+    let mut grid = Grid::new(GridConfig {
         telemetry: telemetry.then(TelemetryConfig::default),
-        seed,
-        ..Default::default()
-    };
-    let mut grid = Grid::new(config);
+        ..fault_grid(seed)
+    });
     let mut script: FaultScript<FaultAction> =
-        fault::site_outage(&[1, 2], SimTime::from_hours(4), SimDuration::from_hours(8));
+        fault::site_outage(&SITE_A, SimTime::from_hours(4), SimDuration::from_hours(8));
     script.merge(fault::flapping(
-        3,
+        FLAKY_CONDOR,
         SimTime::from_hours(2),
         40,
         SimDuration::from_mins(20),
@@ -81,13 +73,7 @@ fn faults_config(n_jobs: usize, seed: u64, telemetry: bool) -> Grid {
     ));
     grid.inject_faults(script);
     let mut wrng = SimRng::new(seed ^ 0xE15);
-    grid.submit((0..n_jobs as u64).map(|id| {
-        let true_secs = wrng.range_f64(2.0, 6.0) * 3600.0;
-        let mut job =
-            JobSpec::simple(id, true_secs).with_estimate(true_secs * wrng.lognormal(0.0, 0.2));
-        job.checkpointable = true;
-        job
-    }));
+    grid.submit(checkpointable_campaign(&mut wrng, n_jobs));
     grid
 }
 
@@ -177,18 +163,6 @@ fn configs(n_jobs: usize, seed: u64) -> Vec<Config> {
     ]
 }
 
-/// Exact, bit-level fingerprint of a report.
-fn fingerprint(r: &GridReport) -> (usize, usize, u32, u64, u64, Option<u64>) {
-    (
-        r.completed,
-        r.dead_lettered,
-        r.total_reissues,
-        r.wasted_cpu_seconds.to_bits(),
-        r.useful_cpu_seconds.to_bits(),
-        r.makespan_seconds.map(f64::to_bits),
-    )
-}
-
 /// Per-job terminal outcomes at an instant (the conservation ledger).
 fn terminal_outcomes(report: &GridReport) -> BTreeMap<u64, JobOutcome> {
     report
@@ -252,8 +226,8 @@ fn main() {
         let mut replay_grid = (config.build)();
         let replay = replay_grid.run_until_done(DEADLINE);
         assert_eq!(
-            fingerprint(&baseline),
-            fingerprint(&replay),
+            report_fnv(&baseline),
+            report_fnv(&replay),
             "{}: baseline must replay bit-identically",
             config.name
         );
@@ -385,13 +359,8 @@ fn main() {
         // documented re-arm-after-restore path.
         restored.enable_profiling();
         let _ = restored.run_until_done(DEADLINE);
-        let snapshot = restored
-            .telemetry_snapshot()
-            .expect("telemetry enabled — and it survived the snapshot round-trip");
-        write_metrics("e15_crash_resume", &snapshot);
-        if let Some(p) = restored.profile_report() {
-            eprintln!("[profile] {}", p.one_line());
-        }
+        // Telemetry survived the snapshot round-trip, or this panics.
+        write_grid_metrics("e15_crash_resume", &restored);
     }
 
     let kills = rows.len();

@@ -7,10 +7,11 @@
 //! two nastiest ingredients at once — the correlated site-a outages *and*
 //! a volunteer-pool corruption storm — against a fully instrumented grid:
 //!
-//! * **pure observer** — the instrumented run's outcome fingerprint must be
-//!   bit-identical to an uninstrumented run of the same campaign. Time
-//!   series, SLO evaluation, and trace spans ride on the event stream; they
-//!   never schedule events or draw randomness.
+//! * **pure observer** — the instrumented run's whole report, per-job
+//!   records included, must hash (`bench::report_fnv`) like that of an
+//!   uninstrumented run of the same campaign. Time series, SLO
+//!   evaluation, and trace spans ride on the event stream; they never
+//!   schedule events or draw randomness.
 //! * **alert timeline** — the default SLO rule pack
 //!   (`gridsim::slo::default_rules`) must fire at least one alert, and the
 //!   firing boundary must land where the fault script says the trouble is
@@ -25,45 +26,31 @@
 //!
 //! Knobs: `LATTICE_E16_JOBS` (default 150), `LATTICE_SEED` (default 2011).
 
-use bench::{env_usize, header, write_baseline, write_json, write_metrics};
+use bench::{
+    checkpointable_campaign, env_usize, fault_grid, header, report_fnv, write_baseline,
+    write_grid_metrics, write_json, SITE_A,
+};
 use gridsim::boinc::BoincConfig;
 use gridsim::fault::{self, FaultAction};
 use gridsim::grid::{Grid, GridConfig, GridReport};
-use gridsim::job::JobSpec;
-use gridsim::recovery::RecoveryPolicy;
-use gridsim::resource::{ResourceKind, ResourceSpec};
 use gridsim::slo::Alert;
 use gridsim::telemetry::TelemetryConfig;
 use simkit::{FaultScript, SimDuration, SimRng, SimTime};
 
-// Resource indices in the base grid (the fault script targets these).
-const SITE_A_PBS: usize = 1;
-const SITE_A_SGE: usize = 2;
-
 /// First site-wide outage: both site-a clusters drop at t=4h for 8h.
 const OUTAGE_START_H: u64 = 4;
 
-/// The E12 grid: one steady cluster, two site-a clusters that fail
-/// together, and a fast-but-flaky Condor pool — plus the volunteer pool,
-/// replicated at quorum 2 because the corruption storm is on.
+/// The E12 grid plus the volunteer pool, replicated at quorum 2 because
+/// the corruption storm is on.
 fn base_config(seed: u64, telemetry: Option<TelemetryConfig>) -> GridConfig {
     GridConfig {
-        resources: vec![
-            ResourceSpec::cluster("steady", ResourceKind::PbsCluster, 8, 1.0),
-            ResourceSpec::cluster("site-a-1", ResourceKind::PbsCluster, 16, 1.2),
-            ResourceSpec::cluster("site-a-2", ResourceKind::SgeCluster, 16, 1.0),
-            ResourceSpec::condor_pool("flaky-condor", 48, 1.5, 6.0),
-        ],
         boinc: Some(BoincConfig {
             quorum: 2,
             ..Default::default()
         }),
         validation: Some(gridsim::ValidationConfig::default()),
-        max_local_retries: 1,
-        recovery: Some(RecoveryPolicy::default()),
-        seed,
         telemetry,
-        ..Default::default()
+        ..fault_grid(seed)
     }
 }
 
@@ -71,47 +58,10 @@ fn base_config(seed: u64, telemetry: Option<TelemetryConfig>) -> GridConfig {
 /// volunteer corruption window.
 fn storm() -> FaultScript<FaultAction> {
     let h = SimDuration::from_hours;
-    let mut script = fault::site_outage(
-        &[SITE_A_PBS, SITE_A_SGE],
-        SimTime::from_hours(OUTAGE_START_H),
-        h(8),
-    );
-    script.merge(fault::site_outage(
-        &[SITE_A_PBS, SITE_A_SGE],
-        SimTime::from_hours(20),
-        h(6),
-    ));
+    let mut script = fault::site_outage(&SITE_A, SimTime::from_hours(OUTAGE_START_H), h(8));
+    script.merge(fault::site_outage(&SITE_A, SimTime::from_hours(20), h(6)));
     script.merge(fault::boinc_corruption(0.25, SimTime::ZERO, h(72)));
     script
-}
-
-/// The E12 campaign: checkpointable jobs of 2–6 reference-hours with
-/// mildly noisy runtime estimates.
-fn workload(n: usize, rng: &mut SimRng) -> Vec<JobSpec> {
-    (0..n as u64)
-        .map(|id| {
-            let true_secs = rng.range_f64(2.0, 6.0) * 3600.0;
-            let mut job =
-                JobSpec::simple(id, true_secs).with_estimate(true_secs * rng.lognormal(0.0, 0.2));
-            job.checkpointable = true;
-            job
-        })
-        .collect()
-}
-
-/// Fingerprint for the pure-observer assertion (exact, bit-level).
-type Fingerprint = (usize, usize, usize, u32, u64, u64, Option<u64>);
-
-fn fingerprint(r: &GridReport) -> Fingerprint {
-    (
-        r.completed,
-        r.dead_lettered,
-        r.corrupt_completions,
-        r.total_reissues,
-        r.wasted_cpu_seconds.to_bits(),
-        r.useful_cpu_seconds.to_bits(),
-        r.makespan_seconds.map(f64::to_bits),
-    )
 }
 
 fn run_arm(n_jobs: usize, seed: u64, telemetry: Option<TelemetryConfig>) -> (Grid, GridReport) {
@@ -122,7 +72,7 @@ fn run_arm(n_jobs: usize, seed: u64, telemetry: Option<TelemetryConfig>) -> (Gri
     }
     grid.inject_faults(storm());
     let mut wrng = SimRng::new(seed ^ 0xE16);
-    grid.submit(workload(n_jobs, &mut wrng));
+    grid.submit(checkpointable_campaign(&mut wrng, n_jobs));
     let report = grid.run_until_done(SimTime::from_days(30));
     (grid, report)
 }
@@ -244,12 +194,12 @@ fn main() {
     }
     let (grid, observed) = run_arm(n_jobs, seed, Some(pack));
 
-    let identical = fingerprint(&baseline) == fingerprint(&observed);
+    let (observed_fnv, baseline_fnv) = (report_fnv(&observed), report_fnv(&baseline));
+    let identical = observed_fnv == baseline_fnv;
     assert!(
         identical,
-        "observability must be a pure observer: instrumented fingerprint {:?} != baseline {:?}",
-        fingerprint(&observed),
-        fingerprint(&baseline)
+        "observability must be a pure observer: instrumented report hash 0x{observed_fnv:016x} \
+         != baseline 0x{baseline_fnv:016x}"
     );
     println!(
         "\npure observer: instrumented run bit-identical to baseline \
@@ -368,7 +318,7 @@ fn main() {
             row.fired_at_hours
         );
     }
-    let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
+    let snapshot = write_grid_metrics("e16_observability", &grid);
     let slo_snap = snapshot.slo.clone().expect("slo snapshot present");
     println!(
         "\n{} fired, {} resolved, {} firing at end of campaign",
@@ -418,5 +368,4 @@ fn main() {
     write_baseline("e16_observability", &summary);
 
     write_json("e16_observability", &timeline);
-    write_metrics("e16_observability", &snapshot);
 }

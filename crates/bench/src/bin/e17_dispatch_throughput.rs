@@ -23,10 +23,11 @@
 //! `E17_WU_PER_HOST` scales workunits per arm (default 10, so the 100k arm
 //! carries 1M workunits), `E17_SEED`.
 
-use bench::{env_usize, gate_baseline, header, write_baseline, write_json, write_metrics};
-use gridsim::boinc::BoincConfig;
-use gridsim::grid::{Grid, GridConfig, GridReport};
-use gridsim::job::JobSpec;
+use bench::{
+    arm_regressions, env_usize, gate_baseline, header, throughput_drop, volunteer_pool,
+    volunteer_workunits, write_baseline, write_json, write_metrics,
+};
+use gridsim::grid::{Grid, GridReport};
 use simkit::{SimRng, SimTime};
 use std::time::Instant;
 
@@ -45,30 +46,6 @@ fn rss_bytes() -> (u64, u64) {
             .unwrap_or(0)
     };
     (field("VmHWM"), field("VmRSS"))
-}
-
-/// Short, estimated workunits: they pass the 10h stability cutoff for the
-/// (unstable) volunteer pool and keep the simulated horizon in hours.
-fn workload(n: usize, seed: u64) -> Vec<JobSpec> {
-    let mut rng = SimRng::new(seed);
-    (0..n)
-        .map(|i| {
-            let secs = rng.range_f64(900.0, 3600.0);
-            JobSpec::simple(i as u64, secs).with_estimate(secs)
-        })
-        .collect()
-}
-
-fn pool_config(hosts: usize, seed: u64) -> GridConfig {
-    GridConfig {
-        resources: vec![],
-        boinc: Some(BoincConfig {
-            num_clients: hosts,
-            ..Default::default()
-        }),
-        seed,
-        ..Default::default()
-    }
 }
 
 #[derive(serde::Serialize)]
@@ -100,8 +77,9 @@ const REPLAYS: usize = 5;
 /// One run of an arm on a fresh grid: wall seconds, events, report, and
 /// (peak, current) RSS with the grid still alive.
 fn run_once(hosts: usize, workunits: usize, seed: u64) -> (f64, u64, GridReport, (u64, u64)) {
-    let mut grid = Grid::new(pool_config(hosts, seed));
-    grid.submit(workload(workunits, seed ^ 0xE17));
+    let mut grid = Grid::new(volunteer_pool(hosts, seed));
+    let mut rng = SimRng::new(seed ^ 0xE17);
+    grid.submit(volunteer_workunits(&mut rng, 0, workunits as u64));
     let started = Instant::now();
     let report = grid.run_until_done(SimTime::from_days(120));
     let wall = started.elapsed().as_secs_f64().max(1e-9);
@@ -167,34 +145,6 @@ fn print_arm(label: &str, a: &Arm) {
     );
 }
 
-/// Compare a fresh trajectory against the committed baseline; returns the
-/// regression messages (empty = pass).
-fn gate_regressions(baseline: &serde::Value, fresh: &[Arm]) -> Vec<String> {
-    let fields = baseline.as_map().unwrap_or_default();
-    let Ok(base): Result<Vec<serde::Value>, _> = serde::field(fields, "trajectory") else {
-        return vec!["baseline has no trajectory".into()];
-    };
-    let mut failures = Vec::new();
-    for old in &base {
-        let Some(f) = old.as_map() else { continue };
-        let (Ok(hosts), Ok(old_dps)): (Result<u64, _>, Result<f64, _>) = (
-            serde::field(f, "hosts"),
-            serde::field(f, "dispatches_per_sec"),
-        ) else {
-            continue;
-        };
-        if let Some(new) = fresh.iter().find(|a| a.hosts as u64 == hosts) {
-            if new.dispatches_per_sec < 0.8 * old_dps {
-                failures.push(format!(
-                    "{hosts}-host arm regressed: {:.0} dispatches/sec vs baseline {:.0} (>20% drop)",
-                    new.dispatches_per_sec, old_dps
-                ));
-            }
-        }
-    }
-    failures
-}
-
 fn main() {
     let max_hosts = env_usize("E17_MAX_HOSTS", 100_000);
     let wu_per_host = env_usize("E17_WU_PER_HOST", 10);
@@ -227,7 +177,21 @@ fn main() {
     // Regression gate against the committed baseline (before overwriting).
     let name = "e17_dispatch_throughput";
     if gate_baseline(name, "E17_GATE", |base| {
-        gate_regressions(base, &summary.trajectory)
+        arm_regressions(
+            base,
+            "trajectory",
+            &summary.trajectory,
+            |arm, old| serde::field(old, "hosts").ok() == Some(arm.hosts as u64),
+            |arm, old| {
+                Ok(throughput_drop(
+                    &format!("{}-host arm", arm.hosts),
+                    "dispatches/sec",
+                    arm.dispatches_per_sec,
+                    serde::field(old, "dispatches_per_sec")?,
+                    0.20,
+                ))
+            },
+        )
     }) {
         println!("[gate] dispatches/sec within 20% of committed baseline");
     }

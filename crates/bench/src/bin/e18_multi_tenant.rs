@@ -26,8 +26,10 @@
 //! `E18_SEED`; `E18_PROFILE=1` prints per-event-kind profiler reports for
 //! both paths.
 
-use bench::{env_usize, gate_baseline, header, write_baseline, write_json, write_metrics};
-use gridsim::boinc::BoincConfig;
+use bench::{
+    arm_regressions, env_usize, gate_baseline, header, throughput_drop, volunteer_pool,
+    volunteer_workunits, write_baseline, write_json, write_metrics,
+};
 use gridsim::grid::{Grid, GridConfig};
 use gridsim::job::JobSpec;
 use gridsim::resource::{ResourceKind, ResourceSpec};
@@ -101,18 +103,17 @@ struct AdmissionArm {
 /// overflow bounces, and the in-flight cap is never pierced.
 fn admission_arm() -> AdmissionArm {
     let quota = Quota::guest_default();
-    let mut config = GridConfig {
+    let mut grid = Grid::new(GridConfig {
         resources: vec![ResourceSpec::cluster(
             "cluster",
             ResourceKind::PbsCluster,
             8,
             1.0,
         )],
+        tenancy: Some(tenancy::TenancyConfig::default()),
         seed: 2019,
         ..Default::default()
-    };
-    config.tenancy = Some(tenancy::TenancyConfig::default());
-    let mut grid = Grid::new(config);
+    });
     let guest = grid.register_tenant(TenantSpec::guest("flood@example.org"));
     let offered = 150u64;
     grid.submit_for(guest, (1..=offered).map(|i| JobSpec::simple(i, 900.0)));
@@ -188,28 +189,6 @@ fn arrival_stream(users: u64, cap: usize, seed: u64) -> Vec<Submission> {
     .generate()
 }
 
-fn pool_config(hosts: usize, seed: u64) -> GridConfig {
-    GridConfig {
-        resources: vec![],
-        boinc: Some(BoincConfig {
-            num_clients: hosts,
-            ..Default::default()
-        }),
-        seed,
-        ..Default::default()
-    }
-}
-
-/// Deterministic per-job runtimes shared by the tenancy and plain runs.
-fn job_batch(rng: &mut SimRng, first_id: u64, jobs: u64) -> Vec<JobSpec> {
-    (0..jobs)
-        .map(|k| {
-            let secs = rng.range_f64(900.0, 3600.0);
-            JobSpec::simple(first_id + k, secs).with_estimate(secs)
-        })
-        .collect()
-}
-
 /// An effectively unbounded quota: the scale arms measure scheduler
 /// mechanism cost, so admission must not drop work (the plain comparison
 /// run has no admission layer to drop the same jobs).
@@ -221,45 +200,38 @@ fn unbounded() -> Quota {
     }
 }
 
-/// Build the tenancy-path grid with every account registered lazily —
-/// only identities that actually submit get ledgers, which is what makes
-/// a 1M-user population affordable. Returns the grid and the number of
-/// distinct accounts touched.
-fn build_tenant_grid(stream: &[Submission], hosts: usize, seed: u64) -> (Grid, usize) {
-    let mut config = pool_config(hosts, seed);
-    config.tenancy = Some(tenancy::TenancyConfig::default());
-    let mut grid = Grid::new(config);
+/// Build one path's grid over `stream`. The tenancy path registers every
+/// account lazily — only identities that actually submit get ledgers,
+/// which is what makes a 1M-user population affordable; the plain path
+/// submits the same instants and job runtimes with no tenancy layer.
+/// Returns the grid and the number of distinct accounts touched.
+fn build_grid(stream: &[Submission], hosts: usize, seed: u64, tenants: bool) -> (Grid, usize) {
+    let mut grid = Grid::new(GridConfig {
+        tenancy: tenants.then(tenancy::TenancyConfig::default),
+        ..volunteer_pool(hosts, seed)
+    });
     let mut accounts: HashMap<Submitter, tenancy::TenantId> = HashMap::new();
     let mut rng = SimRng::new(seed ^ 0xE18);
     let mut next_id = 0u64;
     for s in stream {
-        let tid = *accounts.entry(s.submitter).or_insert_with(|| {
-            let spec = match s.submitter {
-                Submitter::Registered(u) => TenantSpec::registered(&format!("user-{u}"), 1.0),
-                Submitter::Guest(g) => TenantSpec::guest(&format!("guest-{g}@example.org")),
-            };
-            grid.register_tenant(spec.with_quota(unbounded()))
+        let tid = tenants.then(|| {
+            *accounts.entry(s.submitter).or_insert_with(|| {
+                let spec = match s.submitter {
+                    Submitter::Registered(u) => TenantSpec::registered(&format!("user-{u}"), 1.0),
+                    Submitter::Guest(g) => TenantSpec::guest(&format!("guest-{g}@example.org")),
+                };
+                grid.register_tenant(spec.with_quota(unbounded()))
+            })
         });
-        for job in job_batch(&mut rng, next_id, s.jobs) {
-            grid.submit_for_at(tid, job, s.at);
+        for job in volunteer_workunits(&mut rng, next_id, s.jobs) {
+            match tid {
+                Some(tid) => grid.submit_for_at(tid, job, s.at),
+                None => grid.submit_at(job, s.at),
+            }
         }
         next_id += s.jobs;
     }
     (grid, accounts.len())
-}
-
-/// Plain-path grid: same instants, same job runtimes, no tenancy.
-fn build_plain_grid(stream: &[Submission], hosts: usize, seed: u64) -> Grid {
-    let mut grid = Grid::new(pool_config(hosts, seed));
-    let mut rng = SimRng::new(seed ^ 0xE18);
-    let mut next_id = 0u64;
-    for s in stream {
-        for job in job_batch(&mut rng, next_id, s.jobs) {
-            grid.submit_at(job, s.at);
-        }
-        next_id += s.jobs;
-    }
-    grid
 }
 
 /// Replays are deterministic, so repeated attempts do identical work and
@@ -286,7 +258,7 @@ fn run_scale_arm(users: u64, hosts: usize, cap: usize, seed: u64) -> ScaleArm {
     let mut plain_events = 0;
     let mut paired_overheads = Vec::with_capacity(TIMING_ATTEMPTS);
     for _ in 0..TIMING_ATTEMPTS {
-        let (mut grid, accounts) = build_tenant_grid(&stream, hosts, seed);
+        let (mut grid, accounts) = build_grid(&stream, hosts, seed, true);
         if profile {
             grid.enable_profiling();
         }
@@ -308,7 +280,7 @@ fn run_scale_arm(users: u64, hosts: usize, cap: usize, seed: u64) -> ScaleArm {
             eprintln!("{}", serde_json::to_string_pretty(&p).unwrap());
         }
 
-        let mut plain = build_plain_grid(&stream, hosts, seed);
+        let (mut plain, _) = build_grid(&stream, hosts, seed, false);
         if profile {
             plain.enable_profiling();
         }
@@ -362,41 +334,6 @@ struct Summary {
     fairness: FairnessArm,
     admission: AdmissionArm,
     scale: Vec<ScaleArm>,
-}
-
-/// Compare fresh scale arms against the committed baseline; returns the
-/// regression messages (empty = pass).
-fn gate_regressions(baseline: &serde::Value, fresh: &[ScaleArm]) -> Vec<String> {
-    let fields = baseline.as_map().unwrap_or_default();
-    let Ok(base): Result<Vec<serde::Value>, _> = serde::field(fields, "scale") else {
-        return vec!["baseline has no scale arms".into()];
-    };
-    let mut failures = Vec::new();
-    for old in &base {
-        let Some(f) = old.as_map() else { continue };
-        let (Ok(users), Ok(jobs), Ok(wall)): (Result<u64, _>, Result<u64, _>, Result<f64, _>) = (
-            serde::field(f, "users"),
-            serde::field(f, "jobs"),
-            serde::field(f, "tenant_wall_seconds"),
-        ) else {
-            continue;
-        };
-        let old_jps = jobs as f64 / wall;
-        if let Some(new) = fresh.iter().find(|a| a.users == users) {
-            // Wide threshold on purpose: absolute throughput swings ±25%
-            // with machine load even at best-of-N walls, so this gate only
-            // catches catastrophic regressions (an accidental quadratic
-            // path, not jitter). The stable signal — tenant-vs-plain
-            // overhead from paired runs — has its own hard 10% assert.
-            let new_jps = new.jobs as f64 / new.tenant_wall_seconds;
-            if new_jps < 0.5 * old_jps {
-                failures.push(format!(
-                    "{users}-user arm regressed: {new_jps:.0} tenant jobs/sec vs baseline {old_jps:.0} (>50% drop)"
-                ));
-            }
-        }
-    }
-    failures
 }
 
 fn main() {
@@ -471,8 +408,29 @@ fn main() {
 
     // Regression gate against the committed baseline (before overwriting).
     let name = "e18_multi_tenant";
+    // Wide threshold on purpose: absolute throughput swings ±25% with
+    // machine load even at best-of-N walls, so this gate only catches
+    // catastrophic regressions (an accidental quadratic path, not jitter).
+    // The stable signal — tenant-vs-plain overhead from paired runs — has
+    // its own hard 10% assert.
     if gate_baseline(name, "E18_GATE", |base| {
-        gate_regressions(base, &summary.scale)
+        arm_regressions(
+            base,
+            "scale",
+            &summary.scale,
+            |arm, old| serde::field(old, "users").ok() == Some(arm.users),
+            |arm, old| {
+                let jobs: u64 = serde::field(old, "jobs")?;
+                let wall: f64 = serde::field(old, "tenant_wall_seconds")?;
+                Ok(throughput_drop(
+                    &format!("{}-user arm", arm.users),
+                    "tenant jobs/sec",
+                    arm.jobs as f64 / arm.tenant_wall_seconds,
+                    jobs as f64 / wall,
+                    0.50,
+                ))
+            },
+        )
     }) {
         println!("[gate] tenant jobs/sec within 50% of committed baseline");
     }

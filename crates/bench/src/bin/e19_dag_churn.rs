@@ -29,13 +29,15 @@
 //! Knobs: `E19_CAMPAIGNS` (default 8), `E19_HOSTS` volunteer-pool size
 //! (default 40), `E19_SEED` (default 2019).
 
-use bench::{env_usize, gate_baseline, header, write_baseline, write_json, write_metrics};
+use bench::{
+    arm_regressions, env_usize, gate_baseline, header, report_fnv, write_baseline, write_json,
+    write_metrics,
+};
 use gridsim::boinc::BoincConfig;
 use gridsim::grid::GridConfig;
 use gridsim::resource::{ResourceKind, ResourceSpec};
 use gridsim::{ChurnConfig, DagSpec, FlowConfig, JobSpec, ValidationConfig};
 use lattice::run_dag_campaign;
-use simkit::snapshot::checksum as fnv1a;
 use simkit::{SimDuration, SimRng, SimTime};
 
 /// The fixed campaign set: pipelines alternating tight (28 h) and loose
@@ -184,7 +186,7 @@ fn byte_inertness_arm() -> InertArm {
         j
     }));
     let report = grid.run_until_done(SimTime::from_days(30));
-    let fnv = fnv1a(serde_json::to_string(&report).unwrap().as_bytes());
+    let fnv = report_fnv(&report);
     assert_eq!(
         fnv, OPT_OUT_REPORT_FNV,
         "opt-out path is no longer byte-inert: report hash 0x{fnv:016x}"
@@ -207,59 +209,29 @@ struct Summary {
     byte_inertness: InertArm,
 }
 
-/// Compare fresh arms against the committed baseline; returns regression
-/// messages (empty = pass). Arms match on (scheduling, churn, campaigns);
-/// mismatched shapes (e.g. a reduced run against a full baseline) skip.
-fn gate_regressions(baseline: &serde::Value, fresh: &[Arm]) -> Vec<String> {
-    let fields = baseline.as_map().unwrap_or_default();
-    let Ok(base): Result<Vec<serde::Value>, _> = serde::field(fields, "arms") else {
-        return vec!["baseline has no arms".into()];
-    };
+/// The gate's verdict on one arm matched (on scheduling, churn and
+/// campaigns) to the committed baseline's `old`: more deadline misses, or
+/// a mean makespan more than 5% longer, is a regression.
+fn arm_regressed(new: &Arm, old: &[(String, serde::Value)]) -> Result<Vec<String>, serde::Error> {
+    let (old_misses, old_makespan): (u64, f64) = (
+        serde::field(old, "deadline_misses")?,
+        serde::field(old, "mean_makespan_hours")?,
+    );
+    let arm = format!("{}/{}", new.scheduling, new.churn);
     let mut failures = Vec::new();
-    let mut matched = 0;
-    for old in &base {
-        let Some(f) = old.as_map() else { continue };
-        let (Ok(sched), Ok(churn), Ok(campaigns)): (
-            Result<String, _>,
-            Result<String, _>,
-            Result<u64, _>,
-        ) = (
-            serde::field(f, "scheduling"),
-            serde::field(f, "churn"),
-            serde::field(f, "campaigns"),
-        ) else {
-            continue;
-        };
-        let (Ok(old_misses), Ok(old_makespan)): (Result<u64, _>, Result<f64, _>) = (
-            serde::field(f, "deadline_misses"),
-            serde::field(f, "mean_makespan_hours"),
-        ) else {
-            continue;
-        };
-        let Some(new) = fresh
-            .iter()
-            .find(|a| a.scheduling == sched && a.churn == churn && a.campaigns as u64 == campaigns)
-        else {
-            continue;
-        };
-        matched += 1;
-        if new.deadline_misses > old_misses {
-            failures.push(format!(
-                "{sched}/{churn}: {} deadline misses vs baseline {old_misses}",
-                new.deadline_misses
-            ));
-        }
-        if new.mean_makespan_hours > 1.05 * old_makespan {
-            failures.push(format!(
-                "{sched}/{churn}: mean makespan {:.1}h vs baseline {:.1}h (>5% regression)",
-                new.mean_makespan_hours, old_makespan
-            ));
-        }
+    if new.deadline_misses > old_misses {
+        failures.push(format!(
+            "{arm}: {} deadline misses vs baseline {old_misses}",
+            new.deadline_misses
+        ));
     }
-    if matched == 0 {
-        failures.push("no baseline arm matched this run's shape".into());
+    if new.mean_makespan_hours > 1.05 * old_makespan {
+        failures.push(format!(
+            "{arm}: mean makespan {:.1}h vs baseline {:.1}h (>5% regression)",
+            new.mean_makespan_hours, old_makespan
+        ));
     }
-    failures
+    Ok(failures)
 }
 
 fn main() {
@@ -350,7 +322,17 @@ fn main() {
     // Regression gate against the committed baseline (before overwriting).
     let name = "e19_dag_churn";
     if gate_baseline(name, "E19_GATE", |base| {
-        gate_regressions(base, &summary.arms)
+        arm_regressions(
+            base,
+            "arms",
+            &summary.arms,
+            |arm, old| {
+                serde::field::<String>(old, "scheduling").ok().as_deref() == Some(arm.scheduling)
+                    && serde::field::<String>(old, "churn").ok().as_deref() == Some(arm.churn)
+                    && serde::field(old, "campaigns").ok() == Some(arm.campaigns as u64)
+            },
+            arm_regressed,
+        )
     }) {
         println!("[gate] misses and makespans within the committed baseline");
     }

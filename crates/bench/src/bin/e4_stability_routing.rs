@@ -15,7 +15,7 @@
 //! Expected shape: the estimator-on rows complete everything with near-zero
 //! wasted CPU; the estimator-off row burns CPU on evicted long jobs.
 
-use bench::{env_f64, env_usize, fmt_secs, header, write_json, write_metrics};
+use bench::{env_f64, env_usize, fmt_secs, header, write_grid_metrics, write_json};
 use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::JobSpec;
 use gridsim::resource::{ResourceKind, ResourceSpec};
@@ -125,11 +125,7 @@ fn run(
     grid.submit(jobs);
     let report = grid.run_until_done(SimTime::from_days(45));
     if telemetry {
-        let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
-        write_metrics("e4_stability_routing", &snapshot);
-        if let Some(p) = grid.profile_report() {
-            eprintln!("[profile] {}", p.one_line());
-        }
+        write_grid_metrics("e4_stability_routing", &grid);
     }
     Row {
         policy: label.to_string(),

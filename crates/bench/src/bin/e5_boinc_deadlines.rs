@@ -13,7 +13,7 @@
 //! (reissue storms); long fixed deadlines stall the batch when hosts
 //! vanish; estimate-scaled deadlines track job size and dominate.
 
-use bench::{env_f64, env_usize, fmt_secs, header, write_json, write_metrics};
+use bench::{env_f64, env_usize, fmt_secs, header, write_grid_metrics, write_json};
 use gridsim::boinc::{BoincConfig, DeadlinePolicy};
 use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::JobSpec;
@@ -42,11 +42,9 @@ struct Row {
     report: GridReport,
 }
 
-fn run(label: &str, deadline: DeadlinePolicy, n: usize, noise: f64, seed: u64) -> Row {
-    run_observed(label, deadline, n, noise, seed, false)
-}
-
-fn run_observed(
+/// One arm; an observed arm runs with telemetry and the profiler on and
+/// writes the experiment's metrics artifact.
+fn run(
     label: &str,
     deadline: DeadlinePolicy,
     n: usize,
@@ -84,11 +82,7 @@ fn run_observed(
     grid.submit(jobs);
     let report = grid.run_until_done(SimTime::from_days(90));
     if telemetry {
-        let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
-        write_metrics("e5_boinc_deadlines", &snapshot);
-        if let Some(p) = grid.profile_report() {
-            eprintln!("[profile] {}", p.one_line());
-        }
+        write_grid_metrics("e5_boinc_deadlines", &grid);
     }
     Row {
         policy: label.to_string(),
@@ -125,7 +119,7 @@ fn main() {
         ),
     ];
     for (label, policy) in fixed {
-        let row = run(label, policy, n, noise, seed);
+        let row = run(label, policy, n, noise, seed, false);
         print_row(&row);
         rows.push(row);
     }
@@ -140,7 +134,7 @@ fn main() {
         };
         // The recommended slack runs with telemetry on and emits the
         // experiment's metrics artifact.
-        let row = run_observed(
+        let row = run(
             &format!("estimate × {slack} (RF-driven)"),
             policy,
             n,

@@ -11,7 +11,7 @@
 //! "auto" = the estimate-driven policy) and measure makespan and the
 //! overhead fraction.
 
-use bench::{env_usize, fmt_secs, header, write_json, write_metrics};
+use bench::{env_usize, fmt_secs, header, write_grid_metrics, write_json};
 use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::JobSpec;
 use gridsim::resource::{ResourceKind, ResourceSpec};
@@ -61,8 +61,7 @@ fn run(bundle: usize, n_replicates: usize, rep_secs: f64, seed: u64, telemetry: 
     let report = grid.run_until_done(SimTime::from_days(30));
     assert_eq!(report.completed, grid_jobs, "all bundles must finish");
     if telemetry {
-        let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
-        write_metrics("e6_bundling", &snapshot);
+        write_grid_metrics("e6_bundling", &grid);
     }
     let compute_cpu = report.useful_cpu_seconds - grid_jobs as f64 * overhead;
     Row {

@@ -8,7 +8,7 @@
 //! job-count granularity bites; a few hundred dedicated slots turn 15 years
 //! into a few months, exactly the paper's anecdote.
 
-use bench::{env_usize, fmt_secs, header, write_json, write_metrics};
+use bench::{env_usize, fmt_secs, header, write_grid_metrics, write_json};
 use gridsim::grid::{Grid, GridConfig, GridReport};
 use gridsim::job::JobSpec;
 use gridsim::resource::{ResourceKind, ResourceSpec};
@@ -72,8 +72,7 @@ fn main() {
         );
         let report = grid.run_until_done(SimTime::from_days(5000));
         if telemetry {
-            let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
-            write_metrics("e7_cpu_years", &snapshot);
+            write_grid_metrics("e7_cpu_years", &grid);
         }
         let makespan = report.makespan_seconds.unwrap();
         let speedup = serial_seconds / makespan;

@@ -3,10 +3,19 @@
 //! Every table and figure of the paper has a binary in `src/bin` (see
 //! DESIGN.md's per-experiment index); this library provides what they
 //! share: a cached training corpus (executing 150 GARLI jobs once instead
-//! of per-experiment), environment-variable knobs, and table/JSON output
-//! helpers. Results land in `bench_results/` at the workspace root.
+//! of per-experiment), environment-variable knobs, table/JSON output
+//! helpers, the whole-report hash behind every replay and observer check,
+//! the telemetry-artifact writer, the baseline-gate walk, and the grids
+//! and workloads several experiments run. Results land in `bench_results/`
+//! at the workspace root.
 
+use gridsim::boinc::BoincConfig;
+use gridsim::{
+    Grid, GridConfig, GridReport, JobSpec, RecoveryPolicy, ResourceKind, ResourceSpec,
+    TelemetrySnapshot,
+};
 use lattice::training::{generate_training_jobs, Scale, TrainingJob};
+use simkit::SimRng;
 use std::path::PathBuf;
 
 /// Read a numeric knob from the environment, or `default` when it is unset.
@@ -141,6 +150,52 @@ pub fn gate_baseline(
     true
 }
 
+/// The walk behind each arm-by-arm regression gate: every arm of the
+/// baseline's `key` array that `matches` an arm of this run goes to
+/// `check` with that arm, which returns its regressions. A baseline arm
+/// the run did not produce is skipped, so a reduced run gates the arms it
+/// ran; but a walk that compared no arm fails, and so does a matched arm
+/// `check` cannot read.
+pub fn arm_regressions<A, R: IntoIterator<Item = String>>(
+    baseline: &serde::Value,
+    key: &str,
+    fresh: &[A],
+    matches: impl Fn(&A, &[(String, serde::Value)]) -> bool,
+    check: impl Fn(&A, &[(String, serde::Value)]) -> Result<R, serde::Error>,
+) -> Vec<String> {
+    let fields = baseline.as_map().unwrap_or_default();
+    let Ok(arms) = serde::field::<Vec<serde::Value>>(fields, key) else {
+        return vec![format!("baseline has no `{key}` arms")];
+    };
+    let mut failures = Vec::new();
+    let mut matched = 0;
+    for old in arms.iter().filter_map(serde::Value::as_map) {
+        let Some(new) = fresh.iter().find(|a| matches(a, old)) else {
+            continue;
+        };
+        matched += 1;
+        match check(new, old) {
+            Ok(found) => failures.extend(found),
+            Err(e) => failures.push(format!("baseline `{key}` arm unreadable: {e}")),
+        }
+    }
+    if matched == 0 {
+        failures.push("no baseline arm matched this run's shape".into());
+    }
+    failures
+}
+
+/// A throughput gate's verdict on one arm: a regression message when
+/// `new` fell more than `bound` (a fraction) below the baseline's `old`.
+pub fn throughput_drop(arm: &str, unit: &str, new: f64, old: f64, bound: f64) -> Option<String> {
+    (new < (1.0 - bound) * old).then(|| {
+        format!(
+            "{arm} regressed: {new:.0} {unit} vs baseline {old:.0} (>{:.0}% drop)",
+            bound * 100.0
+        )
+    })
+}
+
 /// Whether the gate switch `env_var` is on: unset or `0` is off, `1` is
 /// on, and any other value panics like an unparsable knob.
 fn gate_enabled(env_var: &str) -> bool {
@@ -191,6 +246,87 @@ pub fn metrics_envelope(value: &impl serde::Serialize) -> serde::Value {
         ),
         ("snapshot".to_string(), value.to_value()),
     ])
+}
+
+/// Write the telemetry snapshot of `grid`, which ran with telemetry on, as
+/// the experiment's metrics artifact ([`write_metrics`]), print the
+/// `[profile]` line when profiling was on, and return the snapshot.
+pub fn write_grid_metrics(name: &str, grid: &Grid) -> TelemetrySnapshot {
+    let snapshot = grid.telemetry_snapshot().expect("telemetry enabled");
+    write_metrics(name, &snapshot);
+    if let Some(p) = grid.profile_report() {
+        eprintln!("[profile] {}", p.one_line());
+    }
+    snapshot
+}
+
+/// The whole-report hash every replay and observer check compares:
+/// `simkit::snapshot::checksum` (FNV-1a) over the report's JSON, per-job
+/// records included.
+pub fn report_fnv(report: &GridReport) -> u64 {
+    let json = serde_json::to_string(report).expect("report serializes");
+    simkit::snapshot::checksum(json.as_bytes())
+}
+
+/// E17's and E18's grid: `hosts` default volunteers and nothing else.
+pub fn volunteer_pool(hosts: usize, seed: u64) -> GridConfig {
+    GridConfig {
+        boinc: Some(BoincConfig {
+            num_clients: hosts,
+            ..Default::default()
+        }),
+        seed,
+        ..Default::default()
+    }
+}
+
+/// `n` estimated workunits of 15–60 reference minutes, ids from
+/// `first_id`: they pass the 10 h stability cutoff for the (unstable)
+/// volunteer pool and keep the simulated horizon in hours.
+pub fn volunteer_workunits(rng: &mut SimRng, first_id: u64, n: u64) -> Vec<JobSpec> {
+    (first_id..first_id + n)
+        .map(|id| {
+            let secs = rng.range_f64(900.0, 3600.0);
+            JobSpec::simple(id, secs).with_estimate(secs)
+        })
+        .collect()
+}
+
+/// [`fault_grid`]'s two site-a clusters (PBS, SGE), which fail together.
+pub const SITE_A: [usize; 2] = [1, 2];
+/// [`fault_grid`]'s fast but flaky Condor pool.
+pub const FLAKY_CONDOR: usize = 3;
+
+/// E12's fault grid, which E15 and E16 replay: one steady cluster, two
+/// site-a clusters that fail together and a fast but flaky Condor pool,
+/// with one local retry and the grid-level recovery policy on.
+pub fn fault_grid(seed: u64) -> GridConfig {
+    GridConfig {
+        resources: vec![
+            ResourceSpec::cluster("steady", ResourceKind::PbsCluster, 8, 1.0),
+            ResourceSpec::cluster("site-a-1", ResourceKind::PbsCluster, 16, 1.2),
+            ResourceSpec::cluster("site-a-2", ResourceKind::SgeCluster, 16, 1.0),
+            ResourceSpec::condor_pool("flaky-condor", 48, 1.5, 6.0),
+        ],
+        max_local_retries: 1,
+        recovery: Some(RecoveryPolicy::default()),
+        seed,
+        ..Default::default()
+    }
+}
+
+/// E12's campaign: `n` checkpointable jobs of 2–6 reference hours with
+/// mildly noisy (RF-quality) runtime estimates.
+pub fn checkpointable_campaign(rng: &mut SimRng, n: usize) -> Vec<JobSpec> {
+    (0..n as u64)
+        .map(|id| {
+            let true_secs = rng.range_f64(2.0, 6.0) * 3600.0;
+            let mut job =
+                JobSpec::simple(id, true_secs).with_estimate(true_secs * rng.lognormal(0.0, 0.2));
+            job.checkpointable = true;
+            job
+        })
+        .collect()
 }
 
 /// Print a section header.
@@ -298,6 +434,82 @@ mod tests {
             ["baseline is not a JSON object"]
         );
         assert!(baseline_failures("{", arms)[0].starts_with("baseline unreadable"));
+    }
+
+    fn small_report() -> GridReport {
+        let mut grid = Grid::new(fault_grid(7));
+        grid.submit(checkpointable_campaign(&mut SimRng::new(7), 6));
+        grid.run_until_done(simkit::SimTime::from_days(30))
+    }
+
+    #[test]
+    fn report_fnv_hashes_the_whole_report_json() {
+        let report = small_report();
+        let json = serde_json::to_string(&report).unwrap();
+        assert_eq!(
+            report_fnv(&report),
+            simkit::snapshot::checksum(json.as_bytes())
+        );
+    }
+
+    /// A field tuple over the report's aggregates cannot see who ran one
+    /// job; the whole-report hash does.
+    #[test]
+    fn report_fnv_sees_a_single_records_host() {
+        let report = small_report();
+        let mut moved = report.clone();
+        let record = &mut moved.records[0];
+        assert!(record.completed_by.is_some(), "{record:?}");
+        record.completed_by = Some("elsewhere".into());
+        assert_ne!(report_fnv(&report), report_fnv(&moved));
+    }
+
+    /// E17's gate: arms match on `hosts`, and dispatches/sec may fall 20%.
+    fn e17_walk(baseline: &str, fresh: &[(u64, f64)]) -> Vec<String> {
+        arm_regressions(
+            &serde_json::from_str(baseline).unwrap(),
+            "trajectory",
+            fresh,
+            |arm, old| serde::field(old, "hosts").ok() == Some(arm.0),
+            |arm, old| {
+                Ok(throughput_drop(
+                    &format!("{}-host arm", arm.0),
+                    "dispatches/sec",
+                    arm.1,
+                    serde::field(old, "dispatches_per_sec")?,
+                    0.20,
+                ))
+            },
+        )
+    }
+
+    const TWO_ARMS: &str = r#"{"trajectory":[
+        {"hosts":1000,"dispatches_per_sec":100000.0},
+        {"hosts":100000,"dispatches_per_sec":40000.0}]}"#;
+
+    #[test]
+    fn gate_walk_holds_e17s_bound() {
+        assert!(e17_walk(TWO_ARMS, &[(1000, 81_000.0)]).is_empty());
+        assert_eq!(
+            e17_walk(TWO_ARMS, &[(1000, 79_000.0)]),
+            ["1000-host arm regressed: 79000 dispatches/sec vs baseline 100000 (>20% drop)"]
+        );
+    }
+
+    #[test]
+    fn gate_walk_skips_unrun_arms_but_fails_on_nothing_compared() {
+        // The 100k baseline arm did not run: skipped, not failed.
+        assert!(e17_walk(TWO_ARMS, &[(1000, 100_000.0)]).is_empty());
+        let nothing = ["no baseline arm matched this run's shape"];
+        assert_eq!(e17_walk(TWO_ARMS, &[(500, 1e9)]), nothing);
+        assert_eq!(e17_walk(TWO_ARMS, &[]), nothing);
+        assert_eq!(
+            e17_walk(r#"{"arms":[]}"#, &[(1000, 1e9)]),
+            ["baseline has no `trajectory` arms"]
+        );
+        let unreadable = e17_walk(r#"{"trajectory":[{"hosts":1000}]}"#, &[(1000, 1e9)]);
+        assert_eq!(unreadable.len(), 1);
+        assert!(unreadable[0].starts_with("baseline `trajectory` arm unreadable"));
     }
 
     #[test]

@@ -493,11 +493,6 @@ impl BoincSim {
         });
     }
 
-    /// True iff the validation subsystem is active.
-    pub fn validation_enabled(&self) -> bool {
-        self.validation.is_some()
-    }
-
     /// The quorum engine's aggregate accounting, when validation is on.
     pub fn validation_snapshot(&self) -> Option<ValidationSnapshot> {
         self.validation.as_ref().map(|v| v.engine.snapshot())
@@ -508,13 +503,6 @@ impl BoincSim {
         self.validation
             .as_ref()
             .is_some_and(|v| v.engine.is_blacklisted(host))
-    }
-
-    /// True iff `host` has earned replication-1 trust.
-    pub fn host_trusted(&self, host: usize) -> bool {
-        self.validation
-            .as_ref()
-            .is_some_and(|v| v.engine.is_trusted(host))
     }
 
     /// Set the probability that an honest host's result carries a wrong
@@ -539,11 +527,6 @@ impl BoincSim {
                 ((h >> 11) as f64 / (1u64 << 53) as f64) < fraction
             })
             .collect();
-    }
-
-    /// Hosts currently marked malicious.
-    pub fn malicious_count(&self) -> usize {
-        self.malicious.iter().filter(|&&m| m).count()
     }
 
     /// Set the probability that a returned result is garbage (fault

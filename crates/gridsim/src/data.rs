@@ -76,32 +76,6 @@ impl Default for DataConfig {
     }
 }
 
-impl DataConfig {
-    /// Builder-style policy override.
-    pub fn with_policy(mut self, policy: DataPolicy) -> DataConfig {
-        self.policy = policy;
-        self
-    }
-
-    /// Builder-style site cache capacity.
-    pub fn with_site_cache_bytes(mut self, bytes: u64) -> DataConfig {
-        self.site_cache_bytes = bytes;
-        self
-    }
-
-    /// Builder-style default portal→site link.
-    pub fn with_default_link(mut self, link: LinkSpec) -> DataConfig {
-        self.default_link = link;
-        self
-    }
-
-    /// Builder-style per-site link override.
-    pub fn with_site_link(mut self, site: &str, link: LinkSpec) -> DataConfig {
-        self.site_links.insert(site.into(), link);
-        self
-    }
-}
-
 /// What one stage-in actually cost.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct StageIn {

@@ -79,12 +79,6 @@ impl JobSpec {
         self
     }
 
-    /// Attach several input objects at once (builder style).
-    pub fn with_inputs(mut self, inputs: &[ObjectRef]) -> JobSpec {
-        self.inputs.extend_from_slice(inputs);
-        self
-    }
-
     /// Attach a runtime estimate (builder style).
     pub fn with_estimate(mut self, estimated_reference_seconds: f64) -> JobSpec {
         self.estimated_reference_seconds = Some(estimated_reference_seconds);

@@ -137,10 +137,4 @@ impl ValidationConfig {
         self.policy = ReplicationPolicy::Always;
         self
     }
-
-    /// Builder: set the fuzzy-comparison tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> ValidationConfig {
-        self.tolerance = tolerance;
-        self
-    }
 }
