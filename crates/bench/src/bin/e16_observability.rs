@@ -107,7 +107,6 @@ struct BenchSummary {
     experiment: &'static str,
     jobs: usize,
     seed: u64,
-    observer_fingerprint_identical: bool,
     alerts_fired: u64,
     alerts_resolved: u64,
     first_alert_hours: f64,
@@ -195,9 +194,8 @@ fn main() {
     let (grid, observed) = run_arm(n_jobs, seed, Some(pack));
 
     let (observed_fnv, baseline_fnv) = (report_fnv(&observed), report_fnv(&baseline));
-    let identical = observed_fnv == baseline_fnv;
     assert!(
-        identical,
+        observed_fnv == baseline_fnv,
         "observability must be a pure observer: instrumented report hash 0x{observed_fnv:016x} \
          != baseline 0x{baseline_fnv:016x}"
     );
@@ -356,7 +354,6 @@ fn main() {
         experiment: "e16_observability",
         jobs: n_jobs,
         seed,
-        observer_fingerprint_identical: identical,
         alerts_fired: slo_snap.fired_total,
         alerts_resolved: slo_snap.resolved_total,
         first_alert_hours,

@@ -24,10 +24,10 @@
 //! 1_000_000), `E18_HOSTS` sizes the volunteer pool (default 2_000),
 //! `E18_SUBMISSIONS` caps arrivals per scale arm (default 4_000),
 //! `E18_SEED`; `E18_PROFILE=1` prints per-event-kind profiler reports for
-//! both paths.
+//! both paths (`0` or unset runs unprofiled, and any other value panics).
 
 use bench::{
-    arm_regressions, env_usize, gate_baseline, header, throughput_drop, volunteer_pool,
+    arm_regressions, env_switch, env_usize, gate_baseline, header, throughput_drop, volunteer_pool,
     volunteer_workunits, write_baseline, write_json, write_metrics,
 };
 use gridsim::grid::{Grid, GridConfig};
@@ -247,7 +247,7 @@ fn run_scale_arm(users: u64, hosts: usize, cap: usize, seed: u64) -> ScaleArm {
         .iter()
         .filter(|s| matches!(s.submitter, Submitter::Guest(_)))
         .count();
-    let profile = std::env::var("E18_PROFILE").as_deref() == Ok("1");
+    let profile = env_switch("E18_PROFILE");
 
     let mut active_accounts = 0;
     let mut tenant_wall = f64::INFINITY;

@@ -37,6 +37,23 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
     env_knob(name, default)
 }
 
+/// Read an on/off switch (a regression gate, E18's profiler) from the
+/// environment: unset or `0` is off, `1` is on.
+///
+/// # Panics
+/// Panics, naming the variable and its value, on anything else, like an
+/// unparsable knob: `E18_PROFILE=yes` must not quietly run unprofiled.
+pub fn env_switch(name: &str) -> bool {
+    let Some(raw) = std::env::var_os(name) else {
+        return false;
+    };
+    match raw.to_str() {
+        Some("0") => false,
+        Some("1") => true,
+        _ => panic!("{name}={raw:?} is not a valid switch (0 or 1)"),
+    }
+}
+
 fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
     let Some(raw) = std::env::var_os(name) else {
         return default;
@@ -129,7 +146,7 @@ pub fn gate_baseline(
     env_var: &str,
     check: impl FnOnce(&serde::Value) -> Vec<String>,
 ) -> bool {
-    if !gate_enabled(env_var) {
+    if !env_switch(env_var) {
         return false;
     }
     let path = baseline_path(name);
@@ -194,19 +211,6 @@ pub fn throughput_drop(arm: &str, unit: &str, new: f64, old: f64, bound: f64) ->
             bound * 100.0
         )
     })
-}
-
-/// Whether the gate switch `env_var` is on: unset or `0` is off, `1` is
-/// on, and any other value panics like an unparsable knob.
-fn gate_enabled(env_var: &str) -> bool {
-    let Some(raw) = std::env::var_os(env_var) else {
-        return false;
-    };
-    match raw.to_str() {
-        Some("0") => false,
-        Some("1") => true,
-        _ => panic!("{env_var}={raw:?} is not a valid gate switch (0 or 1)"),
-    }
 }
 
 /// The regressions `check` finds in a baseline's text.
@@ -377,16 +381,16 @@ mod tests {
 
     #[test]
     fn gate_switches_refuse_values_they_cannot_read() {
-        assert!(!gate_enabled("LATTICE_NO_SUCH_GATE"));
+        assert!(!env_switch("LATTICE_NO_SUCH_GATE"));
         std::env::set_var("LATTICE_TEST_GATE_OFF", "0");
-        assert!(!gate_enabled("LATTICE_TEST_GATE_OFF"));
+        assert!(!env_switch("LATTICE_TEST_GATE_OFF"));
         assert!(!gate_baseline(
             "no_such_bench",
             "LATTICE_TEST_GATE_OFF",
             |_| { panic!("an off gate must not read its baseline") }
         ));
         std::env::set_var("LATTICE_TEST_GATE_ON", "1");
-        assert!(gate_enabled("LATTICE_TEST_GATE_ON"));
+        assert!(env_switch("LATTICE_TEST_GATE_ON"));
         for bad in ["true", "yes", "on", "2", " 1", ""] {
             std::env::set_var("LATTICE_TEST_GATE_BAD", bad);
             let panic = std::panic::catch_unwind(|| {
@@ -399,6 +403,15 @@ mod tests {
                 "{msg}"
             );
         }
+    }
+
+    #[test]
+    fn env_switch_refuses_values_it_cannot_read() {
+        std::env::set_var("LATTICE_TEST_SWITCH_YES", "yes");
+        let panic = std::panic::catch_unwind(|| env_switch("LATTICE_TEST_SWITCH_YES"))
+            .expect_err("`yes` is not a switch value");
+        let msg = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("LATTICE_TEST_SWITCH_YES=\"yes\""), "{msg}");
     }
 
     /// Pins the metrics-artifact schema: the envelope keys, their order,

@@ -13,7 +13,7 @@
 use crate::churn::ChurnModel;
 use crate::data::{DataGridState, StageIn};
 use crate::grid::GridEvent;
-use crate::job::{JobId, JobSpec};
+use crate::job::{FinishedRun, JobId, JobSpec, Terminal};
 use crate::mds::ResourceState;
 use quorum::{Completion, QuorumEngine, ValidationConfig, ValidationSnapshot, Verdict};
 use serde::{Deserialize, Serialize, Value};
@@ -209,36 +209,6 @@ struct ValidationState {
     /// Keyed by `JobId` (dense, so an [`IdMap`]), which encodes as id-sorted
     /// `[id, cpus]` pairs.
     cpu_by_result: IdMap<Vec<f64>>,
-}
-
-/// What the grid must act on after a BOINC state change.
-#[derive(Debug, PartialEq)]
-pub enum BoincOutcome {
-    /// Nothing to record.
-    None,
-    /// A workunit reached quorum; the job is done.
-    Completed {
-        /// The finished workunit/job.
-        job: JobId,
-        /// CPU-seconds across the results that counted toward quorum.
-        useful_cpu_seconds: f64,
-        /// When the first counted execution began.
-        started: SimTime,
-        /// Reissues this workunit needed.
-        reissues: u32,
-        /// True iff the accepted result was corrupt — possible only without
-        /// redundancy (quorum = 1); validation catches it otherwise.
-        corrupt: bool,
-        /// The quorum engine's completion record, when the validation
-        /// subsystem is enabled (`None` on the legacy counting path).
-        validation: Option<Completion>,
-    },
-    /// The quorum engine gave up on this workunit (error/total budget
-    /// exhausted): the job cannot complete and must be dead-lettered.
-    ValidationFailed {
-        /// The unvalidatable workunit/job.
-        job: JobId,
-    },
 }
 
 /// The simulated BOINC project (server + volunteer hosts).
@@ -585,13 +555,6 @@ impl BoincSim {
         self.reissues_total
     }
 
-    /// The grid job behind a workunit assignment, if the assignment is
-    /// still known (telemetry links deadline reissues into the job's
-    /// causal trace).
-    pub fn assignment_job(&self, assignment: u64) -> Option<JobId> {
-        self.assignments.get(assignment).map(|a| a.wu)
-    }
-
     /// Reissues attributable to workunits that have *not* completed yet.
     /// Completed workunits' reissues are already folded into their grid-level
     /// job records, so a report summing per-record reissues must add only
@@ -776,20 +739,19 @@ impl BoincSim {
     }
 
     /// A client finished computing its task and uploads the result.
+    /// Returns the workunit's job and terminal when the result settled it.
     pub fn on_client_done(
         &mut self,
         client: usize,
         assignment: u64,
         now: SimTime,
         cal: &mut Calendar<GridEvent>,
-    ) -> BoincOutcome {
+    ) -> Option<(JobId, Terminal)> {
         let was = self.client_probe(client);
-        let Some(task) = self.clients[client].task.take() else {
-            return BoincOutcome::None;
-        };
+        let task = self.clients[client].task.take()?;
         if task.assignment != assignment {
             self.clients[client].task = Some(task);
-            return BoincOutcome::None; // stale
+            return None; // stale
         }
         self.sync_client(client, was); // now idle: back in the feeder index
         let cpu = task.cpu_spent + now.saturating_since(task.resumed_at).as_secs_f64();
@@ -810,7 +772,7 @@ impl BoincSim {
         let outcome = if wu.completed {
             // Late or redundant beyond quorum: wasted volunteer time.
             self.wasted_cpu_seconds += cpu;
-            BoincOutcome::None
+            None
         } else if corrupt && self.config.quorum >= 2 {
             // Redundant validation rejects the result: it does not count
             // toward quorum, its CPU is waste, and the server reissues a
@@ -820,7 +782,7 @@ impl BoincSim {
             wu.reissues += 1;
             self.reissues_total += 1;
             self.queue.push_back(task.wu);
-            BoincOutcome::None
+            None
         } else {
             if corrupt {
                 // No redundancy: nothing to validate against, the garbage
@@ -835,22 +797,10 @@ impl BoincSim {
                 }
             }
             if wu.results_received >= self.config.quorum {
-                wu.completed = true;
-                self.unfinished -= 1;
-                self.reissues_completed += wu.reissues;
-                BoincOutcome::Completed {
-                    job: task.wu,
-                    useful_cpu_seconds: *self
-                        .useful_by_wu
-                        .get(task.wu.0)
-                        .expect("cpu banked above"),
-                    started: wu.first_started.expect("started before completing"),
-                    reissues: wu.reissues,
-                    corrupt,
-                    validation: None,
-                }
+                let useful = *self.useful_by_wu.get(task.wu.0).expect("cpu banked above");
+                self.complete(task.wu, useful, corrupt, None)
             } else {
-                BoincOutcome::None
+                None
             }
         };
         // The now-idle client asks for more work.
@@ -867,7 +817,7 @@ impl BoincSim {
         wu_id: JobId,
         cpu: f64,
         corrupt: bool,
-    ) -> BoincOutcome {
+    ) -> Option<(JobId, Terminal)> {
         let bad = corrupt
             || self.malicious.get(client).copied().unwrap_or(false)
             || (self.erroneous_rate > 0.0 && self.rng.chance(self.erroneous_rate));
@@ -876,7 +826,7 @@ impl BoincSim {
         if wu.completed {
             // Late or redundant beyond the decided quorum: wasted time.
             self.wasted_cpu_seconds += cpu;
-            return BoincOutcome::None;
+            return None;
         }
         wu.results_received += 1;
         match v.cpu_by_result.get_mut(wu_id.0) {
@@ -898,12 +848,9 @@ impl BoincSim {
                         self.queue.push_front(wu_id);
                     }
                 }
-                BoincOutcome::None
+                None
             }
             Verdict::Completed(c) => {
-                wu.completed = true;
-                self.unfinished -= 1;
-                self.reissues_completed += wu.reissues;
                 let cpus = v.cpu_by_result.remove(wu_id.0).unwrap_or_default();
                 let useful: f64 = c
                     .valid
@@ -922,26 +869,52 @@ impl BoincSim {
                 if c.canonical_bad {
                     self.corrupt_accepted += 1;
                 }
-                BoincOutcome::Completed {
-                    job: wu_id,
-                    useful_cpu_seconds: useful,
-                    started: wu.first_started.expect("started before completing"),
-                    reissues: wu.reissues,
-                    corrupt: c.canonical_bad,
-                    validation: Some(c),
-                }
+                self.complete(wu_id, useful, c.canonical_bad, Some(c))
             }
-            Verdict::Failed => {
-                // Unvalidatable: every result's CPU was wasted and the job
-                // is handed back to the grid as a dead letter.
-                wu.completed = true;
-                self.unfinished -= 1;
-                self.reissues_completed += wu.reissues;
-                let cpus = v.cpu_by_result.remove(wu_id.0).unwrap_or_default();
-                self.wasted_cpu_seconds += cpus.iter().sum::<f64>();
-                BoincOutcome::ValidationFailed { job: wu_id }
-            }
+            Verdict::Failed => self.fail(wu_id),
         }
+    }
+
+    /// The one step that settles a workunit: it leaves the unfinished
+    /// count, and its reissues, final from now on, join the settled sum.
+    fn retire(&mut self, wu_id: JobId) -> &Workunit {
+        let wu = self.workunits.get_mut(wu_id.0).expect("workunit exists");
+        wu.completed = true;
+        self.unfinished -= 1;
+        self.reissues_completed += wu.reissues;
+        wu
+    }
+
+    /// Settle a workunit whose accepted results took `cpu_seconds`. The
+    /// grid's dispatch already counted the one attempt.
+    fn complete(
+        &mut self,
+        wu_id: JobId,
+        cpu_seconds: f64,
+        corrupt: bool,
+        validation: Option<Completion>,
+    ) -> Option<(JobId, Terminal)> {
+        let wu = self.retire(wu_id);
+        let run = FinishedRun {
+            started: wu.first_started.expect("started before completing"),
+            cpu_seconds,
+            wasted_cpu_seconds: 0.0,
+            attempts: 1,
+            reissues: wu.reissues,
+            corrupt,
+            validation,
+        };
+        Some((wu_id, Terminal::Completed(run)))
+    }
+
+    /// Settle a workunit the quorum engine gave up on: every result banked
+    /// against it was wasted, and its job becomes a dead letter.
+    fn fail(&mut self, wu_id: JobId) -> Option<(JobId, Terminal)> {
+        self.retire(wu_id);
+        let v = self.validation.as_mut().expect("validation enabled");
+        let cpus = v.cpu_by_result.remove(wu_id.0).unwrap_or_default();
+        self.wasted_cpu_seconds += cpus.iter().sum::<f64>();
+        Some((wu_id, Terminal::ValidationFailed))
     }
 
     /// A deadline fired for an assignment. If its result never arrived
@@ -949,56 +922,48 @@ impl BoincSim {
     /// the difference), reissue the workunit. Under validation the quorum
     /// engine decides: the timeout dents the host's reputation, and a
     /// workunit whose replica budget is exhausted fails outright.
+    ///
+    /// Returns the assignment's job (assignments are never removed, so
+    /// only an unknown id names none), the copies queued in response, and
+    /// the job's terminal when its workunit failed.
     pub fn on_deadline(
         &mut self,
         assignment: u64,
         now: SimTime,
         cal: &mut Calendar<GridEvent>,
-    ) -> BoincOutcome {
+    ) -> (Option<JobId>, u32, Option<(JobId, Terminal)>) {
         let Some(a) = self.assignments.get(assignment) else {
-            return BoincOutcome::None;
+            return (None, 0, None);
         };
-        if a.status == AssignmentStatus::Returned {
-            return BoincOutcome::None;
-        }
-        let wu_id = a.wu;
-        let host = a.client;
+        let (wu_id, host) = (a.wu, a.client);
         let wu = self.workunits.get_mut(wu_id.0).expect("workunit exists");
-        if wu.completed {
-            return BoincOutcome::None;
+        if a.status == AssignmentStatus::Returned || wu.completed {
+            return (Some(wu_id), 0, None);
         }
         if let Some(v) = &mut self.validation {
             let decision = v.engine.on_timeout(wu_id.0, host);
-            if decision.reissue {
-                wu.reissues += 1;
-                self.reissues_total += 1;
-                self.queue.push_back(wu_id);
-                self.assign_work(now, cal);
-            } else if decision.failed {
-                wu.completed = true;
-                self.unfinished -= 1;
-                self.reissues_completed += wu.reissues;
-                let cpus = v.cpu_by_result.remove(wu_id.0).unwrap_or_default();
-                self.wasted_cpu_seconds += cpus.iter().sum::<f64>();
-                return BoincOutcome::ValidationFailed { job: wu_id };
+            if decision.failed {
+                return (Some(wu_id), 0, self.fail(wu_id));
             }
-            return BoincOutcome::None;
+            if !decision.reissue {
+                return (Some(wu_id), 0, None);
+            }
         }
         wu.reissues += 1;
         self.reissues_total += 1;
         self.queue.push_back(wu_id);
         self.assign_work(now, cal);
-        BoincOutcome::None
+        (Some(wu_id), 1, None)
     }
 
-    /// A client's availability flips. Returns what the flip did, for
-    /// churn telemetry.
+    /// A client's availability flips. When a churn model drives the pool,
+    /// returns what the flip did, for churn telemetry.
     pub fn on_flip(
         &mut self,
         client: usize,
         now: SimTime,
         cal: &mut Calendar<GridEvent>,
-    ) -> FlipInfo {
+    ) -> Option<FlipInfo> {
         let was = self.client_probe(client);
         let going_off = self.clients[client].available;
         if going_off {
@@ -1050,15 +1015,18 @@ impl BoincSim {
         }
         // Schedule the next flip.
         let available = self.clients[client].available;
-        let mut died = false;
         match &mut self.churn {
-            Some(model) => match model.next_wait(client, now, available) {
-                Some(wait) => cal.schedule(now + wait, GridEvent::BoincFlip { client }),
-                // Permanent detach: the host never flips again. Any task it
-                // holds is already suspended/abandoned above; the workunit
-                // deadline will reissue it.
-                None => died = true,
-            },
+            Some(model) => {
+                // No wait is a permanent detach: the host never flips again.
+                // Any task it holds is already suspended/abandoned above;
+                // the workunit deadline will reissue it.
+                let wait = model.next_wait(client, now, available);
+                if let Some(wait) = wait {
+                    cal.schedule(now + wait, GridEvent::BoincFlip { client });
+                }
+                let died = wait.is_none();
+                Some(FlipInfo { available, died })
+            }
             None => {
                 let mean = if available {
                     self.config.mean_on_hours
@@ -1067,14 +1035,9 @@ impl BoincSim {
                 };
                 let wait = SimDuration::from_secs_f64(self.rng.exponential(mean * 3600.0));
                 cal.schedule(now + wait, GridEvent::BoincFlip { client });
+                None
             }
         }
-        FlipInfo { available, died }
-    }
-
-    /// True iff the realistic churn model drives this pool's availability.
-    pub fn churn_enabled(&self) -> bool {
-        self.churn.is_some()
     }
 
     /// The churn model's counters, when enabled:
@@ -1190,28 +1153,37 @@ mod tests {
         let _ = BoincSim::new(config, SimRng::new(1), &mut cal);
     }
 
-    /// Drive the pool's own events until quiet or `max` steps.
-    fn drain(boinc: &mut BoincSim, cal: &mut Calendar<GridEvent>, max: usize) -> Vec<BoincOutcome> {
+    /// Drive the pool's own events until quiet or `max` steps, collecting
+    /// the terminals it hands the grid.
+    fn drain(
+        boinc: &mut BoincSim,
+        cal: &mut Calendar<GridEvent>,
+        max: usize,
+    ) -> Vec<(JobId, Terminal)> {
+        drain_with(boinc, cal, max, None)
+    }
+
+    /// [`drain`], downloading inputs through `data` when given.
+    fn drain_with(
+        boinc: &mut BoincSim,
+        cal: &mut Calendar<GridEvent>,
+        max: usize,
+        mut data: Option<&mut DataGridState>,
+    ) -> Vec<(JobId, Terminal)> {
         let mut outcomes = Vec::new();
         for _ in 0..max {
             let Some((t, ev)) = cal.pop() else { break };
             match ev {
                 GridEvent::BoincAssign { clients } => {
                     for client in clients {
-                        boinc.on_assign(client, None, t, cal);
+                        boinc.on_assign(client, data.as_deref_mut(), t, cal);
                     }
                 }
                 GridEvent::BoincClientDone { client, assignment } => {
-                    let o = boinc.on_client_done(client, assignment, t, cal);
-                    if o != BoincOutcome::None {
-                        outcomes.push(o);
-                    }
+                    outcomes.extend(boinc.on_client_done(client, assignment, t, cal));
                 }
                 GridEvent::BoincDeadline { assignment } => {
-                    let o = boinc.on_deadline(assignment, t, cal);
-                    if o != BoincOutcome::None {
-                        outcomes.push(o);
-                    }
+                    outcomes.extend(boinc.on_deadline(assignment, t, cal).2);
                 }
                 GridEvent::BoincFlip { client } => {
                     boinc.on_flip(client, t, cal);
@@ -1222,6 +1194,14 @@ mod tests {
         outcomes
     }
 
+    /// The finished-run record of a completed terminal.
+    fn run(outcome: &(JobId, Terminal)) -> Option<&FinishedRun> {
+        match &outcome.1 {
+            Terminal::Completed(run) => Some(run),
+            _ => None,
+        }
+    }
+
     #[test]
     fn workunit_completes_on_reliable_pool() {
         let mut cal = Calendar::new();
@@ -1229,19 +1209,10 @@ mod tests {
         boinc.enqueue(JobSpec::simple(1, 3600.0), SimTime::ZERO, &mut cal);
         let outcomes = drain(&mut boinc, &mut cal, 1000);
         assert_eq!(outcomes.len(), 1);
-        match &outcomes[0] {
-            BoincOutcome::Completed {
-                job,
-                useful_cpu_seconds,
-                reissues,
-                ..
-            } => {
-                assert_eq!(*job, JobId(1));
-                assert!((*useful_cpu_seconds - 3600.0).abs() < 10.0);
-                assert_eq!(*reissues, 0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(outcomes[0].0, JobId(1));
+        let run = run(&outcomes[0]).expect("completed");
+        assert!((run.cpu_seconds - 3600.0).abs() < 10.0);
+        assert_eq!(run.reissues, 0);
         assert_eq!(boinc.unfinished_workunits(), 0);
     }
 
@@ -1254,15 +1225,9 @@ mod tests {
         boinc.enqueue(JobSpec::simple(1, 600.0), SimTime::ZERO, &mut cal);
         let outcomes = drain(&mut boinc, &mut cal, 1000);
         assert_eq!(outcomes.len(), 1);
-        match &outcomes[0] {
-            BoincOutcome::Completed {
-                useful_cpu_seconds, ..
-            } => {
-                // Two copies of 600 s.
-                assert!((*useful_cpu_seconds - 1200.0).abs() < 10.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        // Two copies of 600 s.
+        let run = run(&outcomes[0]).expect("completed");
+        assert!((run.cpu_seconds - 1200.0).abs() < 10.0);
     }
 
     #[test]
@@ -1301,13 +1266,8 @@ mod tests {
         boinc.on_flip(0, t2, &mut cal); // on again
                                         // Drain: completion should come ~1h after resume (half done already)
         let outcomes = drain(&mut boinc, &mut cal, 1000);
-        let done = outcomes.iter().find_map(|o| match o {
-            BoincOutcome::Completed {
-                useful_cpu_seconds, ..
-            } => Some(*useful_cpu_seconds),
-            _ => None,
-        });
-        let cpu = done.expect("workunit completes after resume");
+        let done = outcomes.iter().find_map(run);
+        let cpu = done.expect("workunit completes after resume").cpu_seconds;
         assert!(
             (cpu - 7200.0).abs() < 20.0,
             "progress preserved, cpu = {cpu}"
@@ -1333,9 +1293,9 @@ mod tests {
         // End the fault window: replacement copies now complete cleanly.
         boinc.set_corruption_rate(0.0);
         let outcomes = drain(&mut boinc, &mut cal, 2000);
-        let completed = outcomes.iter().any(|o| {
-            matches!(o, BoincOutcome::Completed { job, corrupt: false, .. } if *job == JobId(1))
-        });
+        let completed = outcomes
+            .iter()
+            .any(|o| o.0 == JobId(1) && run(o).is_some_and(|r| !r.corrupt));
         assert!(
             completed,
             "workunit completes validly after the fault clears"
@@ -1351,9 +1311,9 @@ mod tests {
         boinc.enqueue(JobSpec::simple(1, 600.0), SimTime::ZERO, &mut cal);
         let outcomes = drain(&mut boinc, &mut cal, 500);
         match outcomes.as_slice() {
-            [BoincOutcome::Completed { job, corrupt, .. }] => {
+            [(job, Terminal::Completed(run))] => {
                 assert_eq!(*job, JobId(1));
-                assert!(*corrupt, "quorum 1 cannot catch corruption");
+                assert!(run.corrupt, "quorum 1 cannot catch corruption");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1378,6 +1338,94 @@ mod tests {
         } else {
             assert_eq!(boinc.pending_reissues(), boinc.total_reissues());
         }
+    }
+
+    /// Deliver the next work-fetch herd (skipping earlier events) and
+    /// return when it arrived.
+    fn deliver_herd(boinc: &mut BoincSim, cal: &mut Calendar<GridEvent>) -> SimTime {
+        loop {
+            let (t, ev) = cal.pop().expect("a herd is due");
+            if let GridEvent::BoincAssign { clients } = ev {
+                for client in clients {
+                    boinc.on_assign(client, None, t, cal);
+                }
+                return t;
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_on_a_missing_result_names_the_job_and_queues_one_copy() {
+        let mut cal = Calendar::new();
+        let mut config = always_on_config(2);
+        config.abandon_probability = 1.0; // every off-flip abandons
+        let mut boinc = BoincSim::new(config, SimRng::new(14), &mut cal);
+        boinc.enqueue(JobSpec::simple(1, 20_000.0), SimTime::ZERO, &mut cal);
+        let t = deliver_herd(&mut boinc, &mut cal); // assignment 0 on client 0
+        let late = t + SimDuration::from_hours(1);
+        let outstanding = boinc.on_deadline(0, late, &mut cal);
+        assert_eq!(outstanding, (Some(JobId(1)), 1, None));
+        let t = deliver_herd(&mut boinc, &mut cal); // the copy on client 1
+        boinc.on_flip(1, t, &mut cal); // client 1 abandons it
+        let status = boinc.assignments.get(1).map(|a| a.status);
+        assert_eq!(status, Some(AssignmentStatus::Abandoned));
+        let abandoned = boinc.on_deadline(1, t + SimDuration::from_hours(1), &mut cal);
+        assert_eq!(abandoned, (Some(JobId(1)), 1, None));
+        assert_eq!(boinc.total_reissues(), 2);
+        // An assignment the pool never made names no job.
+        assert_eq!(boinc.on_deadline(99, late, &mut cal), (None, 0, None));
+    }
+
+    #[test]
+    fn deadline_after_the_result_names_the_job_and_queues_nothing() {
+        let mut cal = Calendar::new();
+        let mut boinc = BoincSim::new(always_on_config(2), SimRng::new(15), &mut cal);
+        boinc.enqueue(JobSpec::simple(1, 600.0), SimTime::ZERO, &mut cal);
+        let t = deliver_herd(&mut boinc, &mut cal);
+        let settled = boinc.on_client_done(0, 0, t + SimDuration::from_secs(600), &mut cal);
+        assert!(matches!(settled, Some((JobId(1), Terminal::Completed(_)))));
+        let returned = boinc.on_deadline(0, t + SimDuration::from_days(7), &mut cal);
+        assert_eq!(returned, (Some(JobId(1)), 0, None));
+        assert_eq!(boinc.total_reissues(), 0);
+    }
+
+    #[test]
+    fn deadline_on_a_settled_workunit_queues_and_settles_nothing() {
+        let mut cal = Calendar::new();
+        let mut config = always_on_config(2);
+        config.deadline = DeadlinePolicy::Fixed(SimDuration::from_hours(1));
+        let mut boinc = BoincSim::new(config, SimRng::new(16), &mut cal);
+        boinc.enqueue(JobSpec::simple(1, 20_000.0), SimTime::ZERO, &mut cal);
+        let first = deliver_herd(&mut boinc, &mut cal); // assignment 0 on client 0
+        let late = first + SimDuration::from_hours(1);
+        assert_eq!(boinc.on_deadline(0, late, &mut cal).1, 1);
+        let second = deliver_herd(&mut boinc, &mut cal); // assignment 1 on client 1
+                                                         // Client 0's late result still settles the workunit.
+        let done = first + SimDuration::from_secs(20_000);
+        let settled = boinc.on_client_done(0, 0, done, &mut cal);
+        assert!(matches!(settled, Some((JobId(1), Terminal::Completed(_)))));
+        let copy = boinc.on_deadline(1, second + SimDuration::from_hours(1), &mut cal);
+        assert_eq!(copy, (Some(JobId(1)), 0, None));
+        assert_eq!(boinc.total_reissues(), 1);
+    }
+
+    #[test]
+    fn flips_report_only_under_a_churn_model() {
+        let mut cal = Calendar::new();
+        let config = always_on_config(2);
+        let mut flat = BoincSim::new(config, SimRng::new(17), &mut cal);
+        assert!(flat.on_flip(0, SimTime::ZERO, &mut cal).is_none());
+        let churn = ChurnModel::new(
+            crate::ChurnConfig::realistic(),
+            config.mean_on_hours,
+            config.mean_off_hours,
+            config.num_clients,
+            SimRng::new(18),
+        );
+        let mut churned = BoincSim::with_churn(config, SimRng::new(17), Some(churn), &mut cal);
+        let before = churned.clients[0].available;
+        let info = churned.on_flip(0, SimTime::ZERO, &mut cal);
+        assert_eq!(info.map(|i| i.available), Some(!before));
     }
 
     #[test]
@@ -1454,37 +1502,9 @@ mod tests {
         let job = JobSpec::simple(1, 20_000.0).with_input(ObjectRef::named("wu", size));
         data.register_job(&job);
         boinc.enqueue(job, SimTime::ZERO, &mut cal);
-        let mut outcomes = Vec::new();
-        for _ in 0..10_000 {
-            let Some((t, ev)) = cal.pop() else { break };
-            match ev {
-                GridEvent::BoincAssign { clients } => {
-                    for client in clients {
-                        boinc.on_assign(client, Some(&mut data), t, &mut cal);
-                    }
-                }
-                GridEvent::BoincClientDone { client, assignment } => {
-                    let o = boinc.on_client_done(client, assignment, t, &mut cal);
-                    if o != BoincOutcome::None {
-                        outcomes.push(o);
-                    }
-                }
-                GridEvent::BoincDeadline { assignment } => {
-                    let o = boinc.on_deadline(assignment, t, &mut cal);
-                    if o != BoincOutcome::None {
-                        outcomes.push(o);
-                    }
-                }
-                GridEvent::BoincFlip { client } => {
-                    boinc.on_flip(client, t, &mut cal);
-                }
-                _ => {}
-            }
-        }
+        let outcomes = drain_with(&mut boinc, &mut cal, 10_000, Some(&mut data));
         assert!(
-            outcomes
-                .iter()
-                .any(|o| matches!(o, BoincOutcome::Completed { .. })),
+            outcomes.iter().any(|o| run(o).is_some()),
             "workunit completes on the slow-but-steady first client"
         );
         assert!(boinc.total_reissues() >= 1, "deadline must have fired");
@@ -1513,20 +1533,15 @@ mod tests {
         );
         boinc.enqueue(JobSpec::simple(1, 600.0), SimTime::ZERO, &mut cal);
         let outcomes = drain(&mut boinc, &mut cal, 1000);
-        match outcomes.as_slice() {
-            [BoincOutcome::Completed {
-                useful_cpu_seconds,
-                corrupt,
-                validation: Some(c),
-                ..
-            }] => {
-                assert!((*useful_cpu_seconds - 1200.0).abs() < 10.0);
-                assert!(!corrupt);
-                assert_eq!(c.valid.len(), 2);
-                assert!(c.invalid.is_empty());
-            }
+        let run = match outcomes.as_slice() {
+            [outcome] => run(outcome).expect("completed"),
             other => panic!("unexpected {other:?}"),
-        }
+        };
+        assert!((run.cpu_seconds - 1200.0).abs() < 10.0);
+        assert!(!run.corrupt);
+        let c = run.validation.as_ref().expect("validation record");
+        assert_eq!(c.valid.len(), 2);
+        assert!(c.invalid.is_empty());
         let snap = boinc.validation_snapshot().expect("validation on");
         assert_eq!(snap.workunits, 1);
         assert_eq!(snap.completed, 1);
@@ -1560,22 +1575,17 @@ mod tests {
             boinc.enqueue(JobSpec::simple(i, 600.0), SimTime::ZERO, &mut cal);
         }
         let outcomes = drain(&mut boinc, &mut cal, 20_000);
-        let completed = outcomes
-            .iter()
-            .filter(|o| matches!(o, BoincOutcome::Completed { .. }))
-            .count();
+        let completed = outcomes.iter().filter(|o| run(o).is_some()).count();
         let failed = outcomes
             .iter()
-            .filter(|o| matches!(o, BoincOutcome::ValidationFailed { .. }))
+            .filter(|o| o.1 == Terminal::ValidationFailed)
             .count();
         // Every workunit terminates: the honest majority validates it, or
         // the cheater burns its replica budget and it fails loudly —
         // nothing hangs, and nothing wrong is ever accepted.
         assert_eq!(completed + failed, 8, "{outcomes:?}");
         assert!(completed >= 6, "honest majority validates almost all work");
-        assert!(outcomes
-            .iter()
-            .all(|o| !matches!(o, BoincOutcome::Completed { corrupt: true, .. })));
+        assert!(outcomes.iter().filter_map(run).all(|r| !r.corrupt));
         let snap = boinc.validation_snapshot().expect("validation on");
         assert_eq!(snap.bad_accepted, 0);
         assert!(snap.invalid_results > 0, "{snap:?}");

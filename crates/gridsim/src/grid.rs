@@ -9,10 +9,10 @@
 //! full per-job accounting.
 
 use crate::adapter;
-use crate::boinc::{BoincConfig, BoincOutcome, BoincSim};
+use crate::boinc::{BoincConfig, BoincSim};
 use crate::data::{DataConfig, DataGridState, DataReport};
 use crate::fault::FaultAction;
-use crate::job::{JobId, JobOutcome, JobRecord, JobSpec};
+use crate::job::{JobId, JobOutcome, JobRecord, JobSpec, Terminal};
 use crate::lrm::{LrmOutcome, LrmSim};
 use crate::mds::Mds;
 use crate::recovery::RecoveryPolicy;
@@ -223,33 +223,6 @@ impl Default for GridConfig {
             seed: 0,
         }
     }
-}
-
-/// How a job leaves the grid (see [`GridWorld::settle`]).
-enum Terminal {
-    /// A result came back from `resource`, an LRM or the volunteer pool.
-    Completed {
-        resource: usize,
-        /// When the counted execution began.
-        started: SimTime,
-        /// CPU-seconds of the accepted result: useful, or waste if corrupt.
-        cpu_seconds: f64,
-        /// CPU-seconds of earlier attempts lost on the same LRM.
-        wasted_cpu_seconds: f64,
-        /// Execution attempts on the resource, the dispatch's own included.
-        attempts: u32,
-        /// Workunit reissues in the volunteer pool.
-        reissues: u32,
-        /// The accepted result was garbage (quorum 1, or a bad result that
-        /// slipped past trust).
-        corrupt: bool,
-        /// The quorum engine's completion record, when validation is on.
-        validation: Option<quorum::Completion>,
-    },
-    /// The recovery policy's retry budget is exhausted.
-    RetryBudgetSpent,
-    /// The quorum engine gave up on the workunit.
-    ValidationFailed,
 }
 
 /// The simulation model.
@@ -563,46 +536,38 @@ impl GridWorld {
         }
     }
 
-    /// The grid's one exit: make `job`'s record terminal. Every subsystem
+    /// The grid's one exit: make `job`'s record terminal, as reported by
+    /// `resource` (an LRM, or the volunteer pool). Every subsystem
     /// hears of it here, in a fixed order: the record and the grid's
     /// counters, recovery state, write-off of checkpointed progress a dead
     /// letter still carried, telemetry, the tenant book's CPU charge and
     /// credit, and last the workflow barrier, which may release (and
     /// admit) the next stage.
-    fn settle(&mut self, job: JobId, terminal: Terminal, now: SimTime) {
+    fn settle(&mut self, job: JobId, resource: usize, terminal: Terminal, now: SimTime) {
         let record = self.records.get_mut(&job).expect("record exists");
         assert!(
             record.outcome == JobOutcome::Unfinished,
             "job {job:?} reached a second terminal state"
         );
         let (cpu_seconds, corrupt) = match &terminal {
-            Terminal::Completed {
-                resource,
-                started,
-                cpu_seconds,
-                wasted_cpu_seconds,
-                attempts,
-                reissues,
-                corrupt,
-                ..
-            } => {
+            Terminal::Completed(run) => {
                 record.outcome = JobOutcome::Completed;
-                record.started = Some(*started);
+                record.started = Some(run.started);
                 record.finished = Some(now);
-                record.completed_by = Some(self.resources[*resource].name.clone());
-                if *corrupt {
+                record.completed_by = Some(self.resources[resource].name.clone());
+                if run.corrupt {
                     // Accepted-but-garbage result (quorum 1 or a bad result
                     // slipping past trust): the CPU bought nothing.
                     record.corrupt_result = true;
-                    record.wasted_cpu_seconds += cpu_seconds;
+                    record.wasted_cpu_seconds += run.cpu_seconds;
                 } else {
-                    record.useful_cpu_seconds += cpu_seconds;
+                    record.useful_cpu_seconds += run.cpu_seconds;
                 }
-                record.wasted_cpu_seconds += wasted_cpu_seconds;
-                record.attempts += attempts.saturating_sub(1); // dispatch counted once
-                record.reissues += reissues;
+                record.wasted_cpu_seconds += run.wasted_cpu_seconds;
+                record.attempts += run.attempts.saturating_sub(1); // dispatch counted once
+                record.reissues += run.reissues;
                 self.completed += 1;
-                (*cpu_seconds, *corrupt)
+                (run.cpu_seconds, run.corrupt)
             }
             Terminal::RetryBudgetSpent | Terminal::ValidationFailed => {
                 record.outcome = JobOutcome::DeadLettered;
@@ -630,16 +595,11 @@ impl GridWorld {
         let credited = !dead && !corrupt;
         if let Some(t) = self.telemetry.as_mut() {
             match &terminal {
-                Terminal::Completed {
-                    resource,
-                    started,
-                    validation,
-                    ..
-                } => {
-                    let name = &self.resources[*resource].name;
-                    t.on_completed(now, job, name, Some(*started), corrupt);
-                    if let Some(c) = validation {
-                        let quorum_seconds = now.saturating_since(*started).as_secs_f64();
+                Terminal::Completed(run) => {
+                    let name = &self.resources[resource].name;
+                    t.on_completed(now, job, name, Some(run.started), corrupt);
+                    if let Some(c) = &run.validation {
+                        let quorum_seconds = now.saturating_since(run.started).as_secs_f64();
                         t.on_validation_complete(now, job, c, quorum_seconds);
                     }
                 }
@@ -720,27 +680,11 @@ impl GridWorld {
     ) {
         match outcome {
             LrmOutcome::None => {}
-            LrmOutcome::Completed {
-                job,
-                cpu_seconds,
-                started,
-                wasted_cpu_seconds,
-                attempts,
-            } => {
+            LrmOutcome::Completed(job, run) => {
                 if let Some(tracker) = &mut self.stability {
                     tracker.record_success(resource);
                 }
-                let terminal = Terminal::Completed {
-                    resource,
-                    started,
-                    cpu_seconds,
-                    wasted_cpu_seconds,
-                    attempts,
-                    reissues: 0,
-                    corrupt: false,
-                    validation: None,
-                };
-                self.settle(job, terminal, now);
+                self.settle(job, resource, Terminal::Completed(run), now);
             }
             LrmOutcome::BouncedToGrid {
                 job,
@@ -790,7 +734,7 @@ impl GridWorld {
                         if retries > policy.max_grid_retries {
                             // Dead-letter: surface the job to the user
                             // instead of requeueing forever.
-                            self.settle(job, Terminal::RetryBudgetSpent, now);
+                            self.settle(job, resource, Terminal::RetryBudgetSpent, now);
                         } else {
                             // Give the failed resource another chance after
                             // the backoff: blacklisting handles genuinely
@@ -805,37 +749,6 @@ impl GridWorld {
                         }
                     }
                 }
-            }
-        }
-    }
-
-    fn apply_boinc_outcome(&mut self, outcome: BoincOutcome, now: SimTime) {
-        match outcome {
-            BoincOutcome::None => {}
-            BoincOutcome::Completed {
-                job,
-                useful_cpu_seconds,
-                started,
-                reissues,
-                corrupt,
-                validation,
-            } => {
-                let terminal = Terminal::Completed {
-                    resource: self.boinc_index.expect("boinc pool present"),
-                    started,
-                    cpu_seconds: useful_cpu_seconds,
-                    wasted_cpu_seconds: 0.0,
-                    attempts: 1,
-                    reissues,
-                    corrupt,
-                    validation,
-                };
-                self.settle(job, terminal, now);
-            }
-            // The quorum engine gave up: the job becomes a dead letter, the
-            // same terminal state an exhausted retry budget reaches.
-            BoincOutcome::ValidationFailed { job } => {
-                self.settle(job, Terminal::ValidationFailed, now);
             }
         }
     }
@@ -1014,13 +927,12 @@ impl World for GridWorld {
                 }
             }
             GridEvent::BoincFlip { client } => {
-                if let Some(b) = self.boinc.as_mut() {
-                    let info = b.on_flip(client, now, cal);
-                    if b.churn_enabled() {
-                        if let Some(t) = self.telemetry.as_mut() {
-                            t.on_churn_flip(now, client, info.available, info.died);
-                        }
-                    }
+                let flip = self
+                    .boinc
+                    .as_mut()
+                    .and_then(|b| b.on_flip(client, now, cal));
+                if let (Some(info), Some(t)) = (flip, self.telemetry.as_mut()) {
+                    t.on_churn_flip(now, client, info.available, info.died);
                 }
             }
             GridEvent::BoincAssign { clients } => {
@@ -1038,23 +950,22 @@ impl World for GridWorld {
             }
             GridEvent::BoincClientDone { client, assignment } => {
                 if let Some(b) = self.boinc.as_mut() {
-                    let outcome = b.on_client_done(client, assignment, now, cal);
-                    self.apply_boinc_outcome(outcome, now);
+                    if let Some((job, terminal)) = b.on_client_done(client, assignment, now, cal) {
+                        let pool = self.boinc_index.expect("boinc pool present");
+                        self.settle(job, pool, terminal, now);
+                    }
                 }
             }
             GridEvent::BoincDeadline { assignment } => {
                 if let Some(b) = self.boinc.as_mut() {
-                    // Resolve the workunit's job before the deadline handler
-                    // (it may retire the assignment), so the reissue can be
-                    // linked into the job's causal trace.
-                    let job = b.assignment_job(assignment);
-                    let before = b.total_reissues();
-                    let outcome = b.on_deadline(assignment, now, cal);
-                    let reissued = b.total_reissues() - before;
+                    let (job, reissued, settled) = b.on_deadline(assignment, now, cal);
                     if let Some(t) = self.telemetry.as_mut() {
                         t.on_boinc_deadline(now, assignment, reissued, job);
                     }
-                    self.apply_boinc_outcome(outcome, now);
+                    if let Some((job, terminal)) = settled {
+                        let pool = self.boinc_index.expect("boinc pool present");
+                        self.settle(job, pool, terminal, now);
+                    }
                 }
             }
             GridEvent::Fault(action) => {

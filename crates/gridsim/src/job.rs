@@ -5,7 +5,8 @@
 //! carries the *requirements* (platforms, memory, MPI, software) the
 //! matchmaker filters on, the *true* work content (hidden from the
 //! scheduler — only execution reveals it), and optionally the a-priori
-//! runtime estimate produced by the random-forest model.
+//! runtime estimate produced by the random-forest model. A [`Terminal`]
+//! is how an executor reports a job's end back to the grid.
 
 use crate::platform::Platform;
 use datagrid::ObjectRef;
@@ -124,6 +125,41 @@ pub enum JobOutcome {
     /// recovery policy's retry budget allows. Reported to the user instead
     /// of being requeued forever.
     DeadLettered,
+}
+
+/// What an executor reports about the run that finished a job: an LRM
+/// fills the attempt and waste fields, the volunteer pool the reissue,
+/// corruption and validation fields, and each leaves the others at their
+/// neutral values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FinishedRun {
+    /// When the counted execution began.
+    pub started: SimTime,
+    /// CPU-seconds of the accepted result: useful, or waste if corrupt.
+    pub cpu_seconds: f64,
+    /// CPU-seconds of earlier attempts lost on the same LRM.
+    pub wasted_cpu_seconds: f64,
+    /// Execution attempts on the resource, the dispatch's own included.
+    pub attempts: u32,
+    /// Workunit reissues in the volunteer pool.
+    pub reissues: u32,
+    /// The accepted result was garbage (quorum 1, or a bad result that
+    /// slipped past trust).
+    pub corrupt: bool,
+    /// The quorum engine's completion record, when validation is on.
+    pub validation: Option<quorum::Completion>,
+}
+
+/// How a job leaves the grid. Executors report the first and last
+/// variants; the grid's recovery policy decides the second.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Terminal {
+    /// A result came back from an LRM or the volunteer pool.
+    Completed(FinishedRun),
+    /// The recovery policy's retry budget is exhausted.
+    RetryBudgetSpent,
+    /// The quorum engine gave up on the workunit.
+    ValidationFailed,
 }
 
 /// Accounting for one job across its grid lifetime.

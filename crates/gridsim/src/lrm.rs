@@ -9,7 +9,7 @@
 //! rescheduling.
 
 use crate::grid::GridEvent;
-use crate::job::{JobId, JobSpec};
+use crate::job::{FinishedRun, JobId, JobSpec};
 use crate::mds::ResourceState;
 use crate::resource::ResourceSpec;
 use serde::{Deserialize, Serialize};
@@ -70,19 +70,9 @@ impl Slot {
 pub enum LrmOutcome {
     /// Nothing for the grid to do.
     None,
-    /// Job finished; grid should record completion.
-    Completed {
-        /// The finished job.
-        job: JobId,
-        /// CPU-seconds spent in the final successful execution.
-        cpu_seconds: f64,
-        /// When this execution started.
-        started: SimTime,
-        /// CPU-seconds wasted in earlier evicted attempts here.
-        wasted_cpu_seconds: f64,
-        /// Total execution attempts here (evictions + the success).
-        attempts: u32,
-    },
+    /// Job finished; grid should record completion. The run's CPU is the
+    /// final execution's, its waste and attempts cover the evictions here.
+    Completed(JobId, FinishedRun),
     /// Job was evicted too many times locally; grid should reschedule it
     /// elsewhere.
     BouncedToGrid {
@@ -326,13 +316,18 @@ impl LrmSim {
         let cpu = running.banked_cpu
             + now.saturating_since(running.started).as_secs_f64() * running.width as f64;
         self.fill_slots(now, resource_index, cal);
-        LrmOutcome::Completed {
-            job: running.job,
-            cpu_seconds: cpu,
-            started: running.started,
-            wasted_cpu_seconds: state.wasted,
-            attempts: state.evictions + 1,
-        }
+        LrmOutcome::Completed(
+            running.job,
+            FinishedRun {
+                started: running.started,
+                cpu_seconds: cpu,
+                wasted_cpu_seconds: state.wasted,
+                attempts: state.evictions + 1,
+                reissues: 0,
+                corrupt: false,
+                validation: None,
+            },
+        )
     }
 
     /// Handle an interruption (owner reclaimed the machine, local process
@@ -535,13 +530,18 @@ mod tests {
         let out = lrm.on_job_done(slot, generation, t, 0, &mut c);
         assert_eq!(
             out,
-            LrmOutcome::Completed {
-                job: JobId(1),
-                cpu_seconds: 60.0,
-                started: SimTime::ZERO,
-                wasted_cpu_seconds: 0.0,
-                attempts: 1,
-            }
+            LrmOutcome::Completed(
+                JobId(1),
+                FinishedRun {
+                    started: SimTime::ZERO,
+                    cpu_seconds: 60.0,
+                    wasted_cpu_seconds: 0.0,
+                    attempts: 1,
+                    reissues: 0,
+                    corrupt: false,
+                    validation: None,
+                }
+            )
         );
         assert_eq!(lrm.state().queued_jobs, 0);
         assert_eq!(lrm.state().free_slots, 0); // job 2 started
@@ -633,7 +633,7 @@ mod tests {
                 GridEvent::LrmJobDone {
                     slot, generation, ..
                 } => {
-                    if let LrmOutcome::Completed { job, .. } =
+                    if let LrmOutcome::Completed(job, _) =
                         lrm.on_job_done(slot, generation, t, 0, &mut c)
                     {
                         assert_eq!(job, JobId(1));
@@ -697,9 +697,9 @@ mod tests {
             panic!("done event")
         };
         match lrm.on_job_done(slot, generation, t, 0, &mut c) {
-            LrmOutcome::Completed { cpu_seconds, .. } => {
+            LrmOutcome::Completed(_, run) => {
                 // CPU is wall-clock: 200 s banked + 3200 s at reduced speed.
-                assert!((cpu_seconds - 3400.0).abs() < 1e-6);
+                assert!((run.cpu_seconds - 3400.0).abs() < 1e-6);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -781,9 +781,9 @@ mod mpi_tests {
         {
             let out = lrm.on_job_done(slot, generation, t, 0, &mut cal);
             match out {
-                LrmOutcome::Completed { cpu_seconds, .. } => {
+                LrmOutcome::Completed(_, run) => {
                     // 600 s on 4 slots = 2400 CPU-seconds.
-                    assert!((cpu_seconds - 2400.0).abs() < 1e-6);
+                    assert!((run.cpu_seconds - 2400.0).abs() < 1e-6);
                 }
                 other => panic!("unexpected {other:?}"),
             }

@@ -382,8 +382,8 @@ impl GridTelemetry {
     }
 
     /// A workunit deadline fired; `reissued` copies were queued in response.
-    /// `job` is the workunit's grid job (when still known), so the reissue
-    /// joins that job's causal trace.
+    /// `job` is the workunit's grid job (`None` only for an assignment the
+    /// pool never made), so the reissue joins that job's causal trace.
     pub fn on_boinc_deadline(
         &mut self,
         now: SimTime,

@@ -41,8 +41,6 @@ pub struct CampaignOptions {
     /// Replicates to execute for real; the rest are probe-and-sampled.
     /// Use `usize::MAX` to execute everything.
     pub probe_replicates: usize,
-    /// Attach runtime estimates to jobs (`false` = the pre-ML system).
-    pub attach_estimates: bool,
     /// Simulation cutoff.
     pub sim_deadline: SimTime,
     /// Master seed for sampling and the grid.
@@ -62,7 +60,6 @@ impl Default for CampaignOptions {
             bundling: None,
             checkpointable: true,
             probe_replicates: usize::MAX,
-            attach_estimates: true,
             sim_deadline: SimTime::from_days(60),
             seed: 0,
             runtime_scale: 1.0,
@@ -98,7 +95,8 @@ pub struct CampaignResult {
 /// Run a validated-or-fresh submission through the full pipeline.
 ///
 /// Drives the submission state machine and the notification outbox
-/// alongside the grid simulation.
+/// alongside the grid simulation. Without an `estimator` the jobs carry
+/// no runtime estimate: the pre-ML system.
 ///
 /// # Panics
 /// Panics if the submission was already processed, or if probe execution
@@ -113,8 +111,8 @@ pub fn run_campaign(
     if *submission.status() == SubmissionStatus::Created {
         submission.run_validation(outbox)?;
     }
-    let report = submission.validation().expect("validated").clone();
-    let features = JobFeatures::extract(&submission.config, &submission.alignment_features());
+    let report = submission.validation().expect("validated");
+    let features = JobFeatures::extract(&submission.config, report);
     let n = submission.total_replicates();
 
     // 2. A-priori runtime estimate (paper §VI).
@@ -188,10 +186,8 @@ pub fn run_campaign(
             .with_input(config_ref);
         job.min_memory_bytes = report.memory_bytes;
         job.checkpointable = options.checkpointable;
-        if options.attach_estimates {
-            if let Some(est) = predicted_seconds {
-                job = job.with_estimate(est * take as f64 * options.runtime_scale);
-            }
+        if let Some(est) = predicted_seconds {
+            job = job.with_estimate(est * take as f64 * options.runtime_scale);
         }
         jobs.push(job);
         job_id += 1;
@@ -281,20 +277,6 @@ pub fn run_campaign(
         bundle_size,
         telemetry,
     })
-}
-
-/// Helper trait-ish extension: the validation report carries the features'
-/// data-derived half; re-expose it from `Submission` for extraction.
-trait SubmissionExt {
-    fn alignment_features(&self) -> garli::validate::ValidationReport;
-}
-
-impl SubmissionExt for Submission {
-    fn alignment_features(&self) -> garli::validate::ValidationReport {
-        self.validation()
-            .expect("validated before feature extraction")
-            .clone()
-    }
 }
 
 #[cfg(test)]

@@ -9,17 +9,18 @@
 //!   candidate instants from a homogeneous process at the rate envelope
 //!   `λmax` and accept each with probability `λ(t)/λmax`. One RNG stream,
 //!   O(1) per candidate, exact for any bounded rate function.
-//! * **Diurnal modulation**: `λ(t)` swings sinusoidally over a 24 h period
-//!   (amplitude configurable), peaking mid-day.
-//! * **Flash crowds**: a configurable number of windows at seeded offsets
-//!   multiply the rate (the "featured on the news" spike).
+//! * **Diurnal modulation**: `λ(t)` swings sinusoidally by ±60% over a
+//!   24 h period, peaking mid-day.
+//! * **Flash crowds**: a configurable number of 30-minute windows at
+//!   seeded offsets multiply the rate eightfold (the "featured on the
+//!   news" spike).
 //! * **Long-tail attribution**: each accepted arrival is a one-shot guest
 //!   with probability `guest_fraction`; otherwise it belongs to a
-//!   registered user drawn from a bounded power law over the population,
-//!   so a tiny core submits most of the campaigns while the long tail
-//!   appears once — matching the submission histograms reported for
-//!   community grids. Guests get serial identities and always submit a
-//!   single job; registered users submit campaign-sized batches.
+//!   registered user drawn from a bounded power law (exponent 1.1) over
+//!   the population, so a tiny core submits most of the campaigns while
+//!   the long tail appears once — matching the submission histograms
+//!   reported for community grids. Guests get serial identities and
+//!   always submit a single job; registered users submit batches of 1–50.
 //!
 //! The generator does not touch the grid: it yields [`Submission`] values
 //! the driver replays through the tenancy layer (registering accounts
@@ -49,6 +50,21 @@ pub struct Submission {
     pub jobs: u64,
 }
 
+/// Smallest registered-campaign batch size.
+const JOBS_MIN: u64 = 1;
+/// Largest registered-campaign batch size (inclusive).
+const JOBS_MAX: u64 = 50;
+/// Diurnal swing: the rate varies by `±DIURNAL_AMPLITUDE` sinusoidally
+/// over each 24 h period.
+const DIURNAL_AMPLITUDE: f64 = 0.6;
+/// Rate multiplier inside a flash-crowd window.
+const FLASH_MULTIPLIER: f64 = 8.0;
+/// Length of each flash-crowd window.
+const FLASH_DURATION: SimDuration = SimDuration::from_mins(30);
+/// Power-law exponent for registered-user attribution (larger = heavier
+/// head).
+const ZIPF_EXPONENT: f64 = 1.1;
+
 /// Tuning for the arrival stream. All rates are aggregate expectations;
 /// the realized stream is seeded and exactly reproducible.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,22 +79,8 @@ pub struct ArrivalConfig {
     /// Mean submissions per registered user per simulated day (sets the
     /// base aggregate rate `users × this / 86400` per second).
     pub submissions_per_user_per_day: f64,
-    /// Smallest registered-campaign batch size.
-    pub jobs_min: u64,
-    /// Largest registered-campaign batch size (inclusive).
-    pub jobs_max: u64,
-    /// Diurnal swing in `[0, 1)`: the rate varies by `±amplitude`
-    /// sinusoidally over each 24 h period.
-    pub diurnal_amplitude: f64,
     /// Number of flash-crowd windows at seeded offsets in the horizon.
     pub flash_crowds: u64,
-    /// Rate multiplier inside a flash-crowd window (≥ 1).
-    pub flash_multiplier: f64,
-    /// Length of each flash-crowd window.
-    pub flash_duration: SimDuration,
-    /// Power-law exponent for registered-user attribution (larger =
-    /// heavier head; 0 = uniform).
-    pub zipf_exponent: f64,
     /// Stream seed.
     pub seed: u64,
     /// Optional hard cap on generated submissions (the stream stops
@@ -94,13 +96,7 @@ impl Default for ArrivalConfig {
             guest_fraction: 0.3,
             horizon: SimDuration::from_days(1),
             submissions_per_user_per_day: 0.1,
-            jobs_min: 1,
-            jobs_max: 50,
-            diurnal_amplitude: 0.6,
             flash_crowds: 2,
-            flash_multiplier: 8.0,
-            flash_duration: SimDuration::from_mins(30),
-            zipf_exponent: 1.1,
             seed: 42,
             max_submissions: None,
         }
@@ -135,12 +131,6 @@ impl ArrivalGenerator {
             (0.0..=1.0).contains(&config.guest_fraction),
             "guest_fraction must be in [0,1]"
         );
-        assert!(
-            (0.0..1.0).contains(&config.diurnal_amplitude),
-            "diurnal_amplitude must be in [0,1)"
-        );
-        assert!(config.flash_multiplier >= 1.0, "flash_multiplier >= 1");
-        assert!(config.jobs_min >= 1 && config.jobs_min <= config.jobs_max);
         let root = SimRng::new(config.seed).fork("arrivals");
         let mut placer = root.fork("flash");
         let horizon = config.horizon.as_secs_f64();
@@ -148,9 +138,7 @@ impl ArrivalGenerator {
             .map(|_| SimTime::from_secs_f64(placer.range_f64(0.0, horizon)))
             .collect();
         flash_starts.sort_unstable();
-        let lambda_max = config.base_rate_per_sec()
-            * (1.0 + config.diurnal_amplitude)
-            * config.flash_multiplier.max(1.0);
+        let lambda_max = config.base_rate_per_sec() * (1.0 + DIURNAL_AMPLITUDE) * FLASH_MULTIPLIER;
         ArrivalGenerator {
             flash_starts,
             rng: root.fork("thinning"),
@@ -167,9 +155,9 @@ impl ArrivalGenerator {
         let secs = t.as_secs_f64();
         let day_phase = secs / 86_400.0 * std::f64::consts::TAU;
         // Peak mid-day (phase shifted so t=0 is the overnight trough).
-        let diurnal = 1.0 - self.config.diurnal_amplitude * day_phase.cos();
+        let diurnal = 1.0 - DIURNAL_AMPLITUDE * day_phase.cos();
         let flash = if self.in_flash(t) {
-            self.config.flash_multiplier
+            FLASH_MULTIPLIER
         } else {
             1.0
         };
@@ -179,7 +167,7 @@ impl ArrivalGenerator {
     fn in_flash(&self, t: SimTime) -> bool {
         // flash_starts is sorted; find the window that could contain t.
         let idx = self.flash_starts.partition_point(|&s| s <= t);
-        idx > 0 && t.saturating_since(self.flash_starts[idx - 1]) < self.config.flash_duration
+        idx > 0 && t.saturating_since(self.flash_starts[idx - 1]) < FLASH_DURATION
     }
 
     /// Next submission, or `None` when the horizon (or the cap) is
@@ -218,9 +206,7 @@ impl ArrivalGenerator {
                 Submission {
                     at,
                     submitter: Submitter::Registered(self.power_law_user()),
-                    jobs: self
-                        .rng
-                        .range_u64(self.config.jobs_min, self.config.jobs_max + 1),
+                    jobs: self.rng.range_u64(JOBS_MIN, JOBS_MAX + 1),
                 }
             };
             return Some(submission);
@@ -237,24 +223,15 @@ impl ArrivalGenerator {
     }
 
     /// Draw a registered user id from a bounded continuous power law over
-    /// `[1, users]` (inverse-CDF; exponent 1 handled via the log limit).
-    /// Id 0 is the most active user. O(1) per draw — no per-user tables,
-    /// which is what makes million-user populations free until a user
-    /// actually submits.
+    /// `[1, users]`: the inverse CDF of `p(r) ∝ r^-ZIPF_EXPONENT`. Id 0 is
+    /// the most active user. O(1) per draw — no per-user tables, which is
+    /// what makes million-user populations free until a user actually
+    /// submits.
     fn power_law_user(&mut self) -> u64 {
         let n = self.config.users as f64;
-        let s = self.config.zipf_exponent;
         let u = self.rng.f64();
-        let rank = if s <= 0.0 {
-            1.0 + u * (n - 1.0)
-        } else if (s - 1.0).abs() < 1e-9 {
-            // s → 1 limit: CDF ∝ ln(rank).
-            n.powf(u)
-        } else {
-            // Inverse CDF of p(r) ∝ r^-s on [1, n].
-            let one_minus = 1.0 - s;
-            (u * (n.powf(one_minus) - 1.0) + 1.0).powf(1.0 / one_minus)
-        };
+        let one_minus = 1.0 - ZIPF_EXPONENT;
+        let rank = (u * (n.powf(one_minus) - 1.0) + 1.0).powf(1.0 / one_minus);
         (rank.floor() as u64).clamp(1, self.config.users) - 1
     }
 }
@@ -318,7 +295,6 @@ mod tests {
     fn power_law_concentrates_on_the_head() {
         let mut config = small_config();
         config.guest_fraction = 0.0;
-        config.zipf_exponent = 1.1;
         let stream = ArrivalGenerator::new(config).generate();
         let head = stream
             .iter()
