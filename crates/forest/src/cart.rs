@@ -5,13 +5,24 @@
 //! same way — the classic trick that finds the optimal two-way level
 //! partition for L2 loss without enumerating 2^k subsets.
 //!
-//! The split search allocates nothing per node. A tree's bootstrap rows
-//! live in one sample buffer, and each node owns a range `samples[lo..hi]`
-//! of it. Candidate features are scored from a column-major copy of the
-//! table, through one reused `(x, y)` buffer and fixed 64-entry level
-//! tables; only the winning rule splits the range, by a stable in-place
-//! partition. Every sum runs in a fixed order, so a bootstrap sample and
-//! an RNG state always grow the same tree, bit for bit.
+//! A `Table` lays the training data out once per forest, and every tree
+//! reads it: a column-major copy of the features and, for each value, its
+//! dense rank within a continuous column (equal values share a rank, and
+//! `-0.0` ties `0.0`, as `partial_cmp` has it) or its level code within a
+//! categorical one.
+//!
+//! A tree grows in a `Scratch` that a worker reuses from one tree to the
+//! next, so the split search allocates nothing per node or per tree. The
+//! bootstrap rows live in one sample buffer, and each node owns a range
+//! `samples[lo..hi]` of it. A numeric candidate orders the node's
+//! `(x, y)` pairs by a stable counting sort over the ranks, which yields
+//! the order of a stable comparison sort; a categorical candidate
+//! aggregates into fixed 64-entry level tables. Only the winning rule
+//! splits the range, by a stable in-place partition that reads the column
+//! copy through the test [`SplitRule::goes_left`] applies. A finished tree
+//! keeps its nodes at exactly their length. Every sum runs in a fixed
+//! order, so a bootstrap sample and an RNG state always grow the same
+//! tree, bit for bit.
 
 use crate::dataset::{Dataset, FeatureKind, MAX_LEVELS};
 use crate::Predictor;
@@ -74,13 +85,15 @@ impl SplitRule {
 
     /// Route a row: true = left.
     pub fn goes_left(&self, row: &[f64]) -> bool {
-        match self {
-            SplitRule::Numeric { feature, threshold } => row[*feature] <= *threshold,
-            SplitRule::Categorical {
-                feature,
-                left_levels,
-            } => {
-                let code = row[*feature] as u64;
+        self.sends_left(row[self.feature()])
+    }
+
+    /// Route a value of the rule's feature: true = left.
+    fn sends_left(&self, value: f64) -> bool {
+        match *self {
+            SplitRule::Numeric { threshold, .. } => value <= threshold,
+            SplitRule::Categorical { left_levels, .. } => {
+                let code = value as u64;
                 code < 64 && (left_levels >> code) & 1 == 1
             }
         }
@@ -108,22 +121,46 @@ pub struct RegressionTree {
     purity_decrease: Vec<f64>,
 }
 
-struct Builder<'a> {
+/// A training table laid out for growing trees; one serves every tree of
+/// a forest.
+pub(crate) struct Table<'a> {
     data: &'a Dataset,
-    config: CartConfig,
-    nodes: Vec<Node>,
-    purity: Vec<f64>,
     /// Column-major features: `columns[f * data.len() + i]` is row `i`'s
     /// feature `f`.
     columns: Vec<f64>,
-    /// The bootstrap rows (repeats allowed); a node owns `samples[lo..hi]`.
-    samples: Vec<usize>,
+    /// Laid out as `columns`: a continuous value's dense rank within its
+    /// column, or a categorical value's level code.
+    ranks: Vec<u32>,
+    /// Most distinct values in any continuous column: the length of the
+    /// counting sort's histogram.
+    max_distinct: usize,
+}
+
+/// Buffers for growing one tree, reused from one tree to the next.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The rows to grow on (repeats allowed), filled by the caller; a node
+    /// owns `samples[lo..hi]`.
+    pub(crate) samples: Vec<usize>,
     /// Rows routed right, parked while a partition compacts the left ones.
     spill: Vec<usize>,
     /// Features tried at the current node.
     features: Vec<usize>,
-    /// `(value, target)` pairs of the numeric feature being scored.
+    /// `(value, target)` pairs of the numeric feature being scored, in
+    /// value order.
     pairs: Vec<(f64, f64)>,
+    /// Counts per rank, then each rank's next slot in `pairs`; all zero
+    /// between candidates.
+    hist: Vec<usize>,
+    /// The tree's nodes as they grow.
+    nodes: Vec<Node>,
+}
+
+struct Builder<'a> {
+    table: &'a Table<'a>,
+    config: CartConfig,
+    purity: Vec<f64>,
+    s: &'a mut Scratch,
 }
 
 /// The best split found at a node.
@@ -140,30 +177,9 @@ impl RegressionTree {
     /// Panics if `indices` is empty.
     pub fn fit(data: &Dataset, indices: &[usize], config: CartConfig, rng: &mut SimRng) -> Self {
         assert!(!indices.is_empty(), "cannot fit on zero rows");
-        let n = data.len();
-        let p = data.num_features();
-        let mut columns = vec![0.0; n * p];
-        for (i, row) in data.rows().iter().enumerate() {
-            for (f, &v) in row.iter().enumerate() {
-                columns[f * n + i] = v;
-            }
-        }
-        let mut b = Builder {
-            data,
-            config,
-            nodes: Vec::new(),
-            purity: vec![0.0; p],
-            columns,
-            samples: indices.to_vec(),
-            spill: Vec::with_capacity(indices.len()),
-            features: Vec::with_capacity(p),
-            pairs: Vec::with_capacity(indices.len()),
-        };
-        b.grow(0, indices.len(), 0, rng);
-        RegressionTree {
-            nodes: b.nodes,
-            purity_decrease: b.purity,
-        }
+        let mut scratch = Scratch::default();
+        scratch.samples.extend_from_slice(indices);
+        Table::new(data).grow(config, rng, &mut scratch)
     }
 
     /// Number of nodes.
@@ -199,6 +215,86 @@ impl Predictor for RegressionTree {
     }
 }
 
+impl<'a> Table<'a> {
+    /// Lay out `data`: the column copy, then each column's ranks or codes.
+    pub(crate) fn new(data: &'a Dataset) -> Self {
+        let n = data.len();
+        let mut columns = vec![0.0; n * data.num_features()];
+        for (i, row) in data.rows().iter().enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                columns[f * n + i] = v;
+            }
+        }
+        let mut ranks = vec![0u32; columns.len()];
+        let mut max_distinct = 0;
+        let mut order = Vec::with_capacity(n);
+        for (f, kind) in data.kinds().iter().enumerate() {
+            let column = &columns[f * n..(f + 1) * n];
+            let ranks = &mut ranks[f * n..(f + 1) * n];
+            if let FeatureKind::Categorical { .. } = kind {
+                for (code, &v) in ranks.iter_mut().zip(column) {
+                    *code = v as u32;
+                }
+                continue;
+            }
+            order.clear();
+            order.extend(0..n);
+            order.sort_by(|&a, &b| column[a].partial_cmp(&column[b]).expect("finite features"));
+            let mut rank = 0;
+            for k in 1..n {
+                if column[order[k]] != column[order[k - 1]] {
+                    rank += 1;
+                }
+                ranks[order[k]] = rank;
+            }
+            max_distinct = max_distinct.max(rank as usize + 1);
+        }
+        Table {
+            data,
+            columns,
+            ranks,
+            max_distinct,
+        }
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        let n = self.data.len();
+        &self.columns[f * n..(f + 1) * n]
+    }
+
+    fn ranks(&self, f: usize) -> &[u32] {
+        let n = self.data.len();
+        &self.ranks[f * n..(f + 1) * n]
+    }
+
+    /// Grow a tree on the rows in `scratch.samples`, which must not be
+    /// empty. Whatever the other buffers hold from an earlier tree, or an
+    /// earlier table, is overwritten.
+    pub(crate) fn grow(
+        &self,
+        config: CartConfig,
+        rng: &mut SimRng,
+        scratch: &mut Scratch,
+    ) -> RegressionTree {
+        let m = scratch.samples.len();
+        scratch.pairs.resize(m, (0.0, 0.0));
+        scratch.hist.clear();
+        scratch.hist.resize(self.max_distinct, 0);
+        scratch.nodes.clear();
+        let mut b = Builder {
+            table: self,
+            config,
+            purity: vec![0.0; self.data.num_features()],
+            s: scratch,
+        };
+        b.grow(0, m, 0, rng);
+        RegressionTree {
+            nodes: b.s.nodes.to_vec(),
+            purity_decrease: b.purity,
+        }
+    }
+}
+
 impl Builder<'_> {
     /// Grow the subtree for `samples[lo..hi]`, returning its node index.
     fn grow(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut SimRng) -> usize {
@@ -212,48 +308,49 @@ impl Builder<'_> {
             self.best_split(lo, hi, rng).filter(|s| s.gain > 1e-12)
         };
         let Some(Split { rule, gain }) = split else {
-            let targets = self.data.targets();
-            let value = self.samples[lo..hi]
+            let targets = self.table.data.targets();
+            let value = self.s.samples[lo..hi]
                 .iter()
                 .map(|&i| targets[i])
                 .sum::<f64>()
                 / n as f64;
-            self.nodes.push(Node::Leaf { value });
-            return self.nodes.len() - 1;
+            self.s.nodes.push(Node::Leaf { value });
+            return self.s.nodes.len() - 1;
         };
         self.purity[rule.feature()] += gain;
         let mid = self.partition(lo, hi, &rule);
         // Reserve the slot, then grow children.
-        let slot = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
+        let slot = self.s.nodes.len();
+        self.s.nodes.push(Node::Leaf { value: 0.0 }); // placeholder
         let left = self.grow(lo, mid, depth + 1, rng);
         let right = self.grow(mid, hi, depth + 1, rng);
-        self.nodes[slot] = Node::Internal { rule, left, right };
+        self.s.nodes[slot] = Node::Internal { rule, left, right };
         slot
     }
 
     /// Best split over the (possibly subsampled) feature set. The first
     /// feature in examination order wins a gain tie.
     fn best_split(&mut self, lo: usize, hi: usize, rng: &mut SimRng) -> Option<Split> {
-        let p = self.data.num_features();
-        self.features.clear();
-        self.features.extend(0..p);
+        let data = self.table.data;
+        let p = data.num_features();
+        self.s.features.clear();
+        self.s.features.extend(0..p);
         if let Some(m) = self.config.mtry.filter(|&m| m < p) {
-            rng.shuffle(&mut self.features);
-            self.features.truncate(m.max(1));
+            rng.shuffle(&mut self.s.features);
+            self.s.features.truncate(m.max(1));
         }
-        let targets = self.data.targets();
+        let targets = data.targets();
         let (mut s, mut s2) = (0.0, 0.0);
-        for &i in &self.samples[lo..hi] {
+        for &i in &self.s.samples[lo..hi] {
             let y = targets[i];
             s += y;
             s2 += y * y;
         }
         let parent_sse = s2 - s * s / (hi - lo) as f64;
         let mut best: Option<Split> = None;
-        for k in 0..self.features.len() {
-            let f = self.features[k];
-            let candidate = match self.data.kinds()[f] {
+        for k in 0..self.s.features.len() {
+            let f = self.s.features[k];
+            let candidate = match data.kinds()[f] {
                 FeatureKind::Continuous => self.numeric_split(lo, hi, f, parent_sse),
                 FeatureKind::Categorical { levels } => {
                     self.categorical_split(lo, hi, f, levels, parent_sse)
@@ -269,20 +366,44 @@ impl Builder<'_> {
     }
 
     fn numeric_split(&mut self, lo: usize, hi: usize, f: usize, parent_sse: f64) -> Option<Split> {
-        let rows = self.data.len();
-        let column = &self.columns[f * rows..(f + 1) * rows];
-        let targets = self.data.targets();
-        self.pairs.clear();
-        self.pairs.extend(
-            self.samples[lo..hi]
-                .iter()
-                .map(|&i| (column[i], targets[i])),
-        );
-        // Stable: equal values keep sample order, which fixes the prefix
-        // sums' summation order.
-        self.pairs
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
-        let pairs = &self.pairs;
+        let column = self.table.column(f);
+        let ranks = self.table.ranks(f);
+        let targets = self.table.data.targets();
+        let Scratch {
+            samples,
+            pairs,
+            hist,
+            ..
+        } = &mut *self.s;
+        let samples = &samples[lo..hi];
+        let (mut first, mut last) = (usize::MAX, 0);
+        for &i in samples {
+            let r = ranks[i] as usize;
+            hist[r] += 1;
+            first = first.min(r);
+            last = last.max(r);
+        }
+        let hist = &mut hist[first..=last];
+        if let [only] = hist {
+            // One value throughout: nowhere to split.
+            *only = 0;
+            return None;
+        }
+        // A stable counting sort: equal values keep sample order, which
+        // fixes the prefix sums' summation order.
+        let mut next = 0;
+        for slot in hist.iter_mut() {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        let pairs = &mut pairs[..samples.len()];
+        for &i in samples {
+            let slot = &mut hist[ranks[i] as usize - first];
+            pairs[*slot] = (column[i], targets[i]);
+            *slot += 1;
+        }
+        hist.fill(0);
         let n = pairs.len();
         let total_s: f64 = pairs.iter().map(|p| p.1).sum();
         let total_s2: f64 = pairs.iter().map(|p| p.1 * p.1).sum();
@@ -326,14 +447,13 @@ impl Builder<'_> {
         parent_sse: f64,
     ) -> Option<Split> {
         // Per-level aggregates, accumulated in sample order.
-        let rows = self.data.len();
-        let column = &self.columns[f * rows..(f + 1) * rows];
-        let targets = self.data.targets();
+        let codes = self.table.ranks(f);
+        let targets = self.table.data.targets();
         let mut count = [0usize; MAX_LEVELS];
         let mut sum = [0.0f64; MAX_LEVELS];
         let mut sum2 = [0.0f64; MAX_LEVELS];
-        for &i in &self.samples[lo..hi] {
-            let c = column[i] as usize;
+        for &i in &self.s.samples[lo..hi] {
+            let c = codes[i] as usize;
             let y = targets[i];
             count[c] += 1;
             sum[c] += y;
@@ -389,22 +509,25 @@ impl Builder<'_> {
         })
     }
 
-    /// Stably partition `samples[lo..hi]` by `rule`, routing each row
-    /// through the test [`Predictor::predict`] uses: left rows first, then
-    /// right rows, each side in its original order. Returns the boundary.
+    /// Stably partition `samples[lo..hi]` by `rule`, routing each row's
+    /// value in the column copy through the test [`Predictor::predict`]
+    /// uses: left rows first, then right rows, each side in its original
+    /// order. Returns the boundary.
     fn partition(&mut self, lo: usize, hi: usize, rule: &SplitRule) -> usize {
-        self.spill.clear();
+        let column = self.table.column(rule.feature());
+        let Scratch { samples, spill, .. } = &mut *self.s;
+        spill.clear();
         let mut mid = lo;
         for k in lo..hi {
-            let i = self.samples[k];
-            if rule.goes_left(self.data.row(i)) {
-                self.samples[mid] = i;
+            let i = samples[k];
+            if rule.sends_left(column[i]) {
+                samples[mid] = i;
                 mid += 1;
             } else {
-                self.spill.push(i);
+                spill.push(i);
             }
         }
-        self.samples[mid..hi].copy_from_slice(&self.spill);
+        samples[mid..hi].copy_from_slice(spill);
         mid
     }
 }
@@ -669,6 +792,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rf::{ForestConfig, RandomForest};
     use proptest::prelude::*;
     use rand::RngCore;
 
@@ -811,10 +935,10 @@ mod tests {
     }
 
     /// A random mixed table aimed at the split search's edge cases:
-    /// continuous columns drawing from a few values (heavy ties),
-    /// categorical columns of 2–8 levels that may use only one of them,
-    /// duplicated rows, and stretches of constant target that include both
-    /// signed zeros.
+    /// continuous columns drawing from a few values (heavy ties, with half
+    /// of the zeros negative), categorical columns of 2–8 levels that may
+    /// use only one of them, duplicated rows, and stretches of constant
+    /// target that include both signed zeros.
     fn tangled_data(rng: &mut SimRng) -> Dataset {
         let p = 1 + rng.index(5);
         let kinds: Vec<FeatureKind> = (0..p)
@@ -855,7 +979,10 @@ mod tests {
                 .zip(&pools)
                 .map(|(kind, &pool)| match kind {
                     FeatureKind::Continuous if pool == 0 => rng.normal(0.0, 1.0),
-                    FeatureKind::Continuous => rng.index(pool) as f64 * 0.5 - 1.0,
+                    FeatureKind::Continuous => match rng.index(pool) as f64 * 0.5 - 1.0 {
+                        0.0 if rng.chance(0.5) => -0.0,
+                        x => x,
+                    },
                     FeatureKind::Categorical { .. } => rng.index(pool) as f64,
                 })
                 .collect();
@@ -898,6 +1025,46 @@ mod tests {
             // `Debug` tells -0.0 from 0.0, which `PartialEq` does not.
             prop_assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
             prop_assert_eq!(fast_rng.next_u64(), oracle_rng.next_u64());
+        }
+
+        /// Every tree of a forest, grown from the forest's shared table on
+        /// scratch its thread reused for earlier trees (and, for a
+        /// one-tree forest, earlier tables), is the reference builder's
+        /// tree for that tree's RNG stream and bootstrap draws.
+        #[test]
+        fn forest_trees_match_reference(seed in 0u64..u64::MAX) {
+            let mut rng = SimRng::new(seed);
+            let data = tangled_data(&mut rng);
+            let n = data.len();
+            let p = data.num_features();
+            let config = ForestConfig {
+                num_trees: 1 + rng.index(8),
+                mtry: rng.chance(0.5).then(|| 1 + rng.index(p)),
+                min_samples_split: 2 + rng.index(5),
+                min_samples_leaf: 1 + rng.index(3),
+                max_depth: rng.index(11),
+            };
+            let forest_seed = rng.next_u64();
+            let forest = RandomForest::fit(&data, &config, forest_seed);
+            let cart = CartConfig {
+                max_depth: config.max_depth,
+                min_samples_split: config.min_samples_split,
+                min_samples_leaf: config.min_samples_leaf,
+                mtry: Some(config.effective_mtry(p)),
+            };
+            let root = SimRng::new(forest_seed);
+            prop_assert_eq!(forest.trees().len(), config.num_trees);
+            for (t, (tree, bag)) in forest.trees().iter().zip(forest.in_bag()).enumerate() {
+                let mut tree_rng = root.fork_idx("tree", t as u64);
+                let indices: Vec<usize> = (0..n).map(|_| tree_rng.index(n)).collect();
+                let mut counts = vec![0u16; n];
+                for &i in &indices {
+                    counts[i] += 1;
+                }
+                let oracle = reference::fit(&data, &indices, cart, &mut tree_rng);
+                prop_assert_eq!(bag, &counts);
+                prop_assert_eq!(format!("{tree:?}"), format!("{oracle:?}"));
+            }
         }
     }
 }

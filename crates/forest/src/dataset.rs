@@ -68,9 +68,10 @@ impl Dataset {
         for (j, (&v, kind)) in row.iter().zip(&self.kinds).enumerate() {
             assert!(v.is_finite(), "non-finite feature {j}");
             if let FeatureKind::Categorical { levels } = kind {
+                // `as usize` saturates, so a negative code would pass as 0.
                 let code = v as usize;
                 assert!(
-                    v.fract() == 0.0 && code < *levels,
+                    v >= 0.0 && v.fract() == 0.0 && code < *levels,
                     "feature {j}: code {v} outside 0..{levels}"
                 );
             }
@@ -202,6 +203,15 @@ mod tests {
     #[should_panic(expected = "70 levels exceed the 64-level split mask")]
     fn categorical_wider_than_split_mask_rejected() {
         let _ = Dataset::new(vec![("c".into(), FeatureKind::Categorical { levels: 70 })]);
+    }
+
+    /// `-1.0 as usize` saturates to 0, so without its own check a
+    /// negative code would train as level 0.
+    #[test]
+    #[should_panic(expected = "code -1 outside 0..3")]
+    fn negative_category_rejected() {
+        let mut d = Dataset::new(schema());
+        d.push(vec![1.0, -1.0], 1.0);
     }
 
     #[test]

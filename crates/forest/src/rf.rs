@@ -2,20 +2,24 @@
 //! error estimation.
 //!
 //! The paper's production model is "1 × 10⁴ individual trees constructed by
-//! sub-sampling nine predictor variables at each node" (§VI.C). Training
-//! that many trees on 150 observations × 9 predictors, in parallel across
-//! trees with rayon, takes a median 0.79 s on a 2-vCPU Intel Xeon host
-//! (`forest/train_150x9/10000` in `cargo bench -p bench --bench
-//! forest_train`; 1.65 s before the split search stopped allocating per
-//! node), matching the paper's observation that the model "does not take
-//! much computational time to build or update".
+//! sub-sampling nine predictor variables at each node" (§VI.C). Trees grow
+//! in parallel with rayon, from one `Table` laid out per forest, each
+//! worker reusing its `Scratch` from tree to tree. What training that
+//! many trees on 150 observations × 9 predictors costs is measured in
+//! EXPERIMENTS.md § Microbenchmarks.
 
-use crate::cart::{CartConfig, RegressionTree};
+use crate::cart::{CartConfig, RegressionTree, Scratch, Table};
 use crate::dataset::Dataset;
 use crate::Predictor;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use simkit::SimRng;
+use std::cell::RefCell;
+
+thread_local! {
+    /// The buffers every tree this thread grows reuses.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
 
 /// Forest hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,21 +81,23 @@ impl RandomForest {
             min_samples_leaf: config.min_samples_leaf,
             mtry: Some(config.effective_mtry(p)),
         };
+        let table = Table::new(data);
         let root = SimRng::new(seed);
         let results: Vec<(RegressionTree, Vec<u16>)> = (0..config.num_trees)
             .into_par_iter()
             .map(|t| {
                 let mut rng = root.fork_idx("tree", t as u64);
                 let mut counts = vec![0u16; n];
-                let indices: Vec<usize> = (0..n)
-                    .map(|_| {
+                SCRATCH.with_borrow_mut(|scratch| {
+                    scratch.samples.clear();
+                    scratch.samples.extend((0..n).map(|_| {
                         let i = rng.index(n);
                         counts[i] = counts[i].saturating_add(1);
                         i
-                    })
-                    .collect();
-                let tree = RegressionTree::fit(data, &indices, cart, &mut rng);
-                (tree, counts)
+                    }));
+                    let tree = table.grow(cart, &mut rng, scratch);
+                    (tree, counts)
+                })
             })
             .collect();
         let (trees, in_bag) = results.into_iter().unzip();

@@ -4,10 +4,8 @@
 //! prediction for incoming jobs, out-of-bag variance explained (the
 //! paper's "approximately 93 %"), and the Fig. 2 permutation-importance
 //! report. The production model used 10⁴ trees; that is the default here
-//! too. Training 10⁴ trees on 150 jobs takes a median 0.79 s on a 2-vCPU
-//! Intel Xeon host (`forest/train_150x9/10000` in `cargo bench -p bench
-//! --bench forest_train`; 1.65 s before the split search stopped
-//! allocating per node).
+//! too. What training 10⁴ trees on 150 jobs costs is measured in
+//! EXPERIMENTS.md § Microbenchmarks.
 
 use crate::predictors::JobFeatures;
 use crate::training::TrainingJob;
