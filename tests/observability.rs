@@ -190,3 +190,52 @@ fn campaign_pipeline_surfaces_the_snapshot() {
         result.report.completed as u64
     );
 }
+
+/// `slo.resolve` is the one bus kind the other pinned grids never emit. A
+/// lone cluster is down while a backlog arrives, so the queue-backlog
+/// alert fires, then resolves once the cluster is back and the queue
+/// drains. (mid-run state, final state) FNV-64 pins of the serialized
+/// grid, whose telemetry carries the event ring, the SLO engine and the
+/// span log, captured before the grid's telemetry hooks became one fact
+/// stream.
+#[test]
+fn alert_resolution_stream_matches_its_pin() {
+    use gridsim::resource::{ResourceKind, ResourceSpec};
+    use gridsim::telemetry::TelemetryConfig;
+    use simkit::snapshot::checksum as fnv1a;
+    use simkit::SimDuration;
+
+    let mut grid = Grid::new(GridConfig {
+        resources: vec![ResourceSpec::cluster(
+            "cluster",
+            ResourceKind::PbsCluster,
+            8,
+            1.0,
+        )],
+        telemetry: Some(TelemetryConfig::observability(SimDuration::from_hours(1))),
+        seed: 31,
+        ..Default::default()
+    });
+    grid.inject_faults(gridsim::fault::site_outage(
+        &[0],
+        SimTime::ZERO,
+        SimDuration::from_hours(4),
+    ));
+    for id in 0..40 {
+        grid.submit_at(JobSpec::simple(id, 1800.0), SimTime::from_hours(1));
+    }
+    let count = |grid: &Grid, kind: &str| {
+        let telemetry = grid.world().telemetry().expect("telemetry on");
+        telemetry.bus().count(kind)
+    };
+    grid.run_until(SimTime::from_hours(3) + SimDuration::from_mins(30));
+    let mid = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
+    assert_eq!(mid, 0x9952_6d90_25db_9fc8, "mid-run state drifted");
+    assert_eq!(count(&grid, "slo.alert"), 1, "the backlog alert fired");
+    assert_eq!(count(&grid, "slo.resolve"), 0);
+    let report = grid.run_until_done(SimTime::from_days(2));
+    let fin = fnv1a(serde_json::to_string(&grid).unwrap().as_bytes());
+    assert_eq!(fin, 0x6454_4765_c643_6e98, "final state drifted");
+    assert_eq!(report.completed, 40);
+    assert_eq!(count(&grid, "slo.resolve"), 1, "the backlog alert resolved");
+}
