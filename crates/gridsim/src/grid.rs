@@ -20,7 +20,7 @@ use crate::resource::{ResourceId, ResourceKind, ResourceSpec};
 use crate::scheduler::{self, ResourceView, SchedulerPolicy};
 use crate::speed::{benchmark_machines, speed_from_benchmarks};
 use crate::stability::{ResourceHealth, StabilityTracker};
-use crate::telemetry::{GridTelemetry, TelemetryConfig, TelemetrySnapshot};
+use crate::telemetry::{GridFact, GridTelemetry, TelemetryConfig, TelemetrySnapshot};
 use serde::{Deserialize, Serialize, Value};
 use simkit::{Calendar, FaultScript, SimDuration, SimRng, SimTime, Simulation, World};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
@@ -315,6 +315,13 @@ impl GridWorld {
         self.telemetry.as_ref()
     }
 
+    /// State one transition to the observer, when one is attached.
+    fn note(&mut self, now: SimTime, fact: GridFact) {
+        if let Some(t) = self.telemetry.as_mut() {
+            t.observe(now, fact);
+        }
+    }
+
     fn provider_report(&mut self, resource: usize, now: SimTime) {
         if self.partitioned.get(resource).copied().unwrap_or(false) {
             // Silent partition: the provider keeps computing but its report
@@ -386,9 +393,7 @@ impl GridWorld {
                     &*v
                 });
             let decision = scheduler::decide(spec, candidates, &policy);
-            if let Some(t) = self.telemetry.as_mut() {
-                t.on_decision(now, job_id, &decision);
-            }
+            self.note(now, GridFact::Decided(job_id, &decision));
             match decision.chosen {
                 Some(ResourceId(r)) => {
                     let spec = self.records[&job_id].spec.clone();
@@ -423,15 +428,8 @@ impl GridWorld {
         self.dispatches += 1;
         let record = self.records.get_mut(&job.id).expect("record exists");
         record.attempts += 1;
-        let to_boinc = Some(resource) == self.boinc_index;
-        if let Some(t) = self.telemetry.as_mut() {
-            let resumed = !to_boinc && self.carry.contains_key(&job.id);
-            t.on_dispatch(now, job.id, resource, resumed);
-            if to_boinc {
-                t.on_boinc_workunit(now, job.id);
-            }
-        }
-        if to_boinc {
+        if Some(resource) == self.boinc_index {
+            self.note(now, GridFact::Dispatched(job.id, resource, false, true));
             // Checkpointed progress cannot ride into a BOINC workunit: the
             // volunteer client starts from scratch.
             self.write_off_carry(job.id);
@@ -439,27 +437,26 @@ impl GridWorld {
                 .as_mut()
                 .expect("boinc pool present")
                 .enqueue(job, now, cal);
-        } else {
-            let mut overhead = self.config.dispatch_overhead.as_secs_f64();
-            // Stage the inputs to the site at dispatch time: the transfer
-            // delay rides the existing per-dispatch overhead, holding the
-            // slot while bytes move (as real stage-in does).
-            if let Some(d) = self.data.as_mut() {
-                let stage = d.stage_in(resource, &job, now.as_secs_f64());
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_stage_in(now, job.id, resource, &stage);
-                }
-                overhead += stage.seconds;
-            }
-            let lrm = self.lrms[resource].as_mut().expect("lrm present");
-            match self.carry.get(&job.id) {
-                // Checkpoint-aware rescheduling: resume from the carried
-                // reference-seconds instead of restarting from scratch.
-                Some(&(remaining, _)) => {
-                    lrm.enqueue_resumed(job, remaining, overhead, now, resource, cal)
-                }
-                None => lrm.enqueue(job, overhead, now, resource, cal),
-            }
+            return;
+        }
+        // Checkpoint-aware rescheduling: resume from the carried
+        // reference-seconds instead of restarting from scratch.
+        let carried = self.carry.get(&job.id).map(|&(remaining, _)| remaining);
+        let resumed = carried.is_some();
+        self.note(now, GridFact::Dispatched(job.id, resource, resumed, false));
+        let mut overhead = self.config.dispatch_overhead.as_secs_f64();
+        // Stage the inputs to the site at dispatch time: the transfer delay
+        // rides the existing per-dispatch overhead, holding the slot while
+        // bytes move (as real stage-in does).
+        if let Some(d) = self.data.as_mut() {
+            let stage = d.stage_in(resource, &job, now.as_secs_f64());
+            self.note(now, GridFact::StagedIn(job.id, resource, &stage));
+            overhead += stage.seconds;
+        }
+        let lrm = self.lrms[resource].as_mut().expect("lrm present");
+        match carried {
+            Some(remaining) => lrm.enqueue_resumed(job, remaining, overhead, now, resource, cal),
+            None => lrm.enqueue(job, overhead, now, resource, cal),
         }
     }
 
@@ -477,9 +474,7 @@ impl GridWorld {
             d.register_job(&job);
         }
         self.records.insert(id, JobRecord::new(job, now));
-        if let Some(t) = self.telemetry.as_mut() {
-            t.on_submit(now, id);
-        }
+        self.note(now, GridFact::Admitted(id));
     }
 
     /// Handle a tenant-attributed submission: run admission control and
@@ -494,11 +489,10 @@ impl GridWorld {
         let cost = job
             .estimated_reference_seconds
             .unwrap_or(job.true_reference_seconds);
-        let outcome = book.submit(tenancy::TenantId(tenant), job.id.0, cost, now);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.on_tenant_admission(now, job.id, tenant, &outcome);
-        }
-        if !matches!(outcome, tenancy::AdmissionOutcome::Rejected { .. }) {
+        let tenant = tenancy::TenantId(tenant);
+        let outcome = book.submit(tenant, job.id.0, cost, now);
+        self.note(now, GridFact::TenantAdmission(job.id, tenant, &outcome));
+        if outcome.accepted() {
             self.admit(job, now);
         }
     }
@@ -520,10 +514,7 @@ impl GridWorld {
             if budget > 0 {
                 for r in book.release(now, budget) {
                     self.pending.push_back(JobId(r.job));
-                    if let Some(t) = self.telemetry.as_mut() {
-                        let waited = r.waited.as_secs_f64();
-                        t.on_tenant_release(now, JobId(r.job), r.tenant.0, waited);
-                    }
+                    self.note(now, GridFact::TenantReleased(&r));
                 }
             }
         }
@@ -593,28 +584,10 @@ impl GridWorld {
             cpu_seconds
         };
         let credited = !dead && !corrupt;
-        if let Some(t) = self.telemetry.as_mut() {
-            match &terminal {
-                Terminal::Completed(run) => {
-                    let name = &self.resources[resource].name;
-                    t.on_completed(now, job, name, Some(run.started), corrupt);
-                    if let Some(c) = &run.validation {
-                        let quorum_seconds = now.saturating_since(run.started).as_secs_f64();
-                        t.on_validation_complete(now, job, c, quorum_seconds);
-                    }
-                }
-                Terminal::RetryBudgetSpent => t.on_dead_letter(now, job),
-                Terminal::ValidationFailed => {
-                    t.on_validation_failed(now, job);
-                    t.on_dead_letter(now, job);
-                }
-            }
-        }
+        self.note(now, GridFact::Settled(job, resource, &terminal));
         if let Some(book) = self.tenancy.as_mut() {
             if let Some((tenant, credit)) = book.on_terminal(job.0, charge, credited, now) {
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_tenant_credit(now, job, tenant.0, credit, credited);
-                }
+                self.note(now, GridFact::TenantCredited(job, tenant, credit, credited));
             }
         }
         // Failed terminals (dead letters, corrupt acceptances) still satisfy
@@ -627,19 +600,14 @@ impl GridWorld {
         let Some(campaign) = progress.campaign else {
             return;
         };
-        if let (Some(stage), Some(t)) = (progress.stage_completed, self.telemetry.as_mut()) {
-            t.on_flow_stage_completed(now, campaign, stage);
+        if let Some(stage) = progress.stage_completed {
+            self.note(now, GridFact::StageCompleted(campaign, stage));
         }
         for r in &progress.released {
             self.materialize_stage(campaign, r, now);
         }
-        if let (Some(done), Some(t)) = (progress.campaign_completed, self.telemetry.as_mut()) {
-            t.on_flow_campaign_completed(
-                now,
-                done.campaign,
-                done.makespan_seconds,
-                done.deadline_missed,
-            );
+        if let Some(done) = &progress.campaign_completed {
+            self.note(now, GridFact::CampaignCompleted(done));
         }
     }
 
@@ -666,9 +634,7 @@ impl GridWorld {
             self.admit(spec, now);
             self.pending.push_back(JobId(id));
         }
-        if let Some(t) = self.telemetry.as_mut() {
-            t.on_flow_stage_released(now, campaign, r);
-        }
+        self.note(now, GridFact::StageReleased(campaign, r));
     }
 
     fn apply_lrm_outcome(
@@ -691,15 +657,13 @@ impl GridWorld {
                 wasted_cpu_seconds,
                 remaining,
             } => {
+                self.note(now, GridFact::Bounced(job, resource, wasted_cpu_seconds));
                 let record = self.records.get_mut(&job).expect("record exists");
                 record.wasted_cpu_seconds += wasted_cpu_seconds;
                 record.reissues += 1;
                 let checkpointable = record.spec.checkpointable;
                 let true_ref = record.spec.true_reference_seconds;
                 let speed = self.measured_speeds[resource].max(1e-9);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.on_bounce(now, job, resource, wasted_cpu_seconds);
-                }
                 match self.config.recovery {
                     None => {
                         // Legacy behaviour: requeue immediately, restart from
@@ -719,9 +683,7 @@ impl GridWorld {
                             None => false,
                         };
                         if newly_blacklisted {
-                            if let Some(t) = self.telemetry.as_mut() {
-                                t.on_blacklist(now, resource);
-                            }
+                            self.note(now, GridFact::Blacklisted(resource));
                         }
                         let retries = {
                             let r = self.grid_retries.entry(job).or_insert(0);
@@ -742,9 +704,7 @@ impl GridWorld {
                             // counter-productive.
                             self.failed_on.remove(&job);
                             let delay = policy.backoff_delay(retries, &mut self.rng);
-                            if let Some(t) = self.telemetry.as_mut() {
-                                t.on_backoff(now, job, retries, delay.as_secs_f64());
-                            }
+                            self.note(now, GridFact::BackedOff(job, retries, delay));
                             cal.schedule(now + delay, GridEvent::RetryRelease { job });
                         }
                     }
@@ -766,12 +726,7 @@ impl GridWorld {
                         .data
                         .as_mut()
                         .and_then(|d| d.invalidate_resource(resource));
-                    if let Some(t) = self.telemetry.as_mut() {
-                        if let Some(dropped) = dropped {
-                            t.on_cache_invalidate(now, resource, dropped);
-                        }
-                        t.on_resource_down(now, resource);
-                    }
+                    self.note(now, GridFact::ResourceDown(resource, dropped));
                 }
                 let outcomes = match self.lrms.get_mut(resource) {
                     Some(Some(lrm)) => lrm.go_offline(now, resource, cal),
@@ -783,9 +738,7 @@ impl GridWorld {
             }
             FaultAction::Up { resource } => {
                 if resource < self.resources.len() {
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.on_resource_up(now, resource);
-                    }
+                    self.note(now, GridFact::ResourceUp(resource));
                 }
                 if let Some(Some(lrm)) = self.lrms.get_mut(resource) {
                     lrm.go_online(now, resource, cal);
@@ -793,13 +746,10 @@ impl GridWorld {
             }
             FaultAction::PartitionStart { resource } | FaultAction::PartitionEnd { resource } => {
                 let started = matches!(action, FaultAction::PartitionStart { .. });
+                // One flag per resource, so only a real resource is noted.
                 if let Some(p) = self.partitioned.get_mut(resource) {
                     *p = started;
-                }
-                if resource < self.resources.len() {
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.on_partition(now, resource, started);
-                    }
+                    self.note(now, GridFact::Partitioned(resource, started));
                 }
             }
             FaultAction::SetSpeedFactor { resource, factor } => {
@@ -825,14 +775,15 @@ impl GridWorld {
         }
     }
 
-    /// Refresh the busy-slot timelines after an event. No-op when telemetry
-    /// is off; an offline resource counts as zero busy slots.
-    fn record_utilisation(&mut self, now: SimTime) {
+    /// Hand the observer this event's end state: busy slots per resource
+    /// (an offline resource counts as zero) and the pending-queue depth.
+    /// No-op when telemetry is off.
+    fn refresh_observer(&mut self, now: SimTime) {
         let Some(t) = self.telemetry.as_mut() else {
             return;
         };
-        for i in 0..self.resources.len() {
-            let busy = if Some(i) == self.boinc_index {
+        let busy = (0..self.resources.len()).map(|i| {
+            if Some(i) == self.boinc_index {
                 // `state()` counts offline volunteers as non-free; only
                 // clients actually holding a task are busy.
                 self.boinc.as_ref().map_or(0, |b| b.active_clients())
@@ -844,9 +795,9 @@ impl GridWorld {
                     }
                     _ => 0,
                 }
-            };
-            t.set_busy(now, i, busy);
-        }
+            }
+        });
+        t.refresh(now, busy, self.pending.len());
     }
 }
 
@@ -931,20 +882,20 @@ impl World for GridWorld {
                     .boinc
                     .as_mut()
                     .and_then(|b| b.on_flip(client, now, cal));
-                if let (Some(info), Some(t)) = (flip, self.telemetry.as_mut()) {
-                    t.on_churn_flip(now, client, info.available, info.died);
+                if let Some(flip) = flip {
+                    self.note(now, GridFact::HostFlipped(client, &flip));
                 }
             }
             GridEvent::BoincAssign { clients } => {
-                if let Some(b) = self.boinc.as_mut() {
-                    for client in clients {
-                        let staged = b.on_assign(client, self.data.as_mut(), now, cal);
-                        if let Some((job, stage)) = staged {
-                            if let Some(t) = self.telemetry.as_mut() {
-                                let pool = self.boinc_index.expect("boinc pool present");
-                                t.on_stage_in(now, job, pool, &stage);
-                            }
-                        }
+                for client in clients {
+                    let data = self.data.as_mut();
+                    let staged = self
+                        .boinc
+                        .as_mut()
+                        .and_then(|b| b.on_assign(client, data, now, cal));
+                    if let Some((job, stage)) = staged {
+                        let pool = self.boinc_index.expect("boinc pool present");
+                        self.note(now, GridFact::StagedIn(job, pool, &stage));
                     }
                 }
             }
@@ -959,9 +910,7 @@ impl World for GridWorld {
             GridEvent::BoincDeadline { assignment } => {
                 if let Some(b) = self.boinc.as_mut() {
                     let (job, reissued, settled) = b.on_deadline(assignment, now, cal);
-                    if let Some(t) = self.telemetry.as_mut() {
-                        t.on_boinc_deadline(now, assignment, reissued, job);
-                    }
+                    self.note(now, GridFact::DeadlineFired(assignment, reissued, job));
                     if let Some((job, terminal)) = settled {
                         let pool = self.boinc_index.expect("boinc pool present");
                         self.settle(job, pool, terminal, now);
@@ -986,10 +935,7 @@ impl World for GridWorld {
         }
         // Utilisation timelines are piecewise-constant between events, so
         // refreshing once per handled event captures every transition.
-        self.record_utilisation(now);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.set_gauge("grid.queue_depth", self.pending.len() as f64);
-        }
+        self.refresh_observer(now);
         if let (Some(p), Some((label, started))) = (self.profiler.as_mut(), profiled) {
             p.record(label, started.elapsed());
         }
