@@ -117,8 +117,9 @@ struct BenchSummary {
 }
 
 /// Parse the Chrome trace, index every event's span id, and return the
-/// number of `reissue` markers — asserting each one's parent id resolves
-/// to another event in the trace (the attempt chain is never dangling).
+/// number of `reissue` markers — asserting each one records a queued copy
+/// and that its parent id resolves to another event in the trace (the
+/// attempt chain is never dangling).
 fn check_trace_lineage(trace_json: &str) -> usize {
     let doc: serde::Value = serde_json::from_str(trace_json).expect("trace is valid JSON");
     let events = match serde::field::<serde::Value>(doc.as_map().unwrap(), "traceEvents") {
@@ -137,6 +138,8 @@ fn check_trace_lineage(trace_json: &str) -> usize {
         span_ids.insert(span);
         let parent: Option<u64> = serde::field(args, "parent").ok();
         if name == "reissue" {
+            let reissued: u64 = serde::field(args, "reissued").expect("marker counts its copies");
+            assert!(reissued > 0, "reissue span {span} queued no copy");
             reissues.push((span, parent));
         }
     }
