@@ -67,7 +67,6 @@ fn data_config(policy: DataPolicy, cache_bytes: u64, link: LinkSpec) -> DataConf
         policy,
         site_cache_bytes: cache_bytes,
         default_link: link,
-        ..DataConfig::default()
     }
 }
 

@@ -44,22 +44,17 @@ pub enum DataPolicy {
 }
 
 /// Configuration for the optional data plane ([`crate::GridConfig::data`]).
+/// The volunteer side is fixed: each client caches [`VOLUNTEER_CACHE_BYTES`]
+/// behind the shared [`BOINC_LINK`], and an outage always colds the site
+/// cache of the resource it hits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DataConfig {
     /// Whether the scheduler ranks on stage-in cost.
     pub policy: DataPolicy,
     /// Capacity of each site head-node cache in bytes.
     pub site_cache_bytes: u64,
-    /// Capacity of each BOINC volunteer's local cache in bytes.
-    pub volunteer_cache_bytes: u64,
-    /// Portal → site link used for sites without an explicit entry.
+    /// Portal → site link, one per site (or per unattributed resource).
     pub default_link: LinkSpec,
-    /// Per-site link overrides, keyed by the resource's `site` name.
-    pub site_links: BTreeMap<String, LinkSpec>,
-    /// BOINC server → volunteer client link (shared by all volunteers).
-    pub boinc_link: LinkSpec,
-    /// Whether a resource outage colds its site cache.
-    pub invalidate_on_outage: bool,
 }
 
 impl Default for DataConfig {
@@ -67,14 +62,20 @@ impl Default for DataConfig {
         DataConfig {
             policy: DataPolicy::Aware,
             site_cache_bytes: 4 << 30,
-            volunteer_cache_bytes: 256 << 20,
             default_link: LinkSpec::mbps(25.0, 0.5),
-            site_links: BTreeMap::new(),
-            boinc_link: LinkSpec::mbps(10.0, 1.0),
-            invalidate_on_outage: true,
         }
     }
 }
+
+/// Capacity of each BOINC volunteer's local cache in bytes: 256 MiB.
+pub const VOLUNTEER_CACHE_BYTES: u64 = 256 << 20;
+
+/// BOINC server → volunteer client link, shared by all volunteers: 10 MB/s
+/// with a 1 s setup cost.
+pub const BOINC_LINK: LinkSpec = LinkSpec {
+    bandwidth_bytes_per_sec: 10e6,
+    latency_seconds: 1.0,
+};
 
 /// What one stage-in actually cost.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -170,9 +171,9 @@ const BOINC_KEY: &str = "boinc";
 /// Live data-plane state owned by the grid world.
 ///
 /// Resources sharing a `site` share one link and one head-node cache;
-/// unattributed resources get a private `res:<name>` pair on the default
-/// link spec. The BOINC pool resource maps to the shared volunteer link and
-/// per-client caches instead.
+/// unattributed resources get a private `res:<name>` pair. Every such link
+/// runs at the config's `default_link`. The BOINC pool resource maps to the
+/// shared volunteer link and per-client caches instead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DataGridState {
     config: DataConfig,
@@ -204,26 +205,23 @@ impl DataGridState {
                 key_of.push(BOINC_KEY.to_string());
                 links
                     .entry(BOINC_KEY.to_string())
-                    .or_insert_with(|| Link::new(config.boinc_link));
+                    .or_insert_with(|| Link::new(BOINC_LINK));
                 volunteers = spec.slots;
                 continue;
             }
-            let (key, link_spec) = match &spec.site {
-                Some(site) => (
-                    format!("site:{site}"),
-                    *config.site_links.get(site).unwrap_or(&config.default_link),
-                ),
-                None => (format!("res:{}", spec.name), config.default_link),
+            let key = match &spec.site {
+                Some(site) => format!("site:{site}"),
+                None => format!("res:{}", spec.name),
             };
             links
                 .entry(key.clone())
-                .or_insert_with(|| Link::new(link_spec));
+                .or_insert_with(|| Link::new(config.default_link));
             site_caches
                 .entry(key.clone())
                 .or_insert_with(|| LruCache::new(config.site_cache_bytes));
             key_of.push(key);
         }
-        let volunteer_caches = vec![LruCache::new(config.volunteer_cache_bytes); volunteers];
+        let volunteer_caches = vec![LruCache::new(VOLUNTEER_CACHE_BYTES); volunteers];
         DataGridState {
             config,
             key_of,
@@ -353,13 +351,9 @@ impl DataGridState {
     }
 
     /// Cold the site cache backing `resource` (outage). Returns the dropped
-    /// bytes, or `None` when invalidation is disabled, the resource is the
-    /// BOINC pool (volunteer churn is modeled per client elsewhere), or
-    /// there is no cache.
+    /// bytes, or `None` when the resource is the BOINC pool (volunteer
+    /// churn is modeled per client elsewhere) or there is no cache.
     pub fn invalidate_resource(&mut self, resource: usize) -> Option<u64> {
-        if !self.config.invalidate_on_outage {
-            return None;
-        }
         let key = &self.key_of[resource];
         if key == BOINC_KEY {
             return None;
@@ -535,19 +529,6 @@ mod tests {
         let dropped = s.invalidate_resource(0);
         assert_eq!(dropped, Some(1_000_000));
         assert!(s.estimate_stage_in(0, &job, 2.0) > 0.0);
-        // Invalidation can be configured off.
-        let resources = fixture().1;
-        let mut off = DataGridState::new(
-            DataConfig {
-                invalidate_on_outage: false,
-                ..DataConfig::default()
-            },
-            &resources,
-            Some(3),
-        );
-        off.stage_in(0, &job, 0.0);
-        assert_eq!(off.invalidate_resource(0), None);
-        assert_eq!(off.estimate_stage_in(0, &job, 1.0), 0.0);
     }
 
     #[test]

@@ -45,10 +45,13 @@ struct ProviderStats {
     offline_seconds: f64,
 }
 
+/// How long an entry stays valid after its report: the paper's "order of
+/// minutes" (§V), 5 minutes.
+pub const LIFETIME: SimDuration = SimDuration::from_mins(5);
+
 /// The central aggregated MDS database.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mds {
-    lifetime: SimDuration,
     #[serde(with = "simkit::snapshot::sorted_pairs")]
     entries: HashMap<ResourceId, (ResourceState, SimTime)>,
     #[serde(with = "simkit::snapshot::sorted_pairs")]
@@ -56,22 +59,18 @@ pub struct Mds {
     staleness: Histogram,
 }
 
-impl Mds {
-    /// A database whose entries expire after `lifetime`.
-    pub fn new(lifetime: SimDuration) -> Mds {
+/// An empty database whose entries expire after [`LIFETIME`].
+impl Default for Mds {
+    fn default() -> Mds {
         Mds {
-            lifetime,
             entries: HashMap::new(),
             stats: HashMap::new(),
             staleness: Histogram::new(&staleness_buckets_seconds()),
         }
     }
+}
 
-    /// The paper's "order of minutes" default: 5 minutes.
-    pub fn with_default_lifetime() -> Mds {
-        Mds::new(SimDuration::from_mins(5))
-    }
-
+impl Mds {
     /// Ingest a provider report.
     pub fn report(&mut self, resource: ResourceId, state: ResourceState, now: SimTime) {
         let stats = self.stats.entry(resource).or_default();
@@ -81,7 +80,7 @@ impl Mds {
             self.staleness.observe(gap);
             // A gap longer than the lifetime means the entry expired and the
             // scheduler saw the resource offline until this report arrived.
-            let lifetime = self.lifetime.as_secs_f64();
+            let lifetime = LIFETIME.as_secs_f64();
             if gap > lifetime {
                 stats.offline_episodes += 1;
                 stats.offline_seconds += gap - lifetime;
@@ -96,7 +95,7 @@ impl Mds {
     pub fn get(&self, resource: ResourceId, now: SimTime) -> Option<ResourceState> {
         self.entries
             .get(&resource)
-            .and_then(|&(state, at)| (now.saturating_since(at) <= self.lifetime).then_some(state))
+            .and_then(|&(state, at)| (now.saturating_since(at) <= LIFETIME).then_some(state))
     }
 
     /// True iff the resource's entry is missing or expired (the scheduler's
@@ -110,16 +109,11 @@ impl Mds {
         let mut ids: Vec<ResourceId> = self
             .entries
             .iter()
-            .filter(|(_, &(_, at))| now.saturating_since(at) <= self.lifetime)
+            .filter(|(_, &(_, at))| now.saturating_since(at) <= LIFETIME)
             .map(|(&id, _)| id)
             .collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Entry lifetime.
-    pub fn lifetime(&self) -> SimDuration {
-        self.lifetime
     }
 
     /// Queryable monitoring snapshot: per-resource freshness, offline-episode
@@ -136,7 +130,7 @@ impl Mds {
                     id,
                     reports: s.reports,
                     age_seconds: age,
-                    online: age.is_some_and(|a| a <= self.lifetime.as_secs_f64()),
+                    online: age.is_some_and(|a| a <= LIFETIME.as_secs_f64()),
                     mean_gap_seconds: (s.gap.count() > 0).then(|| s.gap.mean()),
                     max_gap_seconds: s.gap.max(),
                     offline_episodes: s.offline_episodes,
@@ -146,8 +140,8 @@ impl Mds {
             .collect();
         resources.sort_by_key(|r| r.id);
         MdsSnapshot {
-            lifetime_seconds: self.lifetime.as_secs_f64(),
-            detection_latency_seconds: self.lifetime.as_secs_f64(),
+            lifetime_seconds: LIFETIME.as_secs_f64(),
+            detection_latency_seconds: LIFETIME.as_secs_f64(),
             resources,
             staleness: self.staleness.clone(),
         }
@@ -182,7 +176,7 @@ pub struct MdsResourceStatus {
 /// `detection_latency_seconds` records that bound.
 #[derive(Debug, Clone, Serialize)]
 pub struct MdsSnapshot {
-    /// Configured entry lifetime in seconds.
+    /// Entry lifetime in seconds ([`LIFETIME`]).
     pub lifetime_seconds: f64,
     /// Worst-case offline-detection latency (== the entry lifetime).
     pub detection_latency_seconds: f64,
@@ -198,7 +192,7 @@ mod tests {
 
     #[test]
     fn fresh_entries_visible() {
-        let mut mds = Mds::new(SimDuration::from_mins(5));
+        let mut mds = Mds::default();
         let s = ResourceState {
             free_slots: 3,
             total_slots: 8,
@@ -211,7 +205,7 @@ mod tests {
 
     #[test]
     fn stale_entries_mark_resource_offline() {
-        let mut mds = Mds::new(SimDuration::from_mins(5));
+        let mut mds = Mds::default();
         let s = ResourceState {
             free_slots: 3,
             total_slots: 8,
@@ -226,7 +220,7 @@ mod tests {
 
     #[test]
     fn reports_refresh_lifetime() {
-        let mut mds = Mds::new(SimDuration::from_mins(5));
+        let mut mds = Mds::default();
         let s = ResourceState {
             free_slots: 1,
             total_slots: 2,
@@ -239,7 +233,7 @@ mod tests {
 
     #[test]
     fn unknown_resource_is_offline() {
-        let mds = Mds::with_default_lifetime();
+        let mds = Mds::default();
         assert!(mds.is_offline(ResourceId(9), SimTime::ZERO));
     }
 
@@ -262,7 +256,7 @@ mod tests {
 
     #[test]
     fn snapshot_tracks_freshness_and_offline_episodes() {
-        let mut mds = Mds::new(SimDuration::from_mins(5));
+        let mut mds = Mds::default();
         let s = ResourceState {
             free_slots: 1,
             total_slots: 4,
@@ -292,7 +286,7 @@ mod tests {
 
     #[test]
     fn snapshot_marks_stale_resources_offline() {
-        let mut mds = Mds::with_default_lifetime();
+        let mut mds = Mds::default();
         let s = ResourceState {
             free_slots: 0,
             total_slots: 2,
@@ -307,7 +301,7 @@ mod tests {
 
     #[test]
     fn snapshot_resources_sorted_by_id() {
-        let mut mds = Mds::with_default_lifetime();
+        let mut mds = Mds::default();
         let s = ResourceState {
             free_slots: 1,
             total_slots: 1,
@@ -327,7 +321,7 @@ mod tests {
 
     #[test]
     fn online_sorted() {
-        let mut mds = Mds::with_default_lifetime();
+        let mut mds = Mds::default();
         let s = ResourceState {
             free_slots: 1,
             total_slots: 1,

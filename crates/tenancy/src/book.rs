@@ -33,49 +33,27 @@
 
 use crate::account::{Quota, TenantId, TenantSpec};
 use crate::admission::{AdmissionOutcome, QueueReason, RejectReason};
-use crate::fairshare::{jain_index, FairShareConfig};
+use crate::fairshare::{jain_index, scale_at, unscale_at, BOOST_AFTER, URGENT_WINDOW};
 use serde::{Deserialize, Serialize, Value};
 use simkit::{IdMap, SimDuration, SimTime};
 use std::collections::{BTreeSet, VecDeque};
 
-/// Configuration for the whole tenancy layer, carried by
-/// `GridConfig::tenancy` (default `None` = single-tenant legacy path).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TenancyConfig {
-    /// Tenants registered at bootstrap. More can join at runtime via
-    /// `register`.
-    pub tenants: Vec<TenantSpec>,
-    /// Fair-share decay and starvation-boost tuning.
-    pub fair_share: FairShareConfig,
-    /// Release throttle: each scheduling tick refills the grid's pending
-    /// backlog up to `ceil(total_slots × backlog_factor)` jobs. Keeping
-    /// the backlog shallow keeps arbitration in the fair-share loop
-    /// (where weights apply) instead of the grid's FIFO.
-    pub backlog_factor: f64,
-    /// Credit granted per validated CPU-hour (BOINC's cobblestone scale).
-    pub credit_per_cpu_hour: f64,
-}
+/// The tenancy layer's on-switch, carried by `GridConfig::tenancy`
+/// (default `None` = single-tenant legacy path). It has no settings:
+/// tenants join through `register`, fair share runs on the constants in
+/// [`crate::fairshare`], and the release throttle and credit scale are
+/// [`BACKLOG_FACTOR`] and [`CREDIT_PER_CPU_HOUR`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TenancyConfig {}
 
-impl Default for TenancyConfig {
-    fn default() -> Self {
-        TenancyConfig {
-            tenants: Vec::new(),
-            fair_share: FairShareConfig::default(),
-            backlog_factor: 2.0,
-            credit_per_cpu_hour: 100.0,
-        }
-    }
-}
+/// Release throttle: each scheduling tick refills the grid's pending
+/// backlog up to `ceil(total_slots × 2.0)` jobs. Keeping the backlog
+/// shallow keeps arbitration in the fair-share loop (where weights apply)
+/// instead of the grid's FIFO.
+pub const BACKLOG_FACTOR: f64 = 2.0;
 
-impl TenancyConfig {
-    /// Convenience: a config pre-registering the given tenants.
-    pub fn with_tenants(tenants: Vec<TenantSpec>) -> TenancyConfig {
-        TenancyConfig {
-            tenants,
-            ..TenancyConfig::default()
-        }
-    }
-}
+/// Credit granted per validated CPU-hour (BOINC's cobblestone scale).
+pub const CREDIT_PER_CPU_HOUR: f64 = 100.0;
 
 /// A submission parked in a tenant's queue, waiting for fair-share release.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -287,11 +265,8 @@ impl Ord for OrdF64 {
 /// queues as plain sequences. The derived indexes are skipped and the
 /// hand-written `Deserialize` rebuilds them, so snapshot → restore →
 /// snapshot is byte-stable.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TenantBook {
-    fair_share: FairShareConfig,
-    backlog_factor: f64,
-    credit_per_cpu_hour: f64,
     next_tenant: u64,
     accounts: IdMap<Account>,
     /// Owner mapping for in-flight jobs only (queued jobs are reachable
@@ -321,34 +296,6 @@ pub struct TenantBook {
 }
 
 impl TenantBook {
-    /// A book with the config's tenants pre-registered.
-    pub fn new(config: &TenancyConfig) -> TenantBook {
-        let mut book = TenantBook {
-            fair_share: config.fair_share,
-            backlog_factor: config.backlog_factor,
-            credit_per_cpu_hour: config.credit_per_cpu_hour,
-            next_tenant: 0,
-            accounts: IdMap::new(),
-            owners: IdMap::new(),
-            rejections: RejectCounts::default(),
-            total_submitted: 0,
-            total_released: 0,
-            total_completed: 0,
-            total_dead_lettered: 0,
-            total_in_flight: 0,
-            total_queued: 0,
-            total_cpu_seconds: 0.0,
-            total_credit: 0.0,
-            priority: BTreeSet::new(),
-            aging: BTreeSet::new(),
-            urgent: BTreeSet::new(),
-        };
-        for spec in &config.tenants {
-            book.register(spec.clone());
-        }
-        book
-    }
-
     /// Open an account. Ids are assigned in registration order and never
     /// reused.
     ///
@@ -399,11 +346,6 @@ impl TenantBook {
         self.total_in_flight
     }
 
-    /// The configured release throttle factor.
-    pub fn backlog_factor(&self) -> f64 {
-        self.backlog_factor
-    }
-
     /// The tenant's fair-share weight, if registered.
     pub fn weight_of(&self, tenant: TenantId) -> Option<f64> {
         self.accounts.get(tenant.0).map(|a| a.spec.weight)
@@ -420,7 +362,7 @@ impl TenantBook {
     pub fn decayed_usage(&self, tenant: TenantId, now: SimTime) -> Option<f64> {
         self.accounts
             .get(tenant.0)
-            .map(|a| self.fair_share.unscale_at(a.scaled_usage, now))
+            .map(|a| unscale_at(a.scaled_usage, now))
     }
 
     /// The tenant's charged CPU-seconds and granted credit.
@@ -546,7 +488,7 @@ impl TenantBook {
                 .aging
                 .iter()
                 .next()
-                .filter(|(head, _)| now.saturating_since(*head) >= self.fair_share.boost_after)
+                .filter(|(head, _)| now.saturating_since(*head) >= BOOST_AFTER)
                 .map(|&(_, id)| id);
             let Some(tid) = boosted else {
                 break;
@@ -561,7 +503,7 @@ impl TenantBook {
         // fills — urgent campaigns drain completely before share order
         // gets a slot.
         while remaining > 0 {
-            let horizon = now + self.fair_share.urgent_window;
+            let horizon = now + URGENT_WINDOW;
             let due = self
                 .urgent
                 .iter()
@@ -623,7 +565,7 @@ impl TenantBook {
     /// estimate, and record the in-flight owner. The caller is responsible
     /// for reindexing afterwards.
     fn release_one(&mut self, tid: u64, now: SimTime, out: &mut Vec<ReleasedJob>) {
-        let scale = self.fair_share.scale_at(now);
+        let scale = scale_at(now);
         let acct = self.accounts.get_mut(tid).expect("indexed tenant exists");
         let qj = acct.queue.pop_front().expect("indexed tenant has work");
         let scaled_est = qj.cost * scale;
@@ -661,8 +603,7 @@ impl TenantBook {
         now: SimTime,
     ) -> Option<(TenantId, f64)> {
         let entry = self.owners.remove(job)?;
-        let scale = self.fair_share.scale_at(now);
-        let credit_per_hour = self.credit_per_cpu_hour;
+        let scale = scale_at(now);
         let acct = self
             .accounts
             .get_mut(entry.tenant)
@@ -672,7 +613,7 @@ impl TenantBook {
         acct.in_flight -= 1;
         acct.cpu_seconds += cpu_seconds.max(0.0);
         let credit = if credited {
-            let c = cpu_seconds.max(0.0) / 3600.0 * credit_per_hour;
+            let c = cpu_seconds.max(0.0) / 3600.0 * CREDIT_PER_CPU_HOUR;
             acct.credit += c;
             acct.completed += 1;
             c
@@ -805,9 +746,6 @@ impl Deserialize for TenantBook {
             _ => return Err(serde::Error::custom("TenantBook: expected map")),
         };
         let mut book = TenantBook {
-            fair_share: serde::field(fields, "fair_share")?,
-            backlog_factor: serde::field(fields, "backlog_factor")?,
-            credit_per_cpu_hour: serde::field(fields, "credit_per_cpu_hour")?,
             next_tenant: serde::field(fields, "next_tenant")?,
             accounts: serde::field(fields, "accounts")?,
             owners: serde::field(fields, "owners")?,
@@ -834,7 +772,11 @@ mod tests {
     use super::*;
 
     fn book_with(specs: Vec<TenantSpec>) -> TenantBook {
-        TenantBook::new(&TenancyConfig::with_tenants(specs))
+        let mut book = TenantBook::default();
+        for spec in specs {
+            book.register(spec);
+        }
+        book
     }
 
     fn unlimited(name: &str, weight: f64) -> TenantSpec {

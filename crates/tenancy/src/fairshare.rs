@@ -2,7 +2,7 @@
 //! priorities, and the Jain fairness index.
 //!
 //! The scheduler follows the classic BOINC/maui recipe: each tenant carries
-//! a CPU-seconds usage tally that decays with a configurable half-life, and
+//! a CPU-seconds usage tally that decays with a fixed half-life, and
 //! the next released job comes from the eligible tenant with the smallest
 //! `decayed_usage / weight`. Heavy recent users sink in priority, idle
 //! tenants float up, and a weight-2 tenant converges to twice the share of
@@ -27,58 +27,35 @@
 //! clock, no randomness — so a seeded scenario replays the same release
 //! order bit for bit.
 
-use serde::{Deserialize, Serialize};
 use simkit::{SimDuration, SimTime};
 
-/// Fair-share tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FairShareConfig {
-    /// Half-life of the usage decay: after this much sim time, past usage
-    /// counts half. Shorter half-lives react faster; longer ones remember
-    /// more history.
-    pub half_life: SimDuration,
-    /// Starvation guard: once a tenant's oldest queued job has waited this
-    /// long, the tenant jumps ahead of every priority-ordered peer
-    /// (boosted tenants drain oldest-head-first). Guarantees every queued
-    /// job is eventually released no matter how its tenant's share
-    /// compares.
-    pub boost_after: SimDuration,
-    /// Deadline horizon: a tenant whose campaign deadline is at most this
-    /// far away drains earliest-deadline-first, ahead of share order (but
-    /// behind the starvation guard). Far-future deadlines exert no
-    /// pressure until they enter the window, so a deadline a month out
-    /// does not distort today's shares.
-    #[serde(default = "default_urgent_window")]
-    pub urgent_window: SimDuration,
+/// Half-life of the usage decay: after 24 h of sim time, past usage counts
+/// half. Shares converge to weight ratios without punishing old use
+/// forever.
+pub const HALF_LIFE: SimDuration = SimDuration::from_hours(24);
+
+/// Starvation guard: once a tenant's oldest queued job has waited 12 h,
+/// the tenant jumps ahead of every priority-ordered peer (boosted tenants
+/// drain oldest-head-first). Guarantees every queued job is eventually
+/// released no matter how its tenant's share compares.
+pub const BOOST_AFTER: SimDuration = SimDuration::from_hours(12);
+
+/// Deadline horizon: a tenant whose campaign deadline is at most 24 h away
+/// drains earliest-deadline-first, ahead of share order (but behind the
+/// starvation guard). Far-future deadlines exert no pressure until they
+/// enter the window, so a deadline a month out does not distort today's
+/// shares.
+pub const URGENT_WINDOW: SimDuration = SimDuration::from_hours(24);
+
+/// The scale factor for a charge at `t`: `2^(t / half_life)`.
+pub fn scale_at(t: SimTime) -> f64 {
+    (t.as_secs_f64() / HALF_LIFE.as_secs_f64()).exp2()
 }
 
-fn default_urgent_window() -> SimDuration {
-    SimDuration::from_hours(24)
-}
-
-impl Default for FairShareConfig {
-    fn default() -> Self {
-        FairShareConfig {
-            half_life: SimDuration::from_hours(24),
-            boost_after: SimDuration::from_hours(12),
-            urgent_window: default_urgent_window(),
-        }
-    }
-}
-
-impl FairShareConfig {
-    /// The scale factor for a charge at `t`: `2^(t / half_life)`.
-    pub fn scale_at(&self, t: SimTime) -> f64 {
-        let half_life = self.half_life.as_secs_f64().max(1e-9);
-        (t.as_secs_f64() / half_life).exp2()
-    }
-
-    /// Decay a scaled usage back to real CPU-seconds at `t`
-    /// (`scaled · 2^(-t / half_life)`); the inverse of [`Self::scale_at`].
-    pub fn unscale_at(&self, scaled: f64, t: SimTime) -> f64 {
-        let half_life = self.half_life.as_secs_f64().max(1e-9);
-        scaled * (-t.as_secs_f64() / half_life).exp2()
-    }
+/// Decay a scaled usage back to real CPU-seconds at `t`
+/// (`scaled · 2^(-t / half_life)`); the inverse of [`scale_at`].
+pub fn unscale_at(scaled: f64, t: SimTime) -> f64 {
+    scaled * (-t.as_secs_f64() / HALF_LIFE.as_secs_f64()).exp2()
 }
 
 /// Jain's fairness index over per-tenant allocations:
@@ -104,20 +81,18 @@ mod tests {
 
     #[test]
     fn scale_round_trips() {
-        let fs = FairShareConfig::default();
         let t = SimTime::from_hours(100);
-        let scaled = 3600.0 * fs.scale_at(t);
-        let back = fs.unscale_at(scaled, t);
+        let scaled = 3600.0 * scale_at(t);
+        let back = unscale_at(scaled, t);
         assert!((back - 3600.0).abs() < 1e-6, "{back}");
     }
 
     #[test]
     fn usage_halves_per_half_life() {
-        let fs = FairShareConfig::default();
         let charged_at = SimTime::from_hours(0);
-        let scaled = 1000.0 * fs.scale_at(charged_at);
-        let after_one = fs.unscale_at(scaled, SimTime::from_hours(24));
-        let after_two = fs.unscale_at(scaled, SimTime::from_hours(48));
+        let scaled = 1000.0 * scale_at(charged_at);
+        let after_one = unscale_at(scaled, SimTime::from_hours(24));
+        let after_two = unscale_at(scaled, SimTime::from_hours(48));
         assert!((after_one - 500.0).abs() < 1e-9, "{after_one}");
         assert!((after_two - 250.0).abs() < 1e-9, "{after_two}");
     }
@@ -126,15 +101,14 @@ mod tests {
     fn relative_order_is_time_invariant() {
         // Two charges at different times: whichever scaled value is larger
         // stays larger under any later observation instant.
-        let fs = FairShareConfig::default();
-        let a = 100.0 * fs.scale_at(SimTime::from_hours(1));
-        let b = 60.0 * fs.scale_at(SimTime::from_hours(30));
+        let a = 100.0 * scale_at(SimTime::from_hours(1));
+        let b = 60.0 * scale_at(SimTime::from_hours(30));
         // b was charged much later, so despite the smaller raw value it
         // dominates once decay is accounted for.
         assert!(b > a);
         for h in [30, 50, 100] {
             let t = SimTime::from_hours(h);
-            assert!(fs.unscale_at(b, t) > fs.unscale_at(a, t));
+            assert!(unscale_at(b, t) > unscale_at(a, t));
         }
     }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use simkit::SimTime;
-use tenancy::{Quota, TenancyConfig, TenantBook, TenantId, TenantSpec};
+use tenancy::{Quota, TenantBook, TenantId, TenantSpec};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -34,7 +34,10 @@ proptest! {
             })
             .collect();
         let n = tenants.len() as u64;
-        let mut book = TenantBook::new(&TenancyConfig::with_tenants(tenants));
+        let mut book = TenantBook::default();
+        for spec in tenants {
+            book.register(spec);
+        }
         let mut in_flight: Vec<u64> = Vec::new();
         let mut next_job = 0u64;
         let mut clock = 0u64;
@@ -103,7 +106,10 @@ proptest! {
                 TenantSpec::registered(&format!("t{i}"), w as f64).with_quota(Quota::unlimited())
             })
             .collect();
-        let mut book = TenantBook::new(&TenancyConfig::with_tenants(specs));
+        let mut book = TenantBook::default();
+        for spec in specs {
+            book.register(spec);
+        }
         let mut expected: Vec<f64> = initial.iter().map(|&w| w as f64).collect();
         for (k, &w) in joins.iter().enumerate() {
             let id = book.register(
