@@ -242,14 +242,20 @@ pub fn write_metrics(name: &str, value: &impl serde::Serialize) {
 
 /// The `{schema_version, snapshot}` envelope [`write_metrics`] persists
 /// (exposed so tests can pin its shape).
-pub fn metrics_envelope(value: &impl serde::Serialize) -> serde::Value {
-    serde::Value::Map(vec![
-        (
-            "schema_version".to_string(),
-            serde::Value::U64(METRICS_SCHEMA_VERSION),
-        ),
-        ("snapshot".to_string(), value.to_value()),
-    ])
+pub fn metrics_envelope<T: serde::Serialize>(value: &T) -> MetricsEnvelope<'_, T> {
+    MetricsEnvelope(value)
+}
+
+/// A value wrapped as `{"schema_version": N, "snapshot": value}`.
+pub struct MetricsEnvelope<'a, T>(&'a T);
+
+impl<T: serde::Serialize> serde::Serialize for MetricsEnvelope<'_, T> {
+    fn serialize(&self, out: &mut serde::JsonWriter) {
+        out.map(|map| {
+            map.entry("schema_version", &METRICS_SCHEMA_VERSION);
+            map.entry("snapshot", self.0);
+        });
+    }
 }
 
 /// Write the telemetry snapshot of `grid`, which ran with telemetry on, as

@@ -1,7 +1,7 @@
 //! Capacity-bounded LRU object caches with full accounting.
 
 use crate::object::{ObjectId, ObjectRef};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Lifetime counters for one [`LruCache`].
@@ -149,22 +149,20 @@ impl LruCache {
 // cannot express, so it is flattened to `[id, size, tick]` triples (already
 // sorted — `BTreeMap` iteration order), keeping the rendering byte-stable.
 impl Serialize for LruCache {
-    fn to_value(&self) -> Value {
-        let resident: Vec<(ObjectId, u64, u64)> = self
-            .resident
-            .iter()
-            .map(|(&id, &(size, tick))| (id, size, tick))
-            .collect();
-        Value::Map(vec![
-            ("capacity_bytes".to_string(), self.capacity_bytes.to_value()),
-            ("resident".to_string(), resident.to_value()),
-            (
-                "occupancy_bytes".to_string(),
-                self.occupancy_bytes.to_value(),
-            ),
-            ("tick".to_string(), self.tick.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.map(|map| {
+            map.entry("capacity_bytes", &self.capacity_bytes);
+            map.entry_with("resident", |out| {
+                out.seq(|resident| {
+                    for (id, (size, tick)) in &self.resident {
+                        resident.element(&(id, size, tick));
+                    }
+                })
+            });
+            map.entry("occupancy_bytes", &self.occupancy_bytes);
+            map.entry("tick", &self.tick);
+            map.entry("stats", &self.stats);
+        });
     }
 }
 

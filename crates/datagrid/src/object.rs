@@ -1,6 +1,6 @@
 //! Content-addressed objects: identities, references, and the store.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Content address of an immutable object: a 64-bit hash of its bytes.
@@ -140,12 +140,17 @@ impl ObjectStore {
 // Snapshot serde: the catalogue is keyed by `ObjectId`, so it flattens to
 // sorted `[id, size]` pairs (JSON map keys must be strings).
 impl Serialize for ObjectStore {
-    fn to_value(&self) -> Value {
-        let sizes: Vec<(ObjectId, u64)> = self.sizes.iter().map(|(&id, &s)| (id, s)).collect();
-        Value::Map(vec![
-            ("sizes".to_string(), sizes.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.map(|map| {
+            map.entry_with("sizes", |out| {
+                out.seq(|sizes| {
+                    for pair in &self.sizes {
+                        sizes.element(&pair);
+                    }
+                })
+            });
+            map.entry("stats", &self.stats);
+        });
     }
 }
 

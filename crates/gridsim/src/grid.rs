@@ -21,7 +21,7 @@ use crate::scheduler::{self, ResourceView, SchedulerPolicy};
 use crate::speed::{benchmark_machines, speed_from_benchmarks};
 use crate::stability::{ResourceHealth, StabilityTracker};
 use crate::telemetry::{GridFact, GridTelemetry, TelemetryConfig, TelemetrySnapshot};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use simkit::{Calendar, FaultScript, SimDuration, SimRng, SimTime, Simulation, World};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -1489,17 +1489,14 @@ impl Grid {
 // ledger — so a restored grid replays bit-identically to an uninterrupted
 // run from the same seed.
 impl Serialize for Grid {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("now".to_string(), self.sim.now().to_value()),
-            ("processed".to_string(), self.sim.processed().to_value()),
-            ("calendar".to_string(), self.sim.calendar().to_value()),
-            ("world".to_string(), self.sim.world().to_value()),
-            (
-                "submissions_expected".to_string(),
-                self.submissions_expected.to_value(),
-            ),
-        ])
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.map(|map| {
+            map.entry("now", &self.sim.now());
+            map.entry("processed", &self.sim.processed());
+            map.entry("calendar", self.sim.calendar());
+            map.entry("world", self.sim.world());
+            map.entry("submissions_expected", &self.submissions_expected);
+        });
     }
 }
 
@@ -2578,7 +2575,7 @@ mod tests {
         let Value::Seq(pending) = entry(entry(&mut state, "world"), "pending") else {
             panic!("pending is a sequence");
         };
-        pending.push(JobId(99).to_value());
+        pending.push(serde_json::to_value(&JobId(99)).unwrap());
         match Grid::from_snapshot(&simkit::snapshot::encode(&state)) {
             Err(SnapshotError::Corrupt(msg)) => assert!(msg.contains("no record"), "{msg}"),
             Err(e) => panic!("wrong error: {e}"),

@@ -252,7 +252,7 @@ mod tests {
 
         // Snapshot → restore: same ids resolve to the same identities and
         // interning picks up where it left off (no id reuse).
-        let restored = UserDirectory::from_value(&dir.to_value()).unwrap();
+        let restored = UserDirectory::from_value(&serde_json::to_value(&dir).unwrap()).unwrap();
         assert_eq!(restored.len(), dir.len());
         for (id, user) in dir.iter() {
             assert_eq!(restored.get(id), Some(user));
@@ -269,8 +269,8 @@ mod tests {
             rebuilt.intern(u.clone());
         }
         assert_eq!(
-            serde_json::to_string(&dir.to_value()).unwrap(),
-            serde_json::to_string(&rebuilt.to_value()).unwrap()
+            serde_json::to_string(&serde_json::to_value(&dir).unwrap()).unwrap(),
+            serde_json::to_string(&serde_json::to_value(&rebuilt).unwrap()).unwrap()
         );
     }
 

@@ -21,7 +21,7 @@
 //! its snapshot-restored twin, compact at the same instants.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -166,28 +166,28 @@ impl<E> Calendar<E> {
 // kept on both sides, so a restored calendar holds exactly the entries of
 // the live one and reaps them at the same pops.
 impl<E: Serialize> Serialize for Calendar<E> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut JsonWriter) {
         let mut stored: Vec<&Entry<E>> = self.heap.iter().collect();
         stored.sort_by_key(|e| (e.time, e.seq));
-        let entries = Value::Seq(
-            stored
-                .iter()
-                .map(|e| {
-                    Value::Map(vec![
-                        ("time".to_string(), e.time.to_value()),
-                        ("seq".to_string(), e.seq.to_value()),
-                        ("event".to_string(), e.event.to_value()),
-                    ])
-                })
-                .collect(),
-        );
         let mut cancelled: Vec<u64> = self.cancelled.iter().copied().collect();
         cancelled.sort_unstable();
-        Value::Map(vec![
-            ("entries".to_string(), entries),
-            ("next_seq".to_string(), self.next_seq.to_value()),
-            ("cancelled".to_string(), cancelled.to_value()),
-        ])
+        out.map(|map| {
+            map.entry_with("entries", |out| {
+                out.seq(|entries| {
+                    for e in stored {
+                        entries.element_with(|out| {
+                            out.map(|entry| {
+                                entry.entry("time", &e.time);
+                                entry.entry("seq", &e.seq);
+                                entry.entry("event", &e.event);
+                            })
+                        });
+                    }
+                })
+            });
+            map.entry("next_seq", &self.next_seq);
+            map.entry("cancelled", &cancelled);
+        });
     }
 }
 
@@ -438,7 +438,7 @@ mod tests {
         let back: Calendar<u64> = serde_json::from_str(&json).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
         // The cancelled list in the snapshot is sorted (deterministic).
-        let v = cal.to_value();
+        let v = serde_json::to_value(&cal).unwrap();
         let fields = v.as_map().unwrap();
         let nums: Vec<u64> = serde::field(fields, "cancelled").unwrap();
         let mut sorted = nums.clone();

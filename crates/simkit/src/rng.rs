@@ -12,7 +12,7 @@
 use crate::snapshot::checksum as fnv1a;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 
 /// A deterministic random stream.
 #[derive(Debug, Clone)]
@@ -25,13 +25,13 @@ pub struct SimRng {
 // Restoring re-derives the key from the seed and fast-forwards to the exact
 // word, so the restored stream continues bit-for-bit where it left off.
 impl Serialize for SimRng {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut JsonWriter) {
         let (counter, index) = self.inner.stream_position();
-        Value::Map(vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("counter".to_string(), counter.to_value()),
-            ("index".to_string(), index.to_value()),
-        ])
+        out.map(|map| {
+            map.entry("seed", &self.seed);
+            map.entry("counter", &counter);
+            map.entry("index", &index);
+        });
     }
 }
 

@@ -17,7 +17,7 @@
 //! entries that the growth swallowed, so the map converges to fully dense
 //! whenever ids are, in fact, dense.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// How far past the current dense frontier an inserted id may be while still
@@ -186,12 +186,12 @@ impl<T> FromIterator<(u64, T)> for IdMap<T> {
 // the same id-sorted-pairs shape the callers previously produced by sorting a
 // `HashMap`'s entries, so swapping the container does not move snapshot bytes.
 impl<T: Serialize> Serialize for IdMap<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(
-            self.iter()
-                .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.seq(|pairs| {
+            for pair in self.iter() {
+                pairs.element(&pair);
+            }
+        });
     }
 }
 

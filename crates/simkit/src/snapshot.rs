@@ -37,6 +37,7 @@
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+use std::io::Write as _;
 use std::path::Path;
 
 /// Current snapshot schema version. Bump when the envelope layout or the
@@ -123,9 +124,21 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 
 /// Render `state` into a versioned, checksummed envelope.
 pub fn encode<T: Serialize + ?Sized>(state: &T) -> String {
+    let (head, mut text) = seal(state);
+    // Moves the body along inside its own buffer instead of copying it
+    // into a new one.
+    text.insert_str(0, &head);
+    text.push('}');
+    text
+}
+
+/// `state`'s body, streamed once into its own buffer, and the envelope
+/// head that goes before it: the version and the body's checksum.
+fn seal<T: Serialize + ?Sized>(state: &T) -> (String, String) {
     let body = serde_json::to_string(state).expect("serialization is infallible");
     let sum = checksum(body.as_bytes());
-    format!("{{\"version\":{SNAPSHOT_VERSION},\"checksum\":{sum},\"state\":{body}}}")
+    let head = format!("{{\"version\":{SNAPSHOT_VERSION},\"checksum\":{sum},\"state\":");
+    (head, body)
 }
 
 /// Decode an envelope produced by [`encode`], verifying version and checksum
@@ -173,10 +186,10 @@ fn verified_state(text: &str) -> Result<&str, SnapshotError> {
 /// as a sequence of `[key, value]` pairs in ascending key order, so a
 /// `HashMap`'s iteration order never reaches the snapshot bytes.
 pub mod sorted_pairs {
-    use serde::{Deserialize, Error, Serialize, Value};
+    use serde::{Deserialize, Error, JsonWriter, Serialize, Value};
 
-    /// Encode any map (`HashMap`, `BTreeMap`, …) as key-sorted pairs.
-    pub fn to_value<'a, M, K, V>(map: &'a M) -> Value
+    /// Write any map (`HashMap`, `BTreeMap`, …) as key-sorted pairs.
+    pub fn serialize<'a, M, K, V>(map: &'a M, out: &mut JsonWriter)
     where
         &'a M: IntoIterator<Item = (&'a K, &'a V)>,
         K: Ord + Serialize + 'a,
@@ -184,15 +197,10 @@ pub mod sorted_pairs {
     {
         let mut pairs: Vec<(&K, &V)> = map.into_iter().collect();
         pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        Value::Seq(
-            pairs
-                .into_iter()
-                .map(|(k, v)| Value::Seq(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
+        pairs.serialize(out);
     }
 
-    /// Decode pairs written by [`to_value`] into any map.
+    /// Decode pairs written by [`serialize`] into any map.
     pub fn from_value<M, K, V>(value: &Value) -> Result<M, Error>
     where
         M: FromIterator<(K, V)>,
@@ -208,14 +216,20 @@ pub mod sorted_pairs {
 /// sibling `.tmp` file first, then replace `path` in one rename, so a crash
 /// mid-write leaves any previous snapshot intact.
 pub fn write_file<T: Serialize + ?Sized>(path: &Path, state: &T) -> Result<(), SnapshotError> {
-    let text = encode(state);
+    let (head, body) = seal(state);
     let file_name = path
         .file_name()
         .ok_or_else(|| SnapshotError::Corrupt(format!("bad snapshot path {}", path.display())))?;
     let mut tmp_name = file_name.to_os_string();
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    std::fs::write(&tmp, text.as_bytes())?;
+    // The envelope goes out in its three pieces, so the body is never
+    // copied to wrap it.
+    let mut file = std::fs::File::create(&tmp)?;
+    for piece in [head.as_str(), &body, "}"] {
+        file.write_all(piece.as_bytes())?;
+    }
+    drop(file);
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
@@ -395,6 +409,38 @@ mod tests {
         );
         let back: Table = serde_json::from_str(&a).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), a);
+    }
+
+    /// The text of [`sorted_pairs`], compact and pretty, as the encoder
+    /// that built a `Value` tree wrote it, whichever order the map was
+    /// filled in.
+    #[test]
+    fn sorted_pairs_text_is_pinned() {
+        use std::collections::HashMap;
+        #[derive(Serialize)]
+        struct Table {
+            #[serde(with = "super::sorted_pairs")]
+            rows: HashMap<u64, String>,
+        }
+        let ids = [40u64, 3, 17, 99, 0, 64, 8];
+        let forward: HashMap<u64, String> = ids.iter().map(|&i| (i, format!("#{i}"))).collect();
+        let mut backward = HashMap::with_capacity(1);
+        for &i in ids.iter().rev() {
+            backward.insert(i, format!("#{i}"));
+        }
+        let pair = |i: u64| format!("\n    [\n      {i},\n      \"#{i}\"\n    ]");
+        let pretty = format!(
+            "{{\n  \"rows\": [{}\n  ]\n}}",
+            [0, 3, 8, 17, 40, 64, 99].map(pair).join(",")
+        );
+        for rows in [forward, backward] {
+            let table = Table { rows };
+            assert_eq!(
+                serde_json::to_string(&table).unwrap(),
+                r##"{"rows":[[0,"#0"],[3,"#3"],[8,"#8"],[17,"#17"],[40,"#40"],[64,"#64"],[99,"#99"]]}"##
+            );
+            assert_eq!(serde_json::to_string_pretty(&table).unwrap(), pretty);
+        }
     }
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]

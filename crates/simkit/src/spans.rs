@@ -17,7 +17,7 @@
 
 use crate::telemetry::FieldValue;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 /// Identifier of a span within one [`SpanLog`] (dense, starting at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -192,42 +192,53 @@ impl SpanLog {
     /// `now` and annotated `"open": true`. The output is deterministic:
     /// spans appear in id order with their args in emission order.
     pub fn chrome_trace_json(&self, now: SimTime) -> String {
-        let events: Vec<Value> = self
-            .spans
-            .iter()
-            .map(|s| {
-                let end = s.end.unwrap_or_else(|| now.max(s.start));
-                let mut args: Vec<(String, Value)> = vec![("span".to_string(), Value::U64(s.id))];
+        let mut out = JsonWriter::pretty();
+        out.map(|doc| {
+            doc.entry_with("traceEvents", |out| {
+                out.seq(|events| {
+                    for s in &self.spans {
+                        events.element_with(|out| write_trace_event(s, now, out));
+                    }
+                })
+            });
+            doc.entry("displayTimeUnit", "ms");
+        });
+        out.into_string()
+    }
+}
+
+/// One span as a Chrome `ph: "X"` event.
+fn write_trace_event(s: &Span, now: SimTime, out: &mut JsonWriter) {
+    let end = s.end.unwrap_or_else(|| now.max(s.start));
+    out.map(|event| {
+        event.entry("name", &s.name);
+        event.entry("cat", &s.cat);
+        event.entry("ph", "X");
+        event.entry("ts", &s.start.as_micros());
+        event.entry("dur", &(end.as_micros() - s.start.as_micros()));
+        event.entry("pid", &0u64);
+        event.entry("tid", &s.track);
+        event.entry_with("args", |out| {
+            out.map(|args| {
+                args.entry("span", &s.id);
                 if let Some(p) = s.parent {
-                    args.push(("parent".to_string(), Value::U64(p)));
+                    args.entry("parent", &p);
                 }
                 if s.end.is_none() {
-                    args.push(("open".to_string(), Value::Bool(true)));
+                    args.entry("open", &true);
                 }
                 for (k, v) in &s.args {
-                    args.push((k.clone(), field_to_value(v)));
+                    args.entry_with(k, |out| match v {
+                        FieldValue::U64(x) => out.u64(*x),
+                        FieldValue::I64(x) => out.i64(*x),
+                        FieldValue::F64(x) => out.f64(*x),
+                        FieldValue::Bool(x) => out.bool(*x),
+                        FieldValue::Str(x) => out.str(x),
+                    });
                 }
-                Value::Map(vec![
-                    ("name".to_string(), Value::Str(s.name.clone())),
-                    ("cat".to_string(), Value::Str(s.cat.clone())),
-                    ("ph".to_string(), Value::Str("X".to_string())),
-                    ("ts".to_string(), Value::U64(s.start.as_micros())),
-                    (
-                        "dur".to_string(),
-                        Value::U64(end.as_micros() - s.start.as_micros()),
-                    ),
-                    ("pid".to_string(), Value::U64(0)),
-                    ("tid".to_string(), Value::U64(s.track)),
-                    ("args".to_string(), Value::Map(args)),
-                ])
             })
-            .collect();
-        let doc = Value::Map(vec![
-            ("traceEvents".to_string(), Value::Seq(events)),
-            ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-        ]);
-        serde_json::to_string_pretty(&doc).expect("trace serializes")
-    }
+        });
+    });
 }
 
 /// Counts describing a [`SpanLog`] at one instant.
@@ -243,19 +254,10 @@ pub struct SpanLogSummary {
     pub dropped: u64,
 }
 
-fn field_to_value(v: &FieldValue) -> Value {
-    match v {
-        FieldValue::U64(x) => Value::U64(*x),
-        FieldValue::I64(x) => Value::I64(*x),
-        FieldValue::F64(x) => Value::F64(*x),
-        FieldValue::Bool(x) => Value::Bool(*x),
-        FieldValue::Str(x) => Value::Str(x.clone()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn lineage_links_parents_by_id() {

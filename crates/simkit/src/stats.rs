@@ -5,7 +5,7 @@
 //!   lengths, busy processors).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 
 /// Streaming mean/variance/extremes via Welford's algorithm.
 #[derive(Debug, Default, Clone, Copy)]
@@ -22,13 +22,13 @@ pub struct Tally {
 // which does not deserialize back into an `f64`). Finite values keep the
 // plain float encoding; the infinities become the sentinel strings
 // `"inf"` / `"-inf"` so a fresh tally survives a snapshot round-trip.
-fn extreme_to_value(x: f64) -> Value {
+fn write_extreme(x: f64, out: &mut JsonWriter) {
     if x.is_finite() {
-        Value::F64(x)
+        out.f64(x);
     } else if x > 0.0 {
-        Value::Str("inf".to_string())
+        out.str("inf");
     } else {
-        Value::Str("-inf".to_string())
+        out.str("-inf");
     }
 }
 
@@ -41,14 +41,14 @@ fn extreme_from_value(value: &Value) -> Result<f64, serde::Error> {
 }
 
 impl Serialize for Tally {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("n".to_string(), self.n.to_value()),
-            ("mean".to_string(), self.mean.to_value()),
-            ("m2".to_string(), self.m2.to_value()),
-            ("min".to_string(), extreme_to_value(self.min)),
-            ("max".to_string(), extreme_to_value(self.max)),
-        ])
+    fn serialize(&self, out: &mut JsonWriter) {
+        out.map(|map| {
+            map.entry("n", &self.n);
+            map.entry("mean", &self.mean);
+            map.entry("m2", &self.m2);
+            map.entry_with("min", |out| write_extreme(self.min, out));
+            map.entry_with("max", |out| write_extreme(self.max, out));
+        });
     }
 }
 

@@ -422,6 +422,11 @@ fn resume_v4(text: &str) -> u64 {
 /// The report FNV of the fixture's resume on the build that wrote it.
 const V4_PIN: u64 = 0x7d7d_804e_d796_cd5c;
 
+/// The FNV of the fixture restored and re-encoded, whole envelope
+/// included, as the encoder that built a `Value` tree wrote it (80,588
+/// bytes); the streaming encoder must write the same bytes.
+const V4_REENCODED_PIN: u64 = 0xba50_09b4_7345_b4ce;
+
 #[test]
 fn v4_everything_on_resumes_to_its_pin() {
     assert!(V4_EVERYTHING_ON.starts_with("{\"version\":4,"));
@@ -430,6 +435,11 @@ fn v4_everything_on_resumes_to_its_pin() {
     let v5 = Grid::from_snapshot(V4_EVERYTHING_ON).unwrap().to_snapshot();
     let stamp = format!("{{\"version\":{},", simkit::SNAPSHOT_VERSION);
     assert!(v5.starts_with(&stamp));
+    assert_eq!(
+        fnv1a(v5.as_bytes()),
+        V4_REENCODED_PIN,
+        "re-encoding drifted"
+    );
     for key in [
         "schedule_interval",
         "backlog_factor",

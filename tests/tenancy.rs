@@ -20,7 +20,7 @@ use gridsim::boinc::BoincConfig;
 use gridsim::grid::{Grid, GridConfig};
 use gridsim::job::JobSpec;
 use gridsim::resource::{ResourceKind, ResourceSpec};
-use serde::{Serialize, Value};
+use serde::Value;
 use simkit::{SimRng, SimTime, Snapshot};
 use tenancy::{Quota, TenancyConfig, TenantSpec};
 
@@ -84,7 +84,7 @@ fn strip_tenancy(value: &Value) -> Value {
 }
 
 fn world_has_tenancy_key(grid: &Grid) -> bool {
-    let value = grid.to_value();
+    let value = serde_json::to_value(grid).unwrap();
     let fields = value.as_map().expect("grid serializes to a map");
     let (_, world) = fields
         .iter()
@@ -154,15 +154,15 @@ fn unused_tenancy_layer_is_inert() {
         if step % 500 == 0 {
             assert_eq!(plain.now(), tenanted.now(), "clocks diverged at {step}");
             assert_eq!(
-                strip_tenancy(&plain.to_value()),
-                strip_tenancy(&tenanted.to_value()),
+                strip_tenancy(&serde_json::to_value(&plain).unwrap()),
+                strip_tenancy(&serde_json::to_value(&tenanted).unwrap()),
                 "tenancy-stripped state diverged at step {step}"
             );
         }
     }
     assert_eq!(
-        strip_tenancy(&plain.to_value()),
-        strip_tenancy(&tenanted.to_value()),
+        strip_tenancy(&serde_json::to_value(&plain).unwrap()),
+        strip_tenancy(&serde_json::to_value(&tenanted).unwrap()),
         "tenancy-stripped final state diverged"
     );
     // The idle ledger saw no traffic at all.
